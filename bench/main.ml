@@ -254,6 +254,33 @@ let fig11 ?(max_log2 = 14) () =
      div >> mul > sub ~ add, so division crosses first (the paper reports\n\
      2^13 for division vs 2^18 for addition against its budget).\n"
 
+(* ---- MPFR-port call latency at the evaluation precision -------------------- *)
+
+(* Host microseconds per call of the bigfloat ops and libm functions the
+   mpfr:200 port emulates, on arguments typical of the workloads (a
+   200-bit significand, moderate magnitude). *)
+let libm200 () =
+  hr "bigfloat libm latency at prec 200 (host us/call)";
+  let prec = 200 in
+  let x = B.div ~prec (B.sqrt ~prec (B.of_int 2)) (B.of_int 3) in
+  let y = B.add ~prec (B.of_int 7) x in
+  let tests =
+    [ ("add", fun () -> ignore (B.add ~prec x y));
+      ("mul", fun () -> ignore (B.mul ~prec x y));
+      ("div", fun () -> ignore (B.div ~prec x y));
+      ("sqrt", fun () -> ignore (B.sqrt ~prec y));
+      ("fma", fun () -> ignore (B.fma ~prec x y x));
+      ("exp", fun () -> ignore (E.exp ~prec y));
+      ("log", fun () -> ignore (E.log ~prec y));
+      ("sin", fun () -> ignore (E.sin ~prec y));
+      ("tan", fun () -> ignore (E.tan ~prec x));
+      ("asin", fun () -> ignore (E.asin ~prec x));
+      ("atan", fun () -> ignore (E.atan ~prec y)) ]
+  in
+  List.iter
+    (fun (name, ns) -> printf "%-6s %10.2f\n%!" name (ns /. 1000.0))
+    (measure_ns tests)
+
 (* ---- Figure 12 -------------------------------------------------------------------- *)
 
 let fig12 ?(deployment = Trapkern.User_signal) () =
@@ -2180,6 +2207,7 @@ let experiments =
     ("fig9-nocache", fun () -> fig9 ~decode_cache:false ());
     ("fig10", fig10);
     ("fig11", fun () -> fig11 ());
+    ("libm200", libm200);
     ("fig12", fun () -> fig12 ());
     ("fig13", fig13);
     ("fig14", fig14);

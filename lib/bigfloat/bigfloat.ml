@@ -26,30 +26,23 @@ let nan = Nan
 let canon sign man exp =
   if Nat.is_zero man then Zero sign
   else begin
-    let rec tz k = if Nat.testbit man k then k else tz (k + 1) in
-    let k = tz 0 in
-    if k = 0 then Fin { sign; exp; man }
-    else Fin { sign; exp = exp + k; man = Nat.shift_right man k }
+    let k = Nat.trailing_zeros man in
+    Fin { sign; exp = exp + k; man = Nat.shift_right man k }
   end
 
-(* Round (-1)^sign * man * 2^exp (+ sticky) to [prec] significant bits. *)
+(* Round (-1)^sign * man * 2^exp (+ sticky) to [prec] significant bits.
+   Truncation or increment and canonicalization share one shift. *)
 let make ~prec ?(mode = rne) ~sign ~man ~exp ~sticky =
   if prec < 2 then invalid_arg "Bigfloat.make: prec < 2";
-  if Nat.is_zero man then begin
-    if sticky then begin
-      (* Underflow to an epsilon of unknowable magnitude cannot happen
-         here: callers only pass sticky with a nonzero man, except for
-         directed-rounding epsilon cases which they handle themselves. *)
-      Zero sign
-    end
-    else Zero sign
-  end
+  if Nat.is_zero man then
+    (* Callers only pass sticky with a nonzero man, except for
+       directed-rounding epsilon cases which they handle themselves. *)
+    Zero sign
   else begin
     let nb = Nat.num_bits man in
     if nb <= prec && not sticky then canon sign man exp
     else begin
       let drop = max 0 (nb - prec) in
-      let kept = Nat.shift_right man drop in
       let round_bit = drop > 0 && Nat.testbit man (drop - 1) in
       let rest =
         sticky || (drop > 1 && Nat.bits_below_nonzero man (drop - 1))
@@ -57,25 +50,26 @@ let make ~prec ?(mode = rne) ~sign ~man ~exp ~sticky =
       let inc =
         match mode with
         | Ieee754.Softfp.Nearest_even ->
-            round_bit && (rest || Nat.testbit kept 0)
+            round_bit && (rest || Nat.testbit man drop)
         | Ieee754.Softfp.Toward_zero -> false
         | Ieee754.Softfp.Toward_pos ->
             sign = 0 && (round_bit || rest)
         | Ieee754.Softfp.Toward_neg ->
             sign = 1 && (round_bit || rest)
       in
-      let kept = if inc then Nat.succ kept else kept in
-      (* The increment may have widened the significand past prec. *)
-      let kept, drop2 =
-        if Nat.num_bits kept > prec then (Nat.shift_right kept 1, 1) else (kept, 0)
-      in
-      canon sign kept (exp + drop + drop2)
+      (* The kept significand is nonzero (it has prec bits, or is man),
+         so the stripped value is too; a carry out of the top just leaves
+         a shorter odd significand. *)
+      let man, k = Nat.strip_shift man drop ~up:inc in
+      Fin { sign; exp = exp + k; man }
     end
   end
 
 let of_int n =
-  if n = 0 then zero
-  else canon (if n < 0 then 1 else 0) (Nat.of_int (Stdlib.abs n)) 0
+  if n >= 0 then canon 0 (Nat.of_int n) 0
+  else
+    (* -(n + 1) cannot overflow, even for min_int. *)
+    canon 1 (Nat.succ (Nat.of_int (-(n + 1)))) 0
 
 let of_float f =
   if Float.is_nan f then Nan
@@ -200,23 +194,20 @@ let add ~prec ?(mode = rne) x y =
             ~exp:(p.exp - guard) ~sticky:true
       end
       else begin
-        (* Exact alignment: cost bounded by the exponent gap we allowed. *)
-        let e = min p.exp q.exp in
-        let mp = Nat.shift_left p.man (p.exp - e)
-        and mq = Nat.shift_left q.man (q.exp - e) in
+        (* Exact alignment, cost bounded by the exponent gap we allowed:
+           the operand with the higher lsb is shifted on the fly. *)
+        let lo, hi = if p.exp >= q.exp then (q, p) else (p, q) in
+        let e = lo.exp and k = hi.exp - lo.exp in
         if p.sign = q.sign then
-          make ~prec ~mode ~sign:p.sign ~man:(Nat.add mp mq) ~exp:e
-            ~sticky:false
+          make ~prec ~mode ~sign:p.sign ~man:(Nat.add_shift lo.man hi.man k)
+            ~exp:e ~sticky:false
         else begin
-          let c = Nat.compare mp mq in
+          let c, man = Nat.diff_shift lo.man hi.man k in
           if c = 0 then
             (if mode = Ieee754.Softfp.Toward_neg then Zero 1 else Zero 0)
-          else if c > 0 then
-            make ~prec ~mode ~sign:p.sign ~man:(Nat.sub mp mq) ~exp:e
-              ~sticky:false
           else
-            make ~prec ~mode ~sign:q.sign ~man:(Nat.sub mq mp) ~exp:e
-              ~sticky:false
+            make ~prec ~mode ~sign:(if c > 0 then lo.sign else hi.sign) ~man
+              ~exp:e ~sticky:false
         end
       end
 
@@ -262,10 +253,29 @@ let div ~prec ?(mode = rne) x y =
       let s =
         max 0 (prec + 2 + Nat.num_bits b.man - Nat.num_bits a.man)
       in
-      let q, r = Nat.divmod (Nat.shift_left a.man s) b.man in
+      let q, inexact = Nat.shift_div a.man s b.man in
       make ~prec ~mode ~sign:(a.sign lxor b.sign) ~man:q
-        ~exp:(a.exp - b.exp - s)
-        ~sticky:(not (Nat.is_zero r))
+        ~exp:(a.exp - b.exp - s) ~sticky:inexact
+
+let div_int ~prec ?(mode = rne) x k =
+  let d = Stdlib.abs k in
+  if k = 0 || d >= 1 lsl Nat.limb_bits || d < 0 then div ~prec ~mode x (of_int k)
+  else begin
+    let ks = if k < 0 then 1 else 0 in
+    match x with
+    | Nan -> Nan
+    | Inf s -> Inf (s lxor ks)
+    | Zero s -> Zero (s lxor ks)
+    | Fin a ->
+        (* As [div], with the one-limb divisor read as an int: the
+           quotient of a.man * 2^s by d has >= prec + 2 bits. *)
+        let s =
+          max 0 (prec + 2 + Nat.num_bits (Nat.of_int d) - Nat.num_bits a.man)
+        in
+        let q, inexact = Nat.shift_div_int a.man s d in
+        make ~prec ~mode ~sign:(a.sign lxor ks) ~man:q ~exp:(a.exp - s)
+          ~sticky:inexact
+  end
 
 (* ---- square root ------------------------------------------------------- *)
 

@@ -6,9 +6,13 @@
     structural equality coincides with numeric equality on finite values.
     The exponent is unbounded (OCaml int), so there is no overflow or
     underflow within the type; conversions to IEEE formats apply range
-    handling. +,-,*,/,sqrt,fma are correctly rounded at the requested
+    handling. +,-,*,/,sqrt,fma,rint are correctly rounded at the requested
     precision in any of the four IEEE rounding modes; the elementary
-    functions in {!Elementary} are faithfully rounded. *)
+    functions in {!Elementary} are faithfully rounded.
+
+    Correct rounding plus the canonical form make every result unique:
+    any implementation of these operations returns structurally the
+    same value, so kernel changes can alter speed but never bits. *)
 
 type t
 
@@ -86,6 +90,10 @@ val add : prec:int -> ?mode:rounding -> t -> t -> t
 val sub : prec:int -> ?mode:rounding -> t -> t -> t
 val mul : prec:int -> ?mode:rounding -> t -> t -> t
 val div : prec:int -> ?mode:rounding -> t -> t -> t
+val div_int : prec:int -> ?mode:rounding -> t -> int -> t
+(** [div_int ~prec x k = div ~prec x (of_int k)], dividing by a one-limb
+    integer directly (no bigfloat divisor, no shifted numerator copy). *)
+
 val sqrt : prec:int -> ?mode:rounding -> t -> t
 val fma : prec:int -> ?mode:rounding -> t -> t -> t -> t
 (** Fused: a*b + c with a single rounding. *)

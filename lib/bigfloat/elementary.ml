@@ -50,30 +50,34 @@ let atan_inv_scaled wp x =
   done;
   !acc
 
-(* Domain-local: the memo is pure (same key -> same value), but a shared
-   Hashtbl would race when engine sessions run on separate domains.
-   Per-domain tables trade a few recomputations at domain start for
-   lock-free reads on the hot path. *)
-let const_cache : (string * int, B.t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
+(* One memo per constant, keyed by working precision. Domain-local: the
+   memo is pure (same key -> same value), but a shared Hashtbl would race
+   when engine sessions run on separate domains. Per-domain tables trade
+   a few recomputations at domain start for lock-free reads on the hot
+   path. *)
+let new_cache () : (int, B.t) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
 
-let cached name wp compute =
-  let tbl = Domain.DLS.get const_cache in
-  match Hashtbl.find_opt tbl (name, wp) with
+let ln2_cache = new_cache ()
+let pi_cache = new_cache ()
+
+let cached key wp compute =
+  let tbl = Domain.DLS.get key in
+  match Hashtbl.find_opt tbl wp with
   | Some v -> v
   | None ->
       let v = compute () in
-      Hashtbl.replace tbl (name, wp) v;
+      Hashtbl.replace tbl wp v;
       v
 
 let ln2_at wp =
-  cached "ln2" wp (fun () ->
+  cached ln2_cache wp (fun () ->
       B.make ~prec:wp ~mode:B.rne ~sign:0 ~man:(ln2_scaled (wp + 16))
         ~exp:(-(wp + 16)) ~sticky:true)
 
 (* Machin: pi = 16 atan(1/5) - 4 atan(1/239). *)
 let pi_at wp =
-  cached "pi" wp (fun () ->
+  cached pi_cache wp (fun () ->
       let w = wp + 16 in
       let a = Nat.mul_int (atan_inv_scaled w 5) 16 in
       let b = Nat.mul_int (atan_inv_scaled w 239) 4 in
@@ -88,7 +92,7 @@ let add' wp a b = B.add ~prec:wp a b
 let sub' wp a b = B.sub ~prec:wp a b
 let mul' wp a b = B.mul ~prec:wp a b
 let div' wp a b = B.div ~prec:wp a b
-let div_int wp a n = B.div ~prec:wp a (B.of_int n)
+let div_int wp a n = B.div_int ~prec:wp a n
 
 (* Round to final precision: one extra rounding of a wp-precision value. *)
 let finish ~prec v =
@@ -106,11 +110,7 @@ let to_int_round x =
   | `Nan | `Inf _ -> invalid_arg "to_int_round"
 
 (* True when |x| < 2^e. *)
-let below x e =
-  match B.classify x with
-  | `Zero _ -> true
-  | `Fin _ -> B.exponent x < e
-  | `Nan | `Inf _ -> false
+let below x e = B.is_zero x || (B.is_finite x && B.exponent x < e)
 
 (* ---- exp --------------------------------------------------------------- *)
 

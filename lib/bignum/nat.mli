@@ -35,7 +35,12 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 
 val num_bits : t -> int
-(** Position of the highest set bit plus one; [num_bits zero = 0]. *)
+(** Position of the highest set bit plus one; [num_bits zero = 0].
+    Constant time. *)
+
+val trailing_zeros : t -> int
+(** Number of trailing zero bits; [trailing_zeros zero = 0]. Scans limbs,
+    not bits. *)
 
 val testbit : t -> int -> bool
 (** [testbit a i] is bit [i] (0 = least significant). Out-of-range bits are 0. *)
@@ -52,6 +57,14 @@ val succ : t -> t
 val pred : t -> t
 (** [pred zero] raises [Invalid_argument]. *)
 
+val add_shift : t -> t -> int -> t
+(** [add_shift a b k = a + b * 2^k], built in one buffer without
+    materializing the shifted operand. *)
+
+val diff_shift : t -> t -> int -> int * t
+(** [diff_shift a b k = (c, d)] with [c] the sign of [a - b * 2^k]
+    (-1, 0 or 1) and [d] its magnitude, in one buffer. *)
+
 val mul : t -> t -> t
 (** Schoolbook below the Karatsuba threshold, Karatsuba above. *)
 
@@ -60,6 +73,12 @@ val mul_int : t -> int -> t
 
 val shift_left : t -> int -> t
 val shift_right : t -> int -> t
+
+val strip_shift : t -> int -> up:bool -> t * int
+(** [strip_shift a k ~up = (m, j)] with
+    [m * 2^j = (floor (a / 2^k) + (if up then 1 else 0)) * 2^k] and [m]
+    odd; [(zero, k)] when that value is zero. The truncate-or-increment
+    step of rounding fused with trailing-zero stripping: one shift. *)
 
 val divmod : t -> t -> t * t
 (** [divmod a b = (q, r)] with [a = q*b + r], [0 <= r < b].
@@ -71,9 +90,20 @@ val rem : t -> t -> t
 val divmod_int : t -> int -> t * int
 (** Division by a small positive int; the remainder is an int. *)
 
+val shift_div : t -> int -> t -> t * bool
+(** [shift_div a k b = (q, inexact)] with [q = floor (a * 2^k / b)] and
+    [inexact] true iff the division leaves a remainder. The shift is
+    folded into the division's working buffer. Raises
+    [Division_by_zero] if [b] is zero. *)
+
+val shift_div_int : t -> int -> int -> t * bool
+(** [shift_div_int a k d] is [shift_div a k (of_int d)] for a one-limb
+    divisor [0 < d < 2^limb_bits], reading [a * 2^k] limb by limb. *)
+
 val sqrt_rem : t -> t * t
 (** [sqrt_rem a = (s, r)] with [s*s + r = a] and [s] the integer square
-    root. Newton's method. *)
+    root (floor). Precision doubling from a float seed: each level
+    recurses on the top half of the bits and takes one Newton step. *)
 
 val pow : t -> int -> t
 (** [pow a k] for [k >= 0]. *)

@@ -16,6 +16,9 @@ module E = Elementary
 
 let bf = Alcotest.testable B.pp B.equal
 
+(* Structural equality: the same bits, NaN included. *)
+let bits = Alcotest.testable B.pp ( = )
+
 (* doubles with exponents in a comfortable range *)
 let gen_mid =
   QCheck.Gen.(
@@ -231,11 +234,186 @@ let misc_tests =
         Alcotest.(check int) "exp 1.5" 0 (B.exponent x);
         Alcotest.(check int) "exp 3" 1 (B.exponent (B.scale2 x 1));
         Alcotest.check bf "scale" (B.of_float 6.0) (B.scale2 x 2));
+    Alcotest.test_case "of_int is exact at min_int and max_int" `Quick (fun () ->
+        let p62 = B.scale2 B.one 62 in
+        Alcotest.check bf "min_int = -2^62" (B.neg p62) (B.of_int min_int);
+        Alcotest.check bf "max_int = 2^62 - 1" B.minus_one
+          (B.sub ~prec:64 (B.of_int max_int) p62);
+        Alcotest.check bf "min_int + max_int = -1" B.minus_one
+          (B.add ~prec:64 (B.of_int min_int) (B.of_int max_int)));
+    Alcotest.test_case "div_int = div by of_int" `Quick (fun () ->
+        List.iter
+          (fun k ->
+            List.iter
+              (fun x ->
+                Alcotest.check bits (Printf.sprintf "/%d" k)
+                  (B.div ~prec:70 x (B.of_int k)) (B.div_int ~prec:70 x k))
+              [ B.of_float 1.1; B.of_float (-3.75); B.zero; B.neg_zero;
+                B.inf; B.neg_inf; B.nan ])
+          [ 1; -1; 3; 12; -7; 1 lsl 29; (1 lsl 30) + 1; max_int; min_int; 0 ]);
     Alcotest.test_case "canonical equality" `Quick (fun () ->
         (* 0.5 constructed two ways must be structurally equal *)
         let a = B.make ~prec:53 ~mode:B.rne ~sign:0 ~man:(Bignum.Nat.of_int 4) ~exp:(-3) ~sticky:false in
         Alcotest.check bf "canon" B.half a)
   ]
+
+(* ---- bit-identity golden ------------------------------------------------
+
+   A fixed corpus of operands from a 63-bit LCG (no Random: its stream
+   differs across OCaml releases) run through every correctly rounded
+   operation in all four modes and through the elementary functions.
+   The results are serialized exactly (sign, exponent, hex significand)
+   and digested. Correct rounding makes every result unique, so a kernel
+   rewrite may change speed but never this digest; any drift fails. *)
+
+module Nat = Bignum.Nat
+
+let golden_digest = "74b6dab97c9ef34c1745a8461afb61bf"
+
+let lcg seed =
+  let s = ref seed in
+  fun () ->
+    s := (!s * 0x2545F4914F6CDD1D) + 1442695040888963407;
+    (!s lsr 20) land 0x3FFFFFFF
+
+(* A natural of exactly [w] bits, in one of several shapes chosen to hit
+   rounding boundaries: random, all ones, a power of two, 2^(w-1)+1, and
+   random with a long trailing-zero run. *)
+let golden_man next w =
+  let w = max 1 w in
+  let top = Nat.shift_left Nat.one (w - 1) in
+  let random () =
+    let rec fill acc k =
+      if k <= 0 then acc
+      else fill (Nat.logor (Nat.shift_left acc 30) (Nat.of_int (next ()))) (k - 30)
+    in
+    Nat.logor top (Nat.extract_bits (fill Nat.zero w) ~lo:0 ~len:w)
+  in
+  match next () mod 8 with
+  | 0 -> Nat.pred (Nat.shift_left Nat.one w)
+  | 1 -> top
+  | 2 -> if w > 1 then Nat.succ top else top
+  | 3 ->
+      let z = next () mod w in
+      Nat.logor top (Nat.shift_left (Nat.shift_right (random ()) z) z)
+  | _ -> random ()
+
+(* A finite value with a [w]-bit significand whose leading bit sits at
+   2^top. *)
+let golden_val next ~w ~top =
+  let man = golden_man next w in
+  let sign = next () land 1 in
+  B.make ~prec:(max 2 w) ~mode:B.rne ~sign ~man ~exp:(top - w + 1) ~sticky:false
+
+let golden_modes =
+  Ieee754.Softfp.[ Nearest_even; Toward_zero; Toward_pos; Toward_neg ]
+
+let golden_results () =
+  let next = lcg 0x5EED_B17 in
+  let out = ref [] in
+  let emit v = out := v :: !out in
+  let pick l = List.nth l (next () mod List.length l) in
+  let special () = pick [ B.zero; B.neg_zero; B.inf; B.neg_inf; B.nan ] in
+  let width prec = 1 + (next () mod (prec + 40)) in
+  let operand prec =
+    if next () mod 20 = 0 then special ()
+    else golden_val next ~w:(width prec) ~top:((next () mod 41) - 20)
+  in
+  List.iter
+    (fun prec ->
+      List.iter
+        (fun mode ->
+          for i = 0 to 9 do
+            let x = operand prec in
+            (* add/sub: a random pair, a pair straddling the [guard]
+               epsilon branch of [add] (gap around prec + 12 bits), or a
+               carry-out tie (prec ones plus half an ulp). *)
+            let y =
+              match i mod 3 with
+              | 0 -> operand prec
+              | 1 ->
+                  let wy = width prec in
+                  let gap = prec + 12 + ((next () mod 7) - 3) in
+                  golden_val next ~w:wy ~top:(-gap)
+              | _ -> golden_val next ~w:1 ~top:(-prec)
+            in
+            let x' =
+              if i mod 3 = 2 then
+                B.make ~prec ~mode:B.rne ~sign:0
+                  ~man:(Nat.pred (Nat.shift_left Nat.one prec))
+                  ~exp:(1 - prec) ~sticky:false
+              else x
+            in
+            emit (B.add ~prec ~mode x' y);
+            emit (B.sub ~prec ~mode x' (B.neg y));
+            let z = operand prec in
+            emit (B.mul ~prec ~mode x z);
+            emit (B.div ~prec ~mode x z);
+            emit (B.sqrt ~prec ~mode (B.abs x));
+            (* fma: random addend, or one cancelling most of the product *)
+            let c =
+              if i mod 2 = 0 then operand prec
+              else B.neg (B.add ~prec:(prec / 2) (B.mul_exact x z) y)
+            in
+            emit (B.fma ~prec ~mode x z c);
+            let r =
+              golden_val next ~w:(width prec) ~top:((next () mod 16) - 2)
+            in
+            emit (B.rint ~prec ~mode (if i = 0 then B.add ~prec r B.half else r))
+          done)
+        golden_modes)
+    [ 24; 53; 70; 200; 240 ];
+  let unary =
+    [ ("exp", E.exp, (-5, 4)); ("log", (fun ~prec x -> E.log ~prec (B.abs x)), (-40, 40));
+      ("log10", (fun ~prec x -> E.log10 ~prec (B.abs x)), (-40, 40));
+      ("sin", E.sin, (-8, 6)); ("cos", E.cos, (-8, 6)); ("tan", E.tan, (-8, 2));
+      ("asin", E.asin, (-8, -1)); ("acos", E.acos, (-8, -1));
+      ("atan", E.atan, (-8, 8)) ]
+  in
+  List.iter
+    (fun prec ->
+      List.iter
+        (fun (_, f, (lo, hi)) ->
+          for _ = 1 to 20 do
+            let top = lo + (next () mod (hi - lo + 1)) in
+            emit (f ~prec (golden_val next ~w:(width prec) ~top))
+          done)
+        unary;
+      for _ = 1 to 20 do
+        let y = golden_val next ~w:(width prec) ~top:((next () mod 10) - 4) in
+        let x = golden_val next ~w:(width prec) ~top:((next () mod 10) - 4) in
+        emit (E.atan2 ~prec y x)
+      done;
+      for i = 1 to 20 do
+        let x = B.abs (golden_val next ~w:(width prec) ~top:((next () mod 6) - 3)) in
+        let y =
+          if i mod 4 = 0 then B.of_int ((next () mod 21) - 10)
+          else golden_val next ~w:(width prec) ~top:((next () mod 6) - 3)
+        in
+        emit (E.pow ~prec x y)
+      done)
+    [ 53; 70; 200 ];
+  List.rev !out
+
+let golden_serialize vs =
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun v ->
+      (match B.classify v with
+       | `Nan -> Buffer.add_string buf "N"
+       | `Inf s -> Printf.bprintf buf "I%d" s
+       | `Zero s -> Printf.bprintf buf "Z%d" s
+       | `Fin (s, e, m) -> Printf.bprintf buf "F%d:%d:%s" s e (Nat.to_string_hex m));
+      Buffer.add_char buf '\n')
+    vs;
+  Buffer.contents buf
+
+let golden_tests =
+  [ Alcotest.test_case "corpus digest is bit-identical" `Quick (fun () ->
+        let vs = golden_results () in
+        Alcotest.(check bool) "corpus size" true (List.length vs >= 2000);
+        let d = Digest.to_hex (Digest.string (golden_serialize vs)) in
+        Alcotest.(check string) "digest" golden_digest d) ]
 
 let () =
   Alcotest.run "bigfloat"
@@ -244,4 +422,5 @@ let () =
       ("constants", known_constants);
       ("high-precision", high_precision_tests);
       ("rounding", rounding_tests);
-      ("misc", misc_tests) ]
+      ("misc", misc_tests);
+      ("golden", golden_tests) ]

@@ -170,6 +170,127 @@ let property_tests =
         Bigint.equal (Bigint.of_int a) (Bigint.of_string (Bigint.to_string (Bigint.of_int a))))
   ]
 
+(* --- adversarial shapes ---
+
+   Uniform random digits almost never produce the values where a seeded
+   Newton step, a fused shift kernel or Knuth's add-back goes wrong. These
+   generators build them on purpose from explicit limbs. *)
+
+let limb_max = (1 lsl Nat.limb_bits) - 1
+
+let of_limbs limbs =
+  List.fold_left
+    (fun acc l -> Nat.add (Nat.shift_left acc Nat.limb_bits) (Nat.of_int l))
+    Nat.zero (List.rev limbs)
+
+(* Limbs are little-endian in [of_limbs]; the generator draws each limb
+   from a boundary-heavy mix. *)
+let edge_limb =
+  QCheck.Gen.(
+    frequency
+      [ (3, return limb_max); (2, return 0); (1, return 1);
+        (1, return (1 lsl (Nat.limb_bits - 1)));
+        (3, int_bound limb_max) ])
+
+let edge_gen =
+  QCheck.Gen.(
+    frequency
+      [ (2, map of_limbs (list_size (int_range 1 12) edge_limb));
+        (* all-ones: 2^k - 1 *)
+        (1, map (fun k -> Nat.pred (Nat.shift_left Nat.one k)) (int_range 1 400));
+        (* powers of two and their neighbours *)
+        (1, map (fun k -> Nat.shift_left Nat.one k) (int_range 0 400));
+        (1, map (fun k -> Nat.succ (Nat.shift_left Nat.one k)) (int_range 0 400));
+        (1, big_gen) ])
+
+let edge = QCheck.make ~print:Nat.to_string_hex edge_gen
+
+(* Reference definitions, one bit at a time. *)
+let ref_num_bits a =
+  let rec go i last = if i > 64 * 30 then last else go (i + 1) (if Nat.testbit a i then i + 1 else last) in
+  go 0 0
+
+let ref_trailing_zeros a =
+  if Nat.is_zero a then 0
+  else begin
+    let rec go i = if Nat.testbit a i then i else go (i + 1) in
+    go 0
+  end
+
+let floor_sqrt a s r =
+  Nat.equal a (Nat.add (Nat.mul s s) r)
+  && Nat.compare a (Nat.mul (Nat.succ s) (Nat.succ s)) < 0
+
+(* Divisors whose normalized top limb is exactly 2^29 and numerators of
+   all-ones limbs: the q_hat estimate overshoots and the add-back runs. *)
+let addback_gen =
+  QCheck.Gen.(
+    let* low = list_size (int_range 1 6) edge_limb in
+    let* m = int_range 1 14 in
+    let* tweak = int_bound 3 in
+    let b = of_limbs (low @ [ 1 lsl (Nat.limb_bits - 1) ]) in
+    let a = of_limbs (List.init (List.length low + m) (fun _ -> limb_max)) in
+    return (Nat.sub a (Nat.of_int tweak), b))
+
+let addback =
+  QCheck.make
+    ~print:(fun (a, b) -> Nat.to_string_hex a ^ " / " ^ Nat.to_string_hex b)
+    addback_gen
+
+let adversarial_tests =
+  [ q "sqrt_rem floor at s^2, s^2-1, s^2+2s" edge (fun s ->
+        let sq = Nat.mul s s in
+        let ok a expect =
+          let r, rem = Nat.sqrt_rem a in
+          Nat.equal r expect && floor_sqrt a r rem
+        in
+        ok sq s
+        && ok (Nat.add sq (Nat.shift_left s 1)) s
+        && (Nat.is_zero s || ok (Nat.pred sq) (Nat.pred s)));
+    q "sqrt_rem floor (edge shapes)" edge (fun a ->
+        let s, r = Nat.sqrt_rem a in
+        floor_sqrt a s r);
+    q "num_bits = bitwise definition" edge (fun a ->
+        Nat.num_bits a = ref_num_bits a);
+    q "trailing_zeros = bitwise definition" edge (fun a ->
+        Nat.trailing_zeros a = ref_trailing_zeros a);
+    q "divmod recompose (add-back divisors)" addback (fun (a, b) ->
+        let qq, r = Nat.divmod a b in
+        Nat.equal a (Nat.add (Nat.mul qq b) r) && Nat.compare r b < 0);
+    q "shift_div = divmod of the shifted numerator"
+      (QCheck.triple edge edge (QCheck.int_range 0 100))
+      (fun (a, b, k) ->
+        QCheck.assume (not (Nat.is_zero b));
+        let qq, r = Nat.divmod (Nat.shift_left a k) b in
+        let q', inexact = Nat.shift_div a k b in
+        Nat.equal qq q' && inexact = not (Nat.is_zero r));
+    q "shift_div_int = divmod_int of the shifted numerator"
+      (QCheck.triple edge (QCheck.int_range 1 limb_max) (QCheck.int_range 0 100))
+      (fun (a, d, k) ->
+        let qq, r = Nat.divmod_int (Nat.shift_left a k) d in
+        let q', inexact = Nat.shift_div_int a k d in
+        Nat.equal qq q' && inexact = (r <> 0));
+    q "add_shift / diff_shift = materialized shift"
+      (QCheck.triple edge edge (QCheck.int_range 0 100))
+      (fun (a, b, k) ->
+        let bs = Nat.shift_left b k in
+        let c, d = Nat.diff_shift a b k in
+        let c' = Nat.compare a bs in
+        Nat.equal (Nat.add_shift a b k) (Nat.add a bs)
+        && c = c'
+        && Nat.equal d (if c' >= 0 then Nat.sub a bs else Nat.sub bs a));
+    q "strip_shift = shift, increment, strip"
+      (QCheck.triple edge (QCheck.int_range 0 200) QCheck.bool)
+      (fun (a, k, up) ->
+        let v = Nat.shift_right a k in
+        let v = if up then Nat.succ v else v in
+        let m, j = Nat.strip_shift a k ~up in
+        if Nat.is_zero v then Nat.is_zero m && j = k
+        else
+          Nat.testbit m 0
+          && Nat.equal (Nat.shift_left m j) (Nat.shift_left v k)) ]
+
 let () =
   Alcotest.run "bignum"
-    [ ("nat-unit", unit_tests); ("properties", property_tests) ]
+    [ ("nat-unit", unit_tests); ("properties", property_tests);
+      ("adversarial", adversarial_tests) ]
