@@ -684,6 +684,29 @@ let extract_bits a ~lo ~len =
     normalize r
   end
 
+let extract_int (a : t) ~lo ~len =
+  if lo < 0 || len < 0 || len > 32 then invalid_arg "Nat.extract_int";
+  (* a window of at most 32 bits spans at most three limbs *)
+  let q = lo / limb_bits and r = lo mod limb_bits in
+  let na = Array.length a in
+  let v = if q < na then a.(q) lsr r else 0 in
+  let v = if q + 1 < na then v lor (a.(q + 1) lsl (limb_bits - r)) else v in
+  let v = if q + 2 < na then v lor (a.(q + 2) lsl ((2 * limb_bits) - r)) else v in
+  v land ((1 lsl len) - 1)
+
+let of_bytes_le s off len =
+  if off < 0 || len < 0 || off > String.length s - len then
+    invalid_arg "Nat.of_bytes_le";
+  let r = Array.make (limbs_for (8 * len)) 0 in
+  for i = 0 to len - 1 do
+    let byte = Char.code (String.unsafe_get s (off + i)) in
+    let q = 8 * i / limb_bits and sh = 8 * i mod limb_bits in
+    r.(q) <- r.(q) lor ((byte lsl sh) land limb_mask);
+    (* the byte straddles a limb boundary *)
+    if sh > limb_bits - 8 then r.(q + 1) <- r.(q + 1) lor (byte lsr (limb_bits - sh))
+  done;
+  normalize r
+
 let bits_below_nonzero (a : t) k =
   if k <= 0 then false
   else begin

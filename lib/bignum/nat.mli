@@ -114,6 +114,14 @@ val logor : t -> t -> t
 val extract_bits : t -> lo:int -> len:int -> t
 (** [extract_bits a ~lo ~len] is [(a >> lo) land (2^len - 1)]. *)
 
+val extract_int : t -> lo:int -> len:int -> int
+(** [extract_bits] for a window of [len <= 32] bits, as an int and
+    without allocating. *)
+
+val of_bytes_le : string -> int -> int -> t
+(** [of_bytes_le s off len] is the natural whose little-endian bytes are
+    [s.[off] .. s.[off+len-1]]. *)
+
 val bits_below_nonzero : t -> int -> bool
 (** [bits_below_nonzero a k] is true iff any of bits [0..k-1] of [a] is set
     (the "sticky" test used when rounding). Runs in O(k/limb_bits). *)

@@ -89,12 +89,9 @@ let restore_state s pos (st : State.t) =
   for i = 0 to 31 do
     st.State.xmm.(i) <- Codec.r_i64 s pos
   done;
-  let mem = Codec.r_bytes_rle s pos in
-  if Bytes.length mem <> Bytes.length st.State.mem then
-    Codec.corrupt "checkpoint memory image is %d bytes, machine has %d"
-      (Bytes.length mem) (Bytes.length st.State.mem);
-  Bytes.blit mem 0 st.State.mem 0 (Bytes.length mem);
-  let ncards = Codec.r_varint s pos in
+  (* straight over the fresh machine's memory, whose size it must claim *)
+  Codec.r_bytes_rle_into s pos st.State.mem;
+  let ncards = Codec.r_count s pos in
   let cards = List.init ncards (fun _ -> Codec.r_varint s pos) in
   Bytes.fill st.State.dirty_map 0 (Bytes.length st.State.dirty_map) '\000';
   List.iter
@@ -139,7 +136,11 @@ let encode_arena b enc (ar : 'v Fpvm.Arena.t) =
 
 let restore_arena s pos dec (ar : 'v Fpvm.Arena.t) =
   let cap = Codec.r_varint s pos in
-  let next_fresh = Codec.r_varint s pos in
+  (* one tag byte per fresh cell; the arena only grows by doubling past
+     its initial capacity, so [cap] is bounded by both *)
+  let next_fresh = Codec.r_count s pos in
+  if cap < 0 || cap > max (Array.length ar.Fpvm.Arena.cells) (2 * next_fresh)
+  then Codec.corrupt "arena capacity %d for %d cells" cap next_fresh;
   if next_fresh > cap then Codec.corrupt "arena next_fresh beyond capacity";
   let cells =
     Array.init cap (fun _ ->
@@ -341,9 +342,7 @@ let capture ~(meta : Log.meta) ~seq ~enc ~(st : State.t)
   Codec.i64 b (Int64.of_int kern.Trapkern.kernel_cycles);
   Codec.i64 b (Int64.of_int kern.Trapkern.user_cycles);
   (* trailer checksum over everything above *)
-  let body = Buffer.contents b in
-  Codec.i64 b (Codec.fnv64 Codec.fnv_basis body);
-  Buffer.contents b
+  Codec.with_fnv_trailer b
 
 type restored = { r_meta : Log.meta; r_seq : int; r_since_gc : int;
                   r_gc_count : int; r_patch_sites : int;
@@ -368,12 +367,8 @@ let restore ~dec ~(st : State.t) ~(arena : 'v Fpvm.Arena.t)
   if String.sub blob 0 (String.length magic) <> magic then
     Codec.corrupt "not an FPVM checkpoint (bad magic)";
   let body_len = String.length blob - 8 in
-  let sum_pos = ref body_len in
-  let sum = Codec.r_i64 blob sum_pos in
-  if
-    not
-      (Int64.equal sum
-         (Codec.fnv64 Codec.fnv_basis (String.sub blob 0 body_len)))
+  let sum = String.get_int64_le blob body_len in
+  if not (Int64.equal sum (Codec.fnv64_sub Codec.fnv_basis blob 0 body_len))
   then Codec.corrupt "checkpoint checksum mismatch (corrupted file)";
   let pos = ref (String.length magic) in
   let v = Codec.r_u32 blob pos in
@@ -397,22 +392,23 @@ let restore ~dec ~(st : State.t) ~(arena : 'v Fpvm.Arena.t)
   let cache_enabled = Codec.r_bool blob pos in
   let hits = Codec.r_varint blob pos in
   let misses = Codec.r_varint blob pos in
-  let ncached = Codec.r_varint blob pos in
+  let ncached = Codec.r_count blob pos in
   let cached = List.init ncached (fun _ -> Codec.r_varint blob pos) in
-  let nplans = Codec.r_varint blob pos in
+  let nplans = Codec.r_count blob pos in
   let r_plan_sites = List.init nplans (fun _ -> Codec.r_varint blob pos) in
-  let ncounters = Codec.r_varint blob pos in
+  let ncounters = Codec.r_count ~per:2 blob pos in
   let r_jit_counters =
     List.init ncounters (fun _ ->
         let h = Codec.r_varint blob pos in
         let n = Codec.r_varint blob pos in
         (h, n))
   in
-  let njit = Codec.r_varint blob pos in
+  let njit = Codec.r_count ~per:2 blob pos in
   let r_jit_paths =
     List.init njit (fun _ ->
         let h = Codec.r_varint blob pos in
-        let len = Codec.r_varint blob pos in
+        (* a varint index and a bool per step *)
+        let len = Codec.r_count ~per:2 blob pos in
         let path =
           Array.init len (fun _ ->
               let i = Codec.r_varint blob pos in
@@ -421,7 +417,7 @@ let restore ~dec ~(st : State.t) ~(arena : 'v Fpvm.Arena.t)
         in
         (h, path))
   in
-  let npatched = Codec.r_varint blob pos in
+  let npatched = Codec.r_count ~per:2 blob pos in
   let patched =
     List.init npatched (fun _ ->
         let i = Codec.r_varint blob pos in

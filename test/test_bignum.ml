@@ -288,7 +288,36 @@ let adversarial_tests =
         if Nat.is_zero v then Nat.is_zero m && j = k
         else
           Nat.testbit m 0
-          && Nat.equal (Nat.shift_left m j) (Nat.shift_left v k)) ]
+          && Nat.equal (Nat.shift_left m j) (Nat.shift_left v k));
+    q "extract_int = extract_bits"
+      (QCheck.triple edge (QCheck.int_range 0 420) (QCheck.int_range 0 32))
+      (fun (a, lo, len) ->
+        Nat.extract_int a ~lo ~len = Nat.to_int (Nat.extract_bits a ~lo ~len));
+    Alcotest.test_case "extract_int = extract_bits (every window)" `Quick
+      (fun () ->
+        (* every limb phase, including the 32-bit windows at phase 29
+           that span three limbs *)
+        List.iter
+          (fun a ->
+            for lo = 0 to 130 do
+              for len = 0 to 32 do
+                if Nat.extract_int a ~lo ~len <> Nat.to_int (Nat.extract_bits a ~lo ~len)
+                then Alcotest.failf "lo %d len %d of %s" lo len (Nat.to_string_hex a)
+              done
+            done)
+          [ Nat.pred (Nat.shift_left Nat.one 170);
+            Nat.of_string "0x1234567890abcdef0fedcba9876543210aa55aa55";
+            Nat.shift_left Nat.one 90 ]);
+    q "of_bytes_le = sum of shifted bytes"
+      (QCheck.triple QCheck.string QCheck.small_nat QCheck.small_nat)
+      (fun (s, off, len) ->
+        let off = min off (String.length s) in
+        let len = min len (String.length s - off) in
+        let expect = ref Nat.zero in
+        for i = len - 1 downto 0 do
+          expect := Nat.add (Nat.shift_left !expect 8) (Nat.of_int (Char.code s.[off + i]))
+        done;
+        Nat.equal (Nat.of_bytes_le s off len) !expect) ]
 
 let () =
   Alcotest.run "bignum"
