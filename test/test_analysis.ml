@@ -2,8 +2,9 @@
    strided-interval domain, the CFG, flow-sensitive precision of the
    pipeline (strong updates, bounded array stores, branch refinement),
    the legacy pass's conservatism, the sink-exemption idioms (self-xor
-   zeroing, clean BANDN, dead gpr<-xmm moves), idempotent patching, and
-   the engine's soundness oracle / trace-hint invalidation. *)
+   zeroing, clean BANDN, dead gpr<-xmm moves), idempotent patching, the
+   engine's soundness oracle / trace-hint invalidation, and a digest that
+   pins every analysis fact bit for bit. *)
 
 open Machine
 module Si = Analysis.Si
@@ -375,6 +376,85 @@ let oracle_tests =
           r.Fpvm.Engine.stats.Fpvm.Stats.oracle_boxed_loads)
   ]
 
+(* ---- facts digest ----
+
+   The analysis facts are pinned bit for bit: a canonical text rendering
+   of every [Vsa.analysis] field — each Pipeline sink with its kind and
+   provenance, the sources, the exit taint spans with their sources, the
+   load counts, iterations, blocks, loop heads and bailout, and each Fpa
+   verdict with its risks and provenance plus the tier's counts — is
+   digested over the stock workloads at both scales and over generated
+   programs. The golden counts (analysis_golden.txt, lint_golden.txt)
+   would not notice a changed provenance list or iteration count; this
+   does, so a speed-up of the analysis must leave these digests alone. *)
+
+let ints l = String.concat "," (List.map string_of_int l)
+
+let aloc_name = function
+  | Fpvm.Vsa.Global a -> Printf.sprintf "G%d" a
+  | Fpvm.Vsa.GlobalFrom a -> Printf.sprintf "GF%d" a
+  | Fpvm.Vsa.Stack a -> Printf.sprintf "S%d" a
+  | Fpvm.Vsa.Heap a -> Printf.sprintf "H%d" a
+  | Fpvm.Vsa.Anywhere -> "*"
+
+let kind_name = function
+  | AP.K_int_load -> "int_load"
+  | AP.K_movq -> "movq"
+  | AP.K_fp_bit -> "fp_bit"
+
+let render_facts buf label (a : Fpvm.Vsa.analysis) =
+  let pr fmt = Printf.bprintf buf fmt in
+  let p = a.Fpvm.Vsa.pipeline and f = a.Fpvm.Vsa.fpa in
+  pr "# %s\n" label;
+  pr "sinks %s\nsources %s\ntainted %s\n" (ints a.Fpvm.Vsa.sinks)
+    (ints a.Fpvm.Vsa.sources)
+    (String.concat ","
+       (List.map aloc_name (Fpvm.Vsa.AlocSet.elements a.Fpvm.Vsa.tainted)));
+  pr "loads %d proven %d iterations %d\n" a.Fpvm.Vsa.total_int_loads
+    a.Fpvm.Vsa.proven_safe_loads a.Fpvm.Vsa.iterations;
+  List.iter
+    (fun (s : AP.sink) ->
+      pr "sink %d %s [%s]\n" s.AP.sink_index (kind_name s.AP.kind) (ints s.AP.srcs))
+    p.AP.sinks;
+  pr "pipeline sources %s\n" (ints p.AP.sources);
+  pr "pipeline loads %d proven %d elided %d iterations %d blocks %d heads %d bailed %b\n"
+    p.AP.total_int_loads p.AP.proven_safe_loads p.AP.trap_checks_elided
+    p.AP.iterations p.AP.n_blocks p.AP.n_loop_heads p.AP.bailed_out;
+  List.iter (fun (lo, hi, srcs) -> pr "span %d %d [%s]\n" lo hi (ints srcs)) p.AP.tainted;
+  Array.iter
+    (fun (v : Analysis.Fpa.verdict) ->
+      pr "verdict %d sub_free %b born_free %b risks [%s] srcs [%s]\n"
+        v.Analysis.Fpa.v_index v.Analysis.Fpa.v_sub_free v.Analysis.Fpa.v_born_free
+        (String.concat "," v.Analysis.Fpa.v_risks) (ints v.Analysis.Fpa.v_srcs))
+    f.Analysis.Fpa.verdicts;
+  pr "fpa sites %d sub_free %d born_free %d proven %d iterations %d bailed %b\n"
+    f.Analysis.Fpa.sites f.Analysis.Fpa.sub_free f.Analysis.Fpa.born_free
+    f.Analysis.Fpa.proven f.Analysis.Fpa.iterations f.Analysis.Fpa.bailed_out
+
+let facts_digest programs =
+  let buf = Buffer.create (1 lsl 16) in
+  List.iter (fun (label, prog) -> render_facts buf label (Fpvm.Vsa.analyze prog)) programs;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let stock scale =
+  List.map (fun (e : Workloads.entry) -> (e.Workloads.name, e.Workloads.program scale)) Workloads.all
+
+let generated () =
+  QCheck.Gen.generate ~rand:(Random.State.make [| 0xFAC75 |]) ~n:200
+    Random_program.gen_program
+  |> List.mapi (fun i p -> (Printf.sprintf "random %d" i, Fpvm_ir.Codegen.compile_program p))
+
+let digest_tests =
+  List.map
+    (fun (name, golden, programs) ->
+      Alcotest.test_case name `Quick (fun () ->
+          Alcotest.(check string) "facts digest" golden (facts_digest (programs ()))))
+    [ ("stock workloads, test scale", "287a57fe6826ba122120fe7018ceb4c3",
+       fun () -> stock Workloads.Test);
+      ("stock workloads, S scale", "a200b04dbcb8abd7765e3c3da462fffc",
+       fun () -> stock Workloads.S);
+      ("200 generated programs", "93d38b665022ceb9dcf07c929e6a352f", generated) ]
+
 let () =
   Alcotest.run "analysis"
     [ ("strided intervals", si_tests);
@@ -382,5 +462,6 @@ let () =
       ("pipeline", pipeline_tests);
       ("idioms", idiom_tests);
       ("patching", patch_tests);
-      ("oracle", oracle_tests)
+      ("oracle", oracle_tests);
+      ("facts digest", digest_tests)
     ]
