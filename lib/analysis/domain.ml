@@ -21,51 +21,104 @@ module IntSet = Set.Make (Int)
 (* byte interval [lo, hi), srcs = contributing source instruction idxs *)
 type span = { lo : int; hi : int; srcs : IntSet.t }
 
-type taint = span list (* sorted by lo, pairwise disjoint, all non-empty *)
+(* Invariant of every taint map the analysis builds: sorted by lo,
+   pairwise disjoint, all non-empty, and coalesced (no two touching
+   spans carry equal provenance).  [taint_add] and [taint_join] rely on
+   it to touch only the spans an update meets; [taint_kill] preserves
+   it. *)
+type taint = span list
 
 let span_equal a b = a.lo = b.lo && a.hi = b.hi && IntSet.equal a.srcs b.srcs
 
 let taint_equal a b =
-  try List.for_all2 span_equal a b with Invalid_argument _ -> false
+  a == b || try List.for_all2 span_equal a b with Invalid_argument _ -> false
 
-(* merge adjacent spans with identical provenance (normalization only) *)
-let rec coalesce = function
-  | a :: b :: rest when a.hi = b.lo && IntSet.equal a.srcs b.srcs ->
-      coalesce ({ lo = a.lo; hi = b.hi; srcs = a.srcs } :: rest)
-  | a :: rest -> a :: coalesce rest
-  | [] -> []
+(* [s] lies inside [t] with no new provenance: adding it changes nothing *)
+let covers t s = t.lo <= s.lo && s.hi <= t.hi && (s.srcs == t.srcs || IntSet.subset s.srcs t.srcs)
+
+(* Add [s] to the map [rev_before @ rest], where [rev_before] (reversed)
+   holds exactly the spans ending at or before [s.lo].  Every span of
+   [rest] that overlaps [s] is absorbed into one merged span, which then
+   coalesces with its neighbours; the untouched suffix is shared.
+   Returns the new [rev_before] and the merged span consed onto that
+   suffix. *)
+let add_at rev_before rest s =
+  let rec absorb m = function
+    | t :: after when t.lo < s.hi ->
+        absorb { lo = min m.lo t.lo; hi = max m.hi t.hi; srcs = IntSet.union m.srcs t.srcs } after
+    | after -> (m, after)
+  in
+  let m, after = absorb s rest in
+  let rev_before, m =
+    match rev_before with
+    | l :: rev when l.hi = m.lo && IntSet.equal l.srcs m.srcs ->
+        (rev, { lo = l.lo; hi = m.hi; srcs = l.srcs })
+    | _ -> (rev_before, m)
+  in
+  match after with
+  | r :: after when m.hi = r.lo && IntSet.equal m.srcs r.srcs ->
+      (rev_before, { lo = m.lo; hi = r.hi; srcs = m.srcs } :: after)
+  | _ -> (rev_before, m :: after)
+
+(* move the spans ending at or before [lo] from [rest] onto [rev_before] *)
+let rec skip_before lo rev_before = function
+  | t :: rest when t.hi <= lo -> skip_before lo (t :: rev_before) rest
+  | rest -> (rev_before, rest)
 
 let taint_add spans ~lo ~hi ~srcs =
   if hi <= lo then spans
   else begin
-    let before, rest = List.partition (fun s -> s.hi <= lo) spans in
-    let overlap, after = List.partition (fun s -> s.lo < hi) rest in
-    let merged =
-      List.fold_left
-        (fun acc s -> { lo = min acc.lo s.lo; hi = max acc.hi s.hi; srcs = IntSet.union acc.srcs s.srcs })
-        { lo; hi; srcs } overlap
-    in
-    coalesce (before @ (merged :: after))
+    let s = { lo; hi; srcs } in
+    match skip_before lo [] spans with
+    | _, t :: _ when covers t s -> spans
+    | rev_before, rest ->
+        let rev_before, rest = add_at rev_before rest s in
+        List.rev_append rev_before rest
   end
 
+(* Pointwise removal of [lo, hi); the suffix past [hi] is shared. *)
 let taint_kill spans ~lo ~hi =
-  if hi <= lo then spans
-  else
-    List.concat_map
-      (fun s ->
-        if s.hi <= lo || s.lo >= hi then [ s ]
-        else
-          (if s.lo < lo then [ { s with hi = lo } ] else [])
-          @ if s.hi > hi then [ { s with lo = hi } ] else [])
-      spans
+  let rec go = function
+    | s :: _ as spans when s.lo >= hi -> spans
+    | s :: rest as spans when s.hi <= lo ->
+        let rest' = go rest in
+        if rest' == rest then spans else s :: rest'
+    | s :: rest ->
+        let rest = go rest in
+        let rest = if s.hi > hi then { s with lo = hi } :: rest else rest in
+        if s.lo < lo then { s with hi = lo } :: rest else rest
+    | [] -> []
+  in
+  if hi <= lo then spans else go spans
 
 (* provenance of any taint overlapping [lo, hi); empty set = untainted *)
 let taint_query spans ~lo ~hi =
-  List.fold_left
-    (fun acc s -> if s.hi <= lo || s.lo >= hi then acc else IntSet.union acc s.srcs)
-    IntSet.empty spans
+  let rec go acc = function
+    | s :: rest when s.lo < hi -> go (if s.hi <= lo then acc else IntSet.union acc s.srcs) rest
+    | _ -> acc
+  in
+  go IntSet.empty spans
 
-let taint_join a b = List.fold_left (fun acc s -> taint_add acc ~lo:s.lo ~hi:s.hi ~srcs:s.srcs) a b
+(* The join adds every span of [b] to [a] in order, as one sweep over
+   [a]: a span that one span of the accumulator already covers with a
+   superset of its sources is a no-op (coverage only grows as spans are
+   added), and the rest merge at the sweep position, so each join costs
+   one pass over [a] plus the work of the spans that change it.  When
+   nothing changes, [a] itself is returned. *)
+let taint_join a b =
+  if a == b || b = [] then a
+  else begin
+    let rec sweep changed rev_before rest = function
+      | [] -> if changed then List.rev_append rev_before rest else a
+      | s :: b -> (
+          match skip_before s.lo rev_before rest with
+          | rev_before, (t :: _ as rest) when covers t s -> sweep changed rev_before rest b
+          | rev_before, rest ->
+              let rev_before, rest = add_at rev_before rest s in
+              sweep true rev_before rest b)
+    in
+    sweep false [] a b
+  end
 
 (* ---- registers, cells, compare facts ------------------------------------- *)
 

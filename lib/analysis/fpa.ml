@@ -70,29 +70,41 @@ let fx_set f x lane v =
 let cell_get f a = match IntMap.find_opt a f.fmem with Some v -> v | None -> D.top
 
 let f_equal a b =
-  let ok = ref (IntMap.equal D.equal a.fmem b.fmem) in
+  let ok = ref (a.fmem == b.fmem || IntMap.equal D.equal a.fmem b.fmem) in
   for i = 0 to 31 do
     if not (D.equal a.fx.(i) b.fx.(i)) then ok := false
   done;
   !ok
 
+(* [g] is a join or a widening, so [g x x = x]: physically equal values
+   are kept as they are *)
 let f_merge g a b =
+  let g x y = if x == y then x else g x y in
   { fx = Array.init 32 (fun i -> g a.fx.(i) b.fx.(i));
     fmem =
-      IntMap.merge
-        (fun _ x y ->
-          match (x, y) with Some x, Some y -> Some (g x y) | _ -> None)
-        a.fmem b.fmem }
+      (if a.fmem == b.fmem then a.fmem
+       else
+         IntMap.merge
+           (fun _ x y ->
+             match (x, y) with Some x, Some y -> Some (g x y) | _ -> None)
+           a.fmem b.fmem) }
 
 let f_join = f_merge D.join
 let f_widen = f_merge D.widen
 
-(* drop every cell a store into [lo,hi) may touch (back to top) *)
+(* drop every cell a store into [lo,hi) may touch (back to top): the
+   keys in [lo-7, hi) *)
 let drop_range f lo hi =
   if hi <= lo then f
-  else
-    { f with
-      fmem = IntMap.filter (fun a _ -> not (a + 8 > lo && a < hi)) f.fmem }
+  else begin
+    let fmem =
+      Seq.fold_left
+        (fun m (a, _) -> IntMap.remove a m)
+        f.fmem
+        (Seq.take_while (fun (a, _) -> a < hi) (IntMap.to_seq_from (lo - 7) f.fmem))
+    in
+    if fmem == f.fmem then f else { f with fmem }
+  end
 
 let drop_acc f (a : P.acc) = drop_range f a.P.alo a.P.ahi
 
@@ -456,60 +468,18 @@ let analyze (prog : Machine.Program.t) : t =
       iterations = 0; bailed_out = false }
   else begin
     let cfg = Cfg.build insns ~entry:prog.Machine.Program.entry in
-    let nb = Array.length cfg.Cfg.blocks in
     let ctx =
       { P.insns; mem_size; heap_base; cfg; reporting = false;
         srcs_acc = IntSet.empty; sinks_acc = []; loads = 0; proven = 0;
         exempt_movq = 0; exempt_bit = 0 }
     in
-    let in_states : pair option array = Array.make nb None in
-    let visits = Array.make nb 0 in
-    let iterations = ref 0 in
-    let bailed = ref false in
-    let budget = (200 * nb) + 1000 in
-    let module PQ = Set.Make (struct
-      type t = int * int
-      let compare = compare
-    end) in
-    let wl = ref PQ.empty in
-    let push b =
-      if cfg.Cfg.rpo_index.(b) < max_int then
-        wl := PQ.add (cfg.Cfg.rpo_index.(b), b) !wl
+    let fix =
+      Fixpoint.run cfg
+        ~entry:(P.entry_state mem_size, entry_fpst prog)
+        ~transfer:(fun blk pin -> transfer_block ctx blk pin)
+        ~join:pair_join ~widen:pair_widen ~equal:pair_equal
     in
-    in_states.(cfg.Cfg.entry) <- Some (P.entry_state mem_size, entry_fpst prog);
-    push cfg.Cfg.entry;
-    while (not (PQ.is_empty !wl)) && not !bailed do
-      let ((_, b) as elt) = PQ.min_elt !wl in
-      wl := PQ.remove elt !wl;
-      incr iterations;
-      if !iterations > budget then bailed := true
-      else begin
-        match in_states.(b) with
-        | None -> ()
-        | Some pin ->
-            let outs = transfer_block ctx cfg.Cfg.blocks.(b) pin in
-            List.iter
-              (fun (s, pout) ->
-                match in_states.(s) with
-                | None ->
-                    in_states.(s) <- Some pout;
-                    visits.(s) <- 1;
-                    push s
-                | Some old ->
-                    let joined = pair_join old pout in
-                    let joined =
-                      if cfg.Cfg.loop_head.(s) && visits.(s) >= 2 then
-                        pair_widen old joined
-                      else joined
-                    in
-                    if not (pair_equal old joined) then begin
-                      in_states.(s) <- Some joined;
-                      visits.(s) <- visits.(s) + 1;
-                      push s
-                    end)
-              outs
-      end
-    done;
+    let in_states = fix.Fixpoint.states in
     (* ---- report pass: verdicts from the converged states ---- *)
     let seen : (int, verdict) Hashtbl.t = Hashtbl.create 64 in
     let observe idx risks (inputs : D.v list) =
@@ -529,7 +499,7 @@ let analyze (prog : Machine.Program.t) : t =
           v_risks = risks;
           v_srcs }
     in
-    if not !bailed then
+    if not fix.Fixpoint.bailed_out then
       Array.iter
         (fun (blk : Cfg.block) ->
           match in_states.(blk.Cfg.id) with
@@ -554,8 +524,8 @@ let analyze (prog : Machine.Program.t) : t =
       sub_free = count (fun v -> v.v_sub_free);
       born_free = count (fun v -> v.v_born_free);
       proven = count (fun v -> v.v_sub_free || v.v_born_free);
-      iterations = !iterations;
-      bailed_out = !bailed }
+      iterations = fix.Fixpoint.iterations;
+      bailed_out = fix.Fixpoint.bailed_out }
   end
 
 (* per-index lookup arrays for the engine's O(1) consumers *)

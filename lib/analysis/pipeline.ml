@@ -1,7 +1,7 @@
 (* The precision-tiered VSA pipeline (paper §4.2, per Balakrishnan-Reps):
    a forward abstract interpretation over the real CFG, with
 
-   tier 1 — CFG + reverse-postorder worklist (Cfg);
+   tier 1 — CFG + reverse-postorder worklist (Cfg, Fixpoint);
    tier 2 — strided-interval value tracking for GPRs and 8-byte memory
             cells (Si / Domain), with copy provenance from registers back
             to their root cells and compare/branch refinement, so an
@@ -90,29 +90,37 @@ let is_cell mem_size a = a land 7 = 0 && a >= 0 && a + 8 <= mem_size
 
 let overlaps_cell a lo hi = a + 8 > lo && a < hi
 
-(* drop cell bindings inside [lo,hi) and sever provenance links into it *)
+(* drop cell bindings inside [lo,hi) and sever provenance links into it;
+   a range that meets no binding and no link leaves the state as it is *)
 let invalidate_range (st : Domain.st) lo hi : Domain.st =
   if hi <= lo then st
   else begin
+    let meets = function Some c -> overlaps_cell c lo hi | None -> false in
+    let reg_hit = Array.exists (fun (r : Domain.rv) -> meets r.Domain.copy_of) st.Domain.regs in
+    let cell_hit =
+      (match IntMap.find_first_opt (fun a -> a + 8 > lo) st.Domain.cells with
+      | Some (a, _) -> a < hi
+      | None -> false)
+      || IntMap.exists (fun _ (c : Domain.cell) -> meets c.Domain.cell_copy_of) st.Domain.cells
+    in
     let regs =
-      Array.map
-        (fun (r : Domain.rv) ->
-          match r.Domain.copy_of with
-          | Some c when overlaps_cell c lo hi -> { r with Domain.copy_of = None }
-          | _ -> r)
-        st.Domain.regs
+      if not reg_hit then st.Domain.regs
+      else
+        Array.map
+          (fun (r : Domain.rv) -> if meets r.Domain.copy_of then { r with Domain.copy_of = None } else r)
+          st.Domain.regs
     in
     let cells =
-      IntMap.filter_map
-        (fun a (c : Domain.cell) ->
-          if overlaps_cell a lo hi then None
-          else
-            match c.Domain.cell_copy_of with
-            | Some rc when overlaps_cell rc lo hi -> Some { c with Domain.cell_copy_of = None }
-            | _ -> Some c)
-        st.Domain.cells
+      if not cell_hit then st.Domain.cells
+      else
+        IntMap.filter_map
+          (fun a (c : Domain.cell) ->
+            if overlaps_cell a lo hi then None
+            else if meets c.Domain.cell_copy_of then Some { c with Domain.cell_copy_of = None }
+            else Some c)
+          st.Domain.cells
     in
-    { st with Domain.regs; cells }
+    if reg_hit || cell_hit then { st with Domain.regs; cells } else st
   end
 
 let untainted (st : Domain.st) lo hi = IntSet.is_empty (Domain.taint_query st.Domain.taint ~lo ~hi)
@@ -676,53 +684,11 @@ let analyze (prog : Machine.Program.t) : t =
       trap_checks_elided = 0; iterations = 0; n_blocks = 0; n_loop_heads = 0;
       tainted = []; bailed_out = false }
   else begin
-    let in_states : Domain.st option array = Array.make nb None in
-    let visits = Array.make nb 0 in
-    let iterations = ref 0 in
-    let bailed = ref false in
-    let budget = (200 * nb) + 1000 in
-    let module PQ = Set.Make (struct
-      type t = int * int (* rpo position, block id *)
-      let compare = compare
-    end) in
-    let wl = ref PQ.empty in
-    let push b =
-      if cfg.Cfg.rpo_index.(b) < max_int then
-        wl := PQ.add (cfg.Cfg.rpo_index.(b), b) !wl
+    let fix =
+      Fixpoint.run cfg ~entry:(entry_state mem_size) ~transfer:(transfer_block ctx)
+        ~join:Domain.join ~widen:Domain.widen ~equal:Domain.equal
     in
-    in_states.(cfg.Cfg.entry) <- Some (entry_state mem_size);
-    push cfg.Cfg.entry;
-    while (not (PQ.is_empty !wl)) && not !bailed do
-      let ((_, b) as elt) = PQ.min_elt !wl in
-      wl := PQ.remove elt !wl;
-      incr iterations;
-      if !iterations > budget then bailed := true
-      else begin
-        match in_states.(b) with
-        | None -> ()
-        | Some st_in ->
-            let outs = transfer_block ctx cfg.Cfg.blocks.(b) st_in in
-            List.iter
-              (fun (s, st_out) ->
-                match in_states.(s) with
-                | None ->
-                    in_states.(s) <- Some st_out;
-                    visits.(s) <- 1;
-                    push s
-                | Some old ->
-                    let joined = Domain.join old st_out in
-                    let joined =
-                      if cfg.Cfg.loop_head.(s) && visits.(s) >= 2 then Domain.widen old joined
-                      else joined
-                    in
-                    if not (Domain.equal old joined) then begin
-                      in_states.(s) <- Some joined;
-                      visits.(s) <- visits.(s) + 1;
-                      push s
-                    end)
-              outs
-      end
-    done;
+    let in_states = fix.Fixpoint.states in
     (* ---- report pass: classify with the converged states ---- *)
     ctx.reporting <- true;
     let classify_block (blk : Cfg.block) (st_in : Domain.st option) =
@@ -786,7 +752,7 @@ let analyze (prog : Machine.Program.t) : t =
         st := (match !st with Some s -> Some (transfer ctx i s insn) | None -> None)
       done
     in
-    if !bailed then begin
+    if fix.Fixpoint.bailed_out then begin
       (* sound bailout: nothing is proven *)
       Array.iteri
         (fun i insn ->
@@ -821,9 +787,9 @@ let analyze (prog : Machine.Program.t) : t =
       total_int_loads = ctx.loads;
       proven_safe_loads = ctx.proven;
       trap_checks_elided = ctx.proven + ctx.exempt_movq + ctx.exempt_bit;
-      iterations = !iterations;
+      iterations = fix.Fixpoint.iterations;
       n_blocks = nb;
       n_loop_heads = cfg.Cfg.n_loop_heads;
       tainted = List.map (fun (s : Domain.span) -> (s.Domain.lo, s.Domain.hi, IntSet.elements s.Domain.srcs)) exit_taint;
-      bailed_out = !bailed }
+      bailed_out = fix.Fixpoint.bailed_out }
   end

@@ -376,6 +376,315 @@ let oracle_tests =
           r.Fpvm.Engine.stats.Fpvm.Stats.oracle_boxed_loads)
   ]
 
+(* ---- the taint map against the list fold it replaced ----
+
+   [Oracle] is the taint map as it was before joins and stores were made
+   to touch only the spans they meet: whole-list partitions, a fold of
+   [taint_add] for the join and a full [coalesce] after every add. The
+   new operations must return the very same spans on every coalesced
+   map, and every result must keep the map invariant. *)
+
+module D = Analysis.Domain
+module IS = D.IntSet
+
+let ints l = String.concat "," (List.map string_of_int l)
+
+module Oracle = struct
+  open D
+
+  let rec coalesce = function
+    | a :: b :: rest when a.hi = b.lo && IntSet.equal a.srcs b.srcs ->
+        coalesce ({ lo = a.lo; hi = b.hi; srcs = a.srcs } :: rest)
+    | a :: rest -> a :: coalesce rest
+    | [] -> []
+
+  let taint_add spans ~lo ~hi ~srcs =
+    if hi <= lo then spans
+    else begin
+      let before, rest = List.partition (fun s -> s.hi <= lo) spans in
+      let overlap, after = List.partition (fun s -> s.lo < hi) rest in
+      let merged =
+        List.fold_left
+          (fun acc s -> { lo = min acc.lo s.lo; hi = max acc.hi s.hi; srcs = IntSet.union acc.srcs s.srcs })
+          { lo; hi; srcs } overlap
+      in
+      coalesce (before @ (merged :: after))
+    end
+
+  let taint_kill spans ~lo ~hi =
+    if hi <= lo then spans
+    else
+      List.concat_map
+        (fun s ->
+          if s.hi <= lo || s.lo >= hi then [ s ]
+          else
+            (if s.lo < lo then [ { s with hi = lo } ] else [])
+            @ if s.hi > hi then [ { s with lo = hi } ] else [])
+        spans
+
+  let taint_query spans ~lo ~hi =
+    List.fold_left
+      (fun acc s -> if s.hi <= lo || s.lo >= hi then acc else IntSet.union acc s.srcs)
+      IntSet.empty spans
+
+  let taint_join a b = List.fold_left (fun acc s -> taint_add acc ~lo:s.lo ~hi:s.hi ~srcs:s.srcs) a b
+end
+
+let show_taint (t : D.taint) =
+  String.concat " "
+    (List.map
+       (fun (s : D.span) ->
+         Printf.sprintf "[%d,%d){%s}" s.D.lo s.D.hi (ints (IS.elements s.D.srcs)))
+       t)
+
+let show_span (lo, hi, srcs) = Printf.sprintf "[%d,%d){%s}" lo hi (ints (IS.elements srcs))
+
+(* sorted, pairwise disjoint, non-empty, coalesced *)
+let rec well_formed = function
+  | [] -> true
+  | [ (s : D.span) ] -> s.D.lo < s.D.hi
+  | (s : D.span) :: (t :: _ as rest) ->
+      s.D.lo < s.D.hi && s.D.hi <= t.D.lo
+      && (not (s.D.hi = t.D.lo && IS.equal s.D.srcs t.D.srcs))
+      && well_formed rest
+
+(* a small pool of source sets, so equal, subset and superset sets meet *)
+let gen_srcs =
+  QCheck.Gen.oneofl
+    (List.map IS.of_list [ [ 0 ]; [ 1 ]; [ 0; 1 ]; [ 0; 1; 2 ]; [ 2 ]; [ 1; 3 ]; [ 0; 1; 2; 3 ] ])
+
+(* Spans laid end to end with small gaps (often none) and pool sources,
+   so touching equal-source spans are common before coalescing. *)
+let gen_map_of ~min =
+  let open QCheck.Gen in
+  let rec spans pos k =
+    if k = 0 then return []
+    else
+      let* gap = oneofl [ 0; 0; 1; 3; 8 ] in
+      let* len = int_range 1 8 in
+      let* srcs = gen_srcs in
+      let lo = pos + gap in
+      let* rest = spans (lo + len) (k - 1) in
+      return ({ D.lo; hi = lo + len; srcs } :: rest)
+  in
+  let* start = int_bound 8 in
+  let* n = int_range min 8 in
+  map Oracle.coalesce (spans start n)
+
+let gen_map = gen_map_of ~min:0
+
+(* A span placed against [m]: anywhere (possibly empty), nested in one
+   span, partly overlapping two, exactly one span, or touching one on
+   either side; with that span's sources, a subset, a superset or any. *)
+let gen_span (m : D.taint) =
+  let open QCheck.Gen in
+  let any =
+    let* lo = int_bound 80 in
+    let* len = int_range (-1) 12 in
+    let* srcs = gen_srcs in
+    return (lo, lo + len, srcs)
+  in
+  match m with
+  | [] -> any
+  | _ ->
+      let* t = oneofl m and* u = oneofl m in
+      let* srcs =
+        oneof
+          [ return t.D.srcs;
+            return (IS.singleton (IS.min_elt t.D.srcs));
+            return (IS.add 5 t.D.srcs);
+            gen_srcs ]
+      in
+      let* len = int_range 1 6 in
+      frequency
+        [ (2, any);
+          (3,
+           let* a = int_range t.D.lo (t.D.hi - 1) in
+           let* b = int_range (a + 1) t.D.hi in
+           return (a, b, srcs));
+          (2,
+           let t, u = if t.D.lo <= u.D.lo then (t, u) else (u, t) in
+           let* a = int_range t.D.lo (t.D.hi - 1) in
+           let* b = int_range (u.D.lo + 1) u.D.hi in
+           return (a, b, srcs));
+          (1, return (t.D.lo, t.D.hi, srcs));
+          (1, return (t.D.hi, t.D.hi + len, srcs));
+          (1, return (t.D.lo - len, t.D.lo, srcs)) ]
+
+(* the second operand of a join: unrelated, or built from spans placed
+   against the first so that covered spans are common *)
+let gen_join_pair =
+  let open QCheck.Gen in
+  let* a = gen_map in
+  let* b =
+    oneof
+      [ gen_map;
+        (let* n = int_bound 6 in
+         let* spans = list_repeat n (gen_span a) in
+         return
+           (List.fold_left
+              (fun acc (lo, hi, srcs) -> Oracle.taint_add acc ~lo ~hi ~srcs)
+              [] spans)) ]
+  in
+  return (a, b)
+
+(* spans inside one span of [m] with a subset of its sources: at most
+   one per span of [m], in order, so that they also form a map (a span
+   touching its predecessor with equal sources is left out, since the
+   two would coalesce into a span no single span of [m] covers) *)
+let gen_covered =
+  let open QCheck.Gen in
+  let* m = gen_map_of ~min:1 in
+  let inside (t : D.span) =
+    let* a = int_range t.D.lo (t.D.hi - 1) in
+    let* b = int_range (a + 1) t.D.hi in
+    let* srcs =
+      oneofl [ t.D.srcs; IS.singleton (IS.min_elt t.D.srcs); IS.singleton (IS.max_elt t.D.srcs) ]
+    in
+    let* keep = bool in
+    return (if keep then [ { D.lo = a; hi = b; srcs } ] else [])
+  in
+  let* picks = flatten_l (List.map inside m) in
+  let rec drop_touching = function
+    | (a : D.span) :: b :: rest when a.D.hi = b.D.lo && IS.equal a.D.srcs b.D.srcs ->
+        drop_touching (a :: rest)
+    | a :: rest -> a :: drop_touching rest
+    | [] -> []
+  in
+  return (m, drop_touching (List.concat picks))
+
+let arb_covered =
+  QCheck.make
+    ~print:(fun (m, b) -> show_taint m ^ " + " ^ show_taint b)
+    gen_covered
+
+let arb_map_span =
+  QCheck.make
+    ~print:(fun (m, sp) -> show_taint m ^ " + " ^ show_span sp)
+    QCheck.Gen.(gen_map >>= fun m -> map (fun sp -> (m, sp)) (gen_span m))
+
+let arb_pair =
+  QCheck.make ~print:(fun (a, b) -> show_taint a ^ " | " ^ show_taint b) gen_join_pair
+
+let same_taint a b = List.length a = List.length b && List.for_all2 D.span_equal a b
+
+let taint_prop name arb law =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x7A1 |])
+    (QCheck.Test.make ~count:3000 ~name arb law)
+
+let taint_tests =
+  [ taint_prop "generated maps are well formed" arb_pair (fun (a, b) ->
+        well_formed a && well_formed b);
+    taint_prop "add = whole-list add" arb_map_span (fun (m, (lo, hi, srcs)) ->
+        let r = D.taint_add m ~lo ~hi ~srcs in
+        well_formed r && same_taint r (Oracle.taint_add m ~lo ~hi ~srcs));
+    taint_prop "kill = whole-list kill" arb_map_span (fun (m, (lo, hi, _)) ->
+        let r = D.taint_kill m ~lo ~hi in
+        well_formed r && same_taint r (Oracle.taint_kill m ~lo ~hi));
+    taint_prop "query = whole-list query" arb_map_span (fun (m, (lo, hi, _)) ->
+        IS.equal (D.taint_query m ~lo ~hi) (Oracle.taint_query m ~lo ~hi));
+    taint_prop "join = fold of adds" arb_pair (fun (a, b) ->
+        let r = D.taint_join a b in
+        well_formed r && same_taint r (Oracle.taint_join a b));
+    taint_prop "adding a covered span returns an equal map" arb_covered (fun (m, b) ->
+        well_formed b
+        && List.for_all
+             (fun (s : D.span) -> D.taint_equal (D.taint_add m ~lo:s.D.lo ~hi:s.D.hi ~srcs:s.D.srcs) m)
+             b
+        && D.taint_equal (D.taint_join m b) m) ]
+
+(* ---- store invalidation against the rebuilds it replaced ----
+
+   A store drops the cells it may touch, in both tiers, and in the
+   integer tier also severs every register and cell copy link into the
+   range. These were rebuilds of every register and cell on each store;
+   the old code is kept here as the oracle for the versions that touch
+   only what meets the range. Addresses come from a small pool so that
+   links, bound cells and ranges (aligned or not) meet often. *)
+
+module Fpa = Analysis.Fpa
+module FD = Analysis.Fpdomain
+
+let old_invalidate_range (st : D.st) lo hi : D.st =
+  if hi <= lo then st
+  else begin
+    let regs =
+      Array.map
+        (fun (r : D.rv) ->
+          match r.D.copy_of with
+          | Some c when AP.overlaps_cell c lo hi -> { r with D.copy_of = None }
+          | _ -> r)
+        st.D.regs
+    in
+    let cells =
+      D.IntMap.filter_map
+        (fun a (c : D.cell) ->
+          if AP.overlaps_cell a lo hi then None
+          else
+            match c.D.cell_copy_of with
+            | Some rc when AP.overlaps_cell rc lo hi -> Some { c with D.cell_copy_of = None }
+            | _ -> Some c)
+        st.D.cells
+    in
+    { st with D.regs; cells }
+  end
+
+let old_drop_range (f : Fpa.fpst) lo hi =
+  if hi <= lo then f
+  else
+    { f with
+      Fpa.fmem = D.IntMap.filter (fun a _ -> not (a + 8 > lo && a < hi)) f.Fpa.fmem }
+
+let gen_addr = QCheck.Gen.map (fun k -> 8 * k) (QCheck.Gen.int_bound 12)
+
+let gen_link = QCheck.Gen.(frequency [ (2, return None); (3, map Option.some gen_addr) ])
+
+let gen_range =
+  let open QCheck.Gen in
+  let* lo = int_range (-8) 104 in
+  let* len = oneof [ return 8; return 4; int_range (-2) 40 ] in
+  return (lo, lo + len)
+
+let gen_int_state =
+  let open QCheck.Gen in
+  let* links = array_repeat 16 gen_link in
+  let* cells =
+    list_size (int_bound 8)
+      (pair gen_addr (map2 (fun v l -> { D.cv = Si.singleton v; cell_copy_of = l }) (int_bound 3) gen_link))
+  in
+  let regs = Array.map (fun l -> { D.si = Si.top; copy_of = l }) links in
+  let st = AP.entry_state 4096 in
+  return { st with D.regs; cells = D.IntMap.of_seq (List.to_seq cells) }
+
+let show_int_state (st : D.st) =
+  let link = function None -> "-" | Some c -> string_of_int c in
+  String.concat " " (Array.to_list (Array.map (fun (r : D.rv) -> link r.D.copy_of) st.D.regs))
+  ^ " | "
+  ^ String.concat " "
+      (List.map
+         (fun (a, (c : D.cell)) -> Printf.sprintf "%d->%s" a (link c.D.cell_copy_of))
+         (D.IntMap.bindings st.D.cells))
+
+let gen_fp_state =
+  let open QCheck.Gen in
+  let* cells = list_size (int_bound 10) (pair gen_addr (map FD.const (oneofl [ 0.0; 1.5; -2.0 ]))) in
+  return { Fpa.fx = Array.make 32 FD.top; fmem = D.IntMap.of_seq (List.to_seq cells) }
+
+let invalidation_tests =
+  [ taint_prop "invalidate_range = rebuild of every register and cell"
+      (QCheck.make
+         ~print:(fun (st, (lo, hi)) -> Printf.sprintf "%s / [%d,%d)" (show_int_state st) lo hi)
+         (QCheck.Gen.pair gen_int_state gen_range))
+      (fun (st, (lo, hi)) -> D.equal (AP.invalidate_range st lo hi) (old_invalidate_range st lo hi));
+    taint_prop "drop_range = filter of every cell"
+      (QCheck.make
+         ~print:(fun (f, (lo, hi)) ->
+           Printf.sprintf "%s / [%d,%d)"
+             (ints (List.map fst (D.IntMap.bindings f.Fpa.fmem)))
+             lo hi)
+         (QCheck.Gen.pair gen_fp_state gen_range))
+      (fun (f, (lo, hi)) -> Fpa.f_equal (Fpa.drop_range f lo hi) (old_drop_range f lo hi)) ]
+
 (* ---- facts digest ----
 
    The analysis facts are pinned bit for bit: a canonical text rendering
@@ -387,8 +696,6 @@ let oracle_tests =
    programs. The golden counts (analysis_golden.txt, lint_golden.txt)
    would not notice a changed provenance list or iteration count; this
    does, so a speed-up of the analysis must leave these digests alone. *)
-
-let ints l = String.concat "," (List.map string_of_int l)
 
 let aloc_name = function
   | Fpvm.Vsa.Global a -> Printf.sprintf "G%d" a
@@ -463,5 +770,7 @@ let () =
       ("idioms", idiom_tests);
       ("patching", patch_tests);
       ("oracle", oracle_tests);
+      ("taint map", taint_tests);
+      ("store invalidation", invalidation_tests);
       ("facts digest", digest_tests)
     ]
