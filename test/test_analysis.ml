@@ -3,7 +3,8 @@
    pipeline (strong updates, bounded array stores, branch refinement),
    the legacy pass's conservatism, the sink-exemption idioms (self-xor
    zeroing, clean BANDN, dead gpr<-xmm moves), idempotent patching, the
-   engine's soundness oracle / trace-hint invalidation, and a digest that
+   engine's soundness oracle / trace-hint invalidation, the taint map and
+   store invalidation against the code they replaced, and a digest that
    pins every analysis fact bit for bit. *)
 
 open Machine
@@ -568,25 +569,25 @@ let arb_pair =
 
 let same_taint a b = List.length a = List.length b && List.for_all2 D.span_equal a b
 
-let taint_prop name arb law =
+let oracle_prop name arb law =
   QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x7A1 |])
     (QCheck.Test.make ~count:3000 ~name arb law)
 
 let taint_tests =
-  [ taint_prop "generated maps are well formed" arb_pair (fun (a, b) ->
+  [ oracle_prop "generated maps are well formed" arb_pair (fun (a, b) ->
         well_formed a && well_formed b);
-    taint_prop "add = whole-list add" arb_map_span (fun (m, (lo, hi, srcs)) ->
+    oracle_prop "add = whole-list add" arb_map_span (fun (m, (lo, hi, srcs)) ->
         let r = D.taint_add m ~lo ~hi ~srcs in
         well_formed r && same_taint r (Oracle.taint_add m ~lo ~hi ~srcs));
-    taint_prop "kill = whole-list kill" arb_map_span (fun (m, (lo, hi, _)) ->
+    oracle_prop "kill = whole-list kill" arb_map_span (fun (m, (lo, hi, _)) ->
         let r = D.taint_kill m ~lo ~hi in
         well_formed r && same_taint r (Oracle.taint_kill m ~lo ~hi));
-    taint_prop "query = whole-list query" arb_map_span (fun (m, (lo, hi, _)) ->
+    oracle_prop "query = whole-list query" arb_map_span (fun (m, (lo, hi, _)) ->
         IS.equal (D.taint_query m ~lo ~hi) (Oracle.taint_query m ~lo ~hi));
-    taint_prop "join = fold of adds" arb_pair (fun (a, b) ->
+    oracle_prop "join = fold of adds" arb_pair (fun (a, b) ->
         let r = D.taint_join a b in
         well_formed r && same_taint r (Oracle.taint_join a b));
-    taint_prop "adding a covered span returns an equal map" arb_covered (fun (m, b) ->
+    oracle_prop "adding a covered span returns an equal map" arb_covered (fun (m, b) ->
         well_formed b
         && List.for_all
              (fun (s : D.span) -> D.taint_equal (D.taint_add m ~lo:s.D.lo ~hi:s.D.hi ~srcs:s.D.srcs) m)
@@ -671,12 +672,12 @@ let gen_fp_state =
   return { Fpa.fx = Array.make 32 FD.top; fmem = D.IntMap.of_seq (List.to_seq cells) }
 
 let invalidation_tests =
-  [ taint_prop "invalidate_range = rebuild of every register and cell"
+  [ oracle_prop "invalidate_range = rebuild of every register and cell"
       (QCheck.make
          ~print:(fun (st, (lo, hi)) -> Printf.sprintf "%s / [%d,%d)" (show_int_state st) lo hi)
          (QCheck.Gen.pair gen_int_state gen_range))
       (fun (st, (lo, hi)) -> D.equal (AP.invalidate_range st lo hi) (old_invalidate_range st lo hi));
-    taint_prop "drop_range = filter of every cell"
+    oracle_prop "drop_range = filter of every cell"
       (QCheck.make
          ~print:(fun (f, (lo, hi)) ->
            Printf.sprintf "%s / [%d,%d)"
