@@ -106,7 +106,7 @@ let taint_query spans ~lo ~hi =
    one pass over [a] plus the work of the spans that change it.  When
    nothing changes, [a] itself is returned. *)
 let taint_join a b =
-  if a == b || b = [] then a
+  if a == b then a
   else begin
     let rec sweep changed rev_before rest = function
       | [] -> if changed then List.rev_append rev_before rest else a
