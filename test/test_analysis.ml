@@ -783,6 +783,6 @@ let () =
       ("patching", patch_tests);
       ("oracle", oracle_tests);
       ("taint map", taint_tests);
-      ("store invalidation", invalidation_tests);
+      ("invalidation", invalidation_tests);
       ("facts digest", digest_tests)
     ]
