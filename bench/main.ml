@@ -581,20 +581,6 @@ let ablate_delivery () =
    asserted. The GC comparison runs separately with a short epoch so
    enough passes exist to amortize the periodic full scans. *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let bench_json () =
   hr "BENCH_overhead.json: trace emulation + incremental GC evidence";
   let seed_cfg = cfg ~incremental_gc:false () in
@@ -644,7 +630,7 @@ let bench_json () =
            \      \"delivery_speedup\": %.3f,\n\
            %s,\n\
            %s }"
-          (json_escape name) identical speedup
+          (Fpvm.Json.escape name) identical speedup
           (side "seed" rs ss) (side "traced" ro so))
       workloads_fig9
   in
@@ -676,7 +662,7 @@ let bench_json () =
            \"gc_freed\": %d, \"gc_alive_last\": %d },\n\
            \      \"incremental\": { \"gc_passes\": %d, \"gc_full_passes\": %d, \
            \"gc_words_scanned\": %d, \"gc_freed\": %d, \"gc_alive_last\": %d } }"
-          (json_escape name) ratio sf.Fpvm.Stats.gc_passes
+          (Fpvm.Json.escape name) ratio sf.Fpvm.Stats.gc_passes
           sf.Fpvm.Stats.gc_words_scanned sf.Fpvm.Stats.gc_freed
           sf.Fpvm.Stats.gc_alive_last si.Fpvm.Stats.gc_passes
           si.Fpvm.Stats.gc_full_passes si.Fpvm.Stats.gc_words_scanned
@@ -781,7 +767,7 @@ let bench_replay () =
            \      \"modeled_cycles_plain\": %d, \"modeled_cycles_record\": %d,\n\
            \      \"cycle_overhead_pct\": %.3f, \"wall_overhead_pct\": %.1f,\n\
            \      \"replay_matched\": %b }"
-          (json_escape name) events bytes plain.Fpvm.Engine.cycles
+          (Fpvm.Json.escape name) events bytes plain.Fpvm.Engine.cycles
           r.Fpvm.Engine.cycles
           (100.0
           *. float_of_int (r.Fpvm.Engine.cycles - plain.Fpvm.Engine.cycles)
@@ -917,7 +903,7 @@ let bench_vsa () =
            \"total_int_loads\": %d, \"trap_checks_elided\": %d, \
            \"blocks\": %d, \"loop_heads\": %d, \"iterations\": %d },\n\
            \      \"bit_identical_output\": %b, \"oracle_boxed_loads\": %d }"
-          (json_escape e.W.name) strict lsinks
+          (Fpvm.Json.escape e.W.name) strict lsinks
           l.Analysis.Legacy.proven_safe_loads l.Analysis.Legacy.iterations
           nsinks p.Analysis.Pipeline.proven_safe_loads
           p.Analysis.Pipeline.total_int_loads
@@ -1029,7 +1015,7 @@ let bench_plans () =
            \      \"plan_cycles\": %d, \"total_cycles\": { \"no_plans\": %d, \
            \"plans\": %d },\n\
            \      \"oracle_boxed_loads\": %d }"
-          (json_escape name) son.Fpvm.Stats.plan_hits
+          (Fpvm.Json.escape name) son.Fpvm.Stats.plan_hits
           son.Fpvm.Stats.plan_misses (hit_rate son)
           son.Fpvm.Stats.temps_elided son.Fpvm.Stats.temps_materialized
           (Fpvm.Stats.allocs_avoided son) soff.Fpvm.Stats.boxes_allocated
@@ -1229,7 +1215,7 @@ let bench_telemetry () =
               identical;
             Printf.sprintf
               "    { \"port\": \"%s\", \"incremental_gc\": %b, \"identical\": %b }"
-              (json_escape name) inc identical)
+              (Fpvm.Json.escape name) inc identical)
           [ true; false ])
       ports
   in
@@ -1250,7 +1236,7 @@ let bench_telemetry () =
           (tracked = total);
         Printf.sprintf
           "    { \"port\": \"%s\", \"total_fpvm_cycles\": %d, \"tracked_cycles\": %d, \"remainder\": %d }"
-          (json_escape name) total tracked (total - tracked))
+          (Fpvm.Json.escape name) total tracked (total - tracked))
       ports
   in
   (* 3. Shadow numerical check: zero on vanilla by construction,
@@ -1273,9 +1259,7 @@ let bench_telemetry () =
   let trace_stats =
     match tel_v with
     | Some { Telemetry.trace = Some tr; _ } ->
-        let bb = Buffer.create 4096 in
-        Telemetry.Trace.export_json tr bb;
-        let body = Buffer.contents bb in
+        let body = Fpvm.Json.to_string (Telemetry.Trace.export_json tr) in
         let rec_n = Telemetry.Trace.recorded tr in
         check "trace export: events recorded, JSON non-empty"
           (rec_n > 0 && String.length body > 2 && body.[0] = '{');
@@ -1315,7 +1299,7 @@ let bench_telemetry () =
         in
         Printf.sprintf
           "    { \"cost_model\": \"%s\", \"total_fpvm_cycles\": %d, \"sites\": [\n%s\n      ] }"
-          (json_escape cost.CM.name) total
+          (Fpvm.Json.escape cost.CM.name) total
           (String.concat ",\n" sites))
       CM.profiles
   in
@@ -1412,7 +1396,7 @@ let bench_jit () =
            %.3f, \"jit\": %.3f, \"reduction\": %.3f },\n\
            \      \"jit\": { \"compiles\": %d, \"hits\": %d, \"links\": %d, \
            \"guard_exits\": %d, \"invalidations\": %d, \"cyc_jit\": %d } }"
-          (json_escape name) iters per_off per_on ratio
+          (Fpvm.Json.escape name) iters per_off per_on ratio
           son.Fpvm.Stats.jit_compiles son.Fpvm.Stats.jit_hits
           son.Fpvm.Stats.jit_links son.Fpvm.Stats.jit_guard_exits
           son.Fpvm.Stats.jit_invalidations son.Fpvm.Stats.cyc_jit)
@@ -1623,7 +1607,7 @@ let bench_fleet () =
         Printf.sprintf
           "    { \"arith\": \"%s\", \"gc\": \"%s\", \"domain\": %d, \
            \"cycles\": %d, \"bit_identical_to_solo\": %b }"
-          (json_escape (Fleet.guest_arith r.Fleet.r_guest))
+          (Fpvm.Json.escape (Fleet.guest_arith r.Fleet.r_guest))
           (if r.Fleet.r_guest.Fleet.g_config.Fpvm.Engine.incremental_gc then
              "inc"
            else "full")
@@ -1710,7 +1694,7 @@ let bench_fpa () =
         Printf.sprintf
           "    { \"workload\": \"%s\", \"sites\": %d, \"sub_free\": %d, \
            \"born_free\": %d, \"proven\": %d }"
-          (json_escape e.W.name) f.Analysis.Fpa.sites f.Analysis.Fpa.sub_free
+          (Fpvm.Json.escape e.W.name) f.Analysis.Fpa.sites f.Analysis.Fpa.sub_free
           f.Analysis.Fpa.born_free f.Analysis.Fpa.proven)
       W.all
   in
@@ -1779,7 +1763,7 @@ let bench_fpa () =
           "    { \"workload\": \"%s\", \"fused_steps\": %d, \
            \"fused_unguarded\": %d, \"unguarded_share\": %.4f, \
            \"shadow_checks_elided\": %d, \"fpa_sites_proven\": %d }"
-          (json_escape e.W.name) s.Fpvm.Stats.jit_fused_steps
+          (Fpvm.Json.escape e.W.name) s.Fpvm.Stats.jit_fused_steps
           s.Fpvm.Stats.fused_unguarded share s.Fpvm.Stats.shadow_elided
           s.Fpvm.Stats.fpa_sites_proven)
       W.all
@@ -1959,7 +1943,7 @@ let bench_cache () =
            \      \"warm\": { \"cyc_jit\": %d, \"blocks_shared\": %d, \
            \"cyc_compile_shared\": %d, \"cycles\": %d },\n\
            \      \"cyc_jit_eliminated_pct\": %.2f }"
-          (json_escape name) sc.Fpvm.Stats.cyc_jit sc.Fpvm.Stats.jit_compiles
+          (Fpvm.Json.escape name) sc.Fpvm.Stats.cyc_jit sc.Fpvm.Stats.jit_compiles
           cold.Fpvm.Engine.cycles sw.Fpvm.Stats.cyc_jit
           sw.Fpvm.Stats.blocks_shared sw.Fpvm.Stats.cyc_compile_shared
           warm.Fpvm.Engine.cycles elim)
@@ -2120,7 +2104,7 @@ let bench_flows () =
               "    { \"port\": \"%s\", \"incremental_gc\": %b, \
                \"cycles_off\": %d, \"cycles_on\": %d, \"overhead_pct\": \
                %.1f, \"fingerprint_identical\": %b }"
-              (json_escape pname) inc off.Fpvm.Engine.cycles
+              (Fpvm.Json.escape pname) inc off.Fpvm.Engine.cycles
               on.Fpvm.Engine.cycles
               (100.0
               *. float_of_int (on.Fpvm.Engine.cycles - off.Fpvm.Engine.cycles)
@@ -2166,7 +2150,7 @@ let bench_flows () =
       "    { \"workload\": \"%s\", \"flows\": %d, \"birth_site\": %d, \
        \"birth_event\": %d, \"kill_site\": %d, \"kill_kind\": \"%s\", \
        \"links\": %d, \"props\": %d, \"real\": %b }"
-      (json_escape wname) (FR.n_flows fr) injected.FR.fl_birth_site
+      (Fpvm.Json.escape wname) (FR.n_flows fr) injected.FR.fl_birth_site
       injected.FR.fl_birth_event injected.FR.fl_kill_site
       (FR.kill_kind_name injected.FR.fl_kill_kind)
       injected.FR.fl_links injected.FR.fl_props

@@ -41,166 +41,35 @@ let config_fingerprint (c : Fpvm.Engine.config) machine =
     c.Fpvm.Engine.use_jit c.Fpvm.Engine.jit_threshold
     c.Fpvm.Engine.jit_max_trace_len machine
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module J = Fpvm.Json
 
 let print_json ~workload ~arith ~scale (r : Fpvm.Engine.result) =
   let s = r.Fpvm.Engine.stats in
-  let kv_s k v = Printf.sprintf "  %S: \"%s\"" k (json_escape v) in
-  let kv_i k v = Printf.sprintf "  %S: %d" k v in
-  let fields =
-    [
-      kv_i "schema_version" 1;
-      kv_s "workload" workload;
-      kv_s "arith" arith;
-      kv_s "scale" scale;
-      kv_i "cycles" r.Fpvm.Engine.cycles;
-      kv_i "insns" r.Fpvm.Engine.insns;
-      kv_i "fp_insns" r.Fpvm.Engine.fp_insns;
-      kv_i "fp_traps" s.Fpvm.Stats.fp_traps;
-      kv_i "correctness_traps" s.Fpvm.Stats.correctness_traps;
-      kv_i "corr_demote_boxed" s.Fpvm.Stats.corr_demote_boxed;
-      kv_i "corr_demote_clean" s.Fpvm.Stats.corr_demote_clean;
-      kv_i "patched_sites" s.Fpvm.Stats.patched_sites;
-      kv_i "patched_sites_boxed" s.Fpvm.Stats.patched_sites_boxed;
-      kv_i "trap_checks_elided" s.Fpvm.Stats.trap_checks_elided;
-      kv_i "oracle_loads_checked" s.Fpvm.Stats.oracle_loads_checked;
-      kv_i "oracle_boxed_loads" s.Fpvm.Stats.oracle_boxed_loads;
-      kv_i "traces" s.Fpvm.Stats.traces;
-      kv_i "trace_insns" s.Fpvm.Stats.trace_insns;
-      kv_i "traps_avoided" s.Fpvm.Stats.traps_avoided;
-      kv_i "emulated_insns" s.Fpvm.Stats.emulated_insns;
-      kv_i "math_calls" s.Fpvm.Stats.math_calls;
-      kv_i "decode_hits" s.Fpvm.Stats.decode_hits;
-      kv_i "decode_misses" s.Fpvm.Stats.decode_misses;
-      kv_i "plan_hits" s.Fpvm.Stats.plan_hits;
-      kv_i "plan_misses" s.Fpvm.Stats.plan_misses;
-      kv_i "plan_invalidations" s.Fpvm.Stats.plan_invalidations;
-      kv_i "temps_elided" s.Fpvm.Stats.temps_elided;
-      kv_i "temps_materialized" s.Fpvm.Stats.temps_materialized;
-      kv_i "allocs_avoided" (Fpvm.Stats.allocs_avoided s);
-      kv_i "jit_compiles" s.Fpvm.Stats.jit_compiles;
-      kv_i "jit_hits" s.Fpvm.Stats.jit_hits;
-      kv_i "jit_links" s.Fpvm.Stats.jit_links;
-      kv_i "jit_guard_exits" s.Fpvm.Stats.jit_guard_exits;
-      kv_i "jit_invalidations" s.Fpvm.Stats.jit_invalidations;
-      kv_i "cyc_jit" s.Fpvm.Stats.cyc_jit;
-      kv_i "cyc_plan" s.Fpvm.Stats.cyc_plan;
-      kv_i "cyc_bind" s.Fpvm.Stats.cyc_bind;
-      kv_i "cyc_emu_dispatch" s.Fpvm.Stats.cyc_emu_dispatch;
-      kv_i "boxes_allocated" s.Fpvm.Stats.boxes_allocated;
-      kv_i "gc_passes" s.Fpvm.Stats.gc_passes;
-      kv_i "gc_full_passes" s.Fpvm.Stats.gc_full_passes;
-      kv_i "gc_freed" s.Fpvm.Stats.gc_freed;
-      kv_i "gc_words_scanned" s.Fpvm.Stats.gc_words_scanned;
-      kv_i "replay_events" s.Fpvm.Stats.replay_events;
-      kv_i "replay_checkpoints" s.Fpvm.Stats.replay_checkpoints;
-      kv_i "replay_checkpoint_bytes" s.Fpvm.Stats.replay_checkpoint_bytes;
-      kv_i "replay_log_bytes" s.Fpvm.Stats.replay_log_bytes;
-      kv_i "tel_events" s.Fpvm.Stats.tel_events;
-      kv_i "tel_dropped" s.Fpvm.Stats.tel_dropped;
-      kv_i "fpa_sites_proven" s.Fpvm.Stats.fpa_sites_proven;
-      kv_i "fused_unguarded" s.Fpvm.Stats.fused_unguarded;
-      kv_i "shadow_elided" s.Fpvm.Stats.shadow_elided;
-      kv_i "jit_fused_steps" s.Fpvm.Stats.jit_fused_steps;
-      kv_i "fpa_sub_violations" s.Fpvm.Stats.fpa_sub_violations;
-      kv_i "fpa_nan_violations" s.Fpvm.Stats.fpa_nan_violations;
-      kv_i "cache_hits" s.Fpvm.Stats.cache_hits;
-      kv_i "cache_misses" s.Fpvm.Stats.cache_misses;
-      kv_i "blocks_shared" s.Fpvm.Stats.blocks_shared;
-      kv_i "cyc_compile_shared" s.Fpvm.Stats.cyc_compile_shared;
-      kv_i "flows_open" s.Fpvm.Stats.flows_open;
-      kv_i "flows_completed" s.Fpvm.Stats.flows_completed;
-      kv_i "flows_dropped" s.Fpvm.Stats.flows_dropped;
-      kv_i "flows_real" s.Fpvm.Stats.flows_real;
-      kv_i "flows_spurious" s.Fpvm.Stats.flows_spurious;
-      kv_i "output_bytes" (String.length r.Fpvm.Engine.output);
-      kv_i "serialized_bytes" (String.length r.Fpvm.Engine.serialized);
-      kv_s "stats_fingerprint" (Fpvm.Stats.fingerprint s);
-    ]
-  in
-  Printf.printf "{\n%s\n}\n" (String.concat ",\n" fields)
+  print_endline
+    (J.to_string
+       (J.Obj
+          ([ ("schema_version", J.Int 1);
+             ("workload", J.Str workload);
+             ("arith", J.Str arith);
+             ("scale", J.Str scale);
+             ("cycles", J.Int r.Fpvm.Engine.cycles);
+             ("insns", J.Int r.Fpvm.Engine.insns);
+             ("fp_insns", J.Int r.Fpvm.Engine.fp_insns) ]
+          @ Fpvm.Stats.to_json s
+          @ [ ("allocs_avoided", J.Int (Fpvm.Stats.allocs_avoided s));
+              ("output_bytes", J.Int (String.length r.Fpvm.Engine.output));
+              ("serialized_bytes", J.Int (String.length r.Fpvm.Engine.serialized));
+              ("stats_fingerprint", J.Str (Fpvm.Stats.fingerprint s)) ])))
 
 let print_stats (r : Fpvm.Engine.result) =
   let s = r.Fpvm.Engine.stats in
-  Printf.eprintf "--- fpvm stats ---\n";
-  Printf.eprintf "instructions executed: %d (%d FP)\n" r.Fpvm.Engine.insns
-    r.Fpvm.Engine.fp_insns;
-  Printf.eprintf "cycles: %d\n" r.Fpvm.Engine.cycles;
-  Printf.eprintf "fp traps: %d, correctness traps: %d (%d boxed / %d clean)\n"
-    s.Fpvm.Stats.fp_traps s.Fpvm.Stats.correctness_traps
-    s.Fpvm.Stats.corr_demote_boxed s.Fpvm.Stats.corr_demote_clean;
-  Printf.eprintf
-    "vsa: %d sites patched (%d ever boxed), %d trap checks elided\n"
-    s.Fpvm.Stats.patched_sites s.Fpvm.Stats.patched_sites_boxed
-    s.Fpvm.Stats.trap_checks_elided;
-  if s.Fpvm.Stats.oracle_loads_checked > 0 then
-    Printf.eprintf "oracle: %d loads checked, %d boxed-value violations\n"
-      s.Fpvm.Stats.oracle_loads_checked s.Fpvm.Stats.oracle_boxed_loads;
-  Printf.eprintf
-    "fpa: %d sites proven, %d fused unguarded, %d shadow checks elided, %d fused steps\n"
-    s.Fpvm.Stats.fpa_sites_proven s.Fpvm.Stats.fused_unguarded
-    s.Fpvm.Stats.shadow_elided s.Fpvm.Stats.jit_fused_steps;
-  if s.Fpvm.Stats.fpa_sub_violations > 0 || s.Fpvm.Stats.fpa_nan_violations > 0
-  then
-    Printf.eprintf "fpa VIOLATIONS: %d subnormal, %d nan/inf birth\n"
-      s.Fpvm.Stats.fpa_sub_violations s.Fpvm.Stats.fpa_nan_violations;
-  Printf.eprintf "traces: %d (mean len %.1f), in-trace faults absorbed: %d\n"
-    s.Fpvm.Stats.traces
-    (Fpvm.Stats.mean_trace_len s)
-    s.Fpvm.Stats.traps_avoided;
-  Printf.eprintf "emulated insns: %d, math calls: %d\n"
-    s.Fpvm.Stats.emulated_insns s.Fpvm.Stats.math_calls;
-  Printf.eprintf "decode cache: %d hits / %d misses\n" s.Fpvm.Stats.decode_hits
-    s.Fpvm.Stats.decode_misses;
-  Printf.eprintf "plans: %d hits / %d misses (%d invalidated)\n"
-    s.Fpvm.Stats.plan_hits s.Fpvm.Stats.plan_misses
-    s.Fpvm.Stats.plan_invalidations;
-  Printf.eprintf
-    "jit: %d compiles, %d hits, %d links, %d guard exits (%d invalidated)\n"
-    s.Fpvm.Stats.jit_compiles s.Fpvm.Stats.jit_hits s.Fpvm.Stats.jit_links
-    s.Fpvm.Stats.jit_guard_exits s.Fpvm.Stats.jit_invalidations;
-  if s.Fpvm.Stats.cache_hits > 0 || s.Fpvm.Stats.cache_misses > 0 then
-    Printf.eprintf
-      "artifact cache: %d hits / %d misses, %d blocks shared (%d compile \
-       cycles off-guest)\n"
-      s.Fpvm.Stats.cache_hits s.Fpvm.Stats.cache_misses
-      s.Fpvm.Stats.blocks_shared s.Fpvm.Stats.cyc_compile_shared;
-  Printf.eprintf
-    "temps elided: %d (%d re-boxed at trace exit, %d allocs avoided)\n"
-    s.Fpvm.Stats.temps_elided s.Fpvm.Stats.temps_materialized
-    (Fpvm.Stats.allocs_avoided s);
-  Printf.eprintf "boxes allocated: %d, gc passes: %d, freed: %d\n"
-    s.Fpvm.Stats.boxes_allocated s.Fpvm.Stats.gc_passes s.Fpvm.Stats.gc_freed;
-  Printf.eprintf "gc: %d full passes, %d words scanned\n"
-    s.Fpvm.Stats.gc_full_passes s.Fpvm.Stats.gc_words_scanned;
-  if s.Fpvm.Stats.replay_events > 0 then
-    Printf.eprintf "replay: %d events (%d bytes), %d checkpoints (%d bytes)\n"
-      s.Fpvm.Stats.replay_events s.Fpvm.Stats.replay_log_bytes
-      s.Fpvm.Stats.replay_checkpoints s.Fpvm.Stats.replay_checkpoint_bytes;
-  if s.Fpvm.Stats.tel_events > 0 then
-    Printf.eprintf "telemetry: %d events observed (%d ring-dropped)\n"
-      s.Fpvm.Stats.tel_events s.Fpvm.Stats.tel_dropped;
-  if
-    s.Fpvm.Stats.flows_open > 0 || s.Fpvm.Stats.flows_completed > 0
-    || s.Fpvm.Stats.flows_dropped > 0
-  then
-    Printf.eprintf "flows: %d completed, %d open, %d dropped\n"
-      s.Fpvm.Stats.flows_completed s.Fpvm.Stats.flows_open
-      s.Fpvm.Stats.flows_dropped;
-  let b = Fpvm.Stats.breakdown s in
-  Printf.eprintf "avg cycles/virtualized insn: %.0f\n" b.Fpvm.Stats.avg_total
+  Format.eprintf
+    "--- fpvm stats ---@.instructions executed: %d (%d FP)@.cycles: %d@.%a@.\
+     mean trace length: %.1f@.allocs avoided: %d@.\
+     avg cycles/virtualized insn: %.0f@."
+    r.Fpvm.Engine.insns r.Fpvm.Engine.fp_insns r.Fpvm.Engine.cycles
+    Fpvm.Stats.pp s (Fpvm.Stats.mean_trace_len s) (Fpvm.Stats.allocs_avoided s)
+    (Fpvm.Stats.breakdown s).Fpvm.Stats.avg_total
 
 (* Flip one bit of event [n]'s state digest and re-encode: a seeded
    divergence the bisector and replayer must pin to exactly [n]. *)
@@ -462,9 +331,7 @@ let run workload arith prec posit_bits approach machine deployment scale
                         | Some tr when trace_out <> "" ->
                             (* flow arrows ride the same timeline file *)
                             let extra =
-                              Option.map
-                                (fun fr bb first ->
-                                  Telemetry.Flowrec.export_flows fr bb first)
+                              Option.map Telemetry.Flowrec.export_flows
                                 t.Telemetry.flows
                             in
                             Telemetry.Trace.write_file ?extra tr trace_out;
@@ -491,12 +358,12 @@ let run workload arith prec posit_bits approach machine deployment scale
                                 r.Fpvm.Engine.stats bb;
                               prerr_string (Buffer.contents bb)
                             end;
-                            if profile_out <> "" then begin
-                              let bb = Buffer.create 1024 in
-                              Telemetry.Profile.report_json ~n:32 p
-                                r.Fpvm.Engine.stats bb;
-                              write_text profile_out (Buffer.contents bb)
-                            end
+                            if profile_out <> "" then
+                              write_text profile_out
+                                (J.to_string
+                                   (Telemetry.Profile.report_json ~n:32 p
+                                      r.Fpvm.Engine.stats)
+                                ^ "\n")
                         | None -> ());
                         match t.Telemetry.numprof with
                         | Some np when shadow_check ->
@@ -631,82 +498,67 @@ let sink_kind_name = function
   | AP.K_movq -> "movq_gpr_xmm"
   | AP.K_fp_bit -> "fp_bitop"
 
+(* An instruction reference: its index and disassembly. *)
+let insn_json prog i =
+  [ ("index", J.Int i); ("insn", J.Str (insn_text prog i)) ]
+
+(* An FP site's verdict, its provenance rendered as [srcs]. *)
+let verdict_json prog (v : Analysis.Fpa.verdict) srcs =
+  J.Obj
+    (insn_json prog v.Analysis.Fpa.v_index
+    @ [ ("sub_free", J.Bool v.Analysis.Fpa.v_sub_free);
+        ("born_free", J.Bool v.Analysis.Fpa.v_born_free);
+        ("risks", J.Arr (List.map (fun r -> J.Str r) v.Analysis.Fpa.v_risks));
+        srcs ])
+
 let analyze_json (results : (W.entry * Machine.Program.t * Fpvm.Vsa.analysis * Analysis.Legacy.analysis) list) =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"workloads\": [\n";
-  List.iteri
-    (fun wi (e, prog, (a : Fpvm.Vsa.analysis), (l : Analysis.Legacy.analysis)) ->
-      let p = a.Fpvm.Vsa.pipeline in
-      if wi > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b
-        (Printf.sprintf
-           "    { \"name\": \"%s\",\n      \"insns\": %d, \"blocks\": %d, \"loop_heads\": %d, \"iterations\": %d, \"bailed_out\": %b,\n"
-           (json_escape e.W.name)
-           (Array.length prog.Machine.Program.insns)
-           p.AP.n_blocks p.AP.n_loop_heads p.AP.iterations p.AP.bailed_out);
-      Buffer.add_string b
-        (Printf.sprintf
-           "      \"total_int_loads\": %d, \"proven_safe_loads\": %d, \"trap_checks_elided\": %d,\n"
-           p.AP.total_int_loads p.AP.proven_safe_loads p.AP.trap_checks_elided);
-      Buffer.add_string b
-        (Printf.sprintf
-           "      \"legacy\": { \"sinks\": %d, \"proven_safe_loads\": %d },\n\
-           \      \"delta_proven_safe\": %d, \"delta_sinks\": %d,\n"
-           (List.length l.Analysis.Legacy.sinks)
-           l.Analysis.Legacy.proven_safe_loads
-           (p.AP.proven_safe_loads - l.Analysis.Legacy.proven_safe_loads)
-           (List.length l.Analysis.Legacy.sinks - List.length p.AP.sinks));
-      Buffer.add_string b "      \"sinks\": [";
-      List.iteri
-        (fun si (s : AP.sink) ->
-          if si > 0 then Buffer.add_string b ",";
-          Buffer.add_string b
-            (Printf.sprintf
-               "\n        { \"index\": %d, \"kind\": \"%s\", \"insn\": \"%s\",\n\
-               \          \"sources\": ["
-               s.AP.sink_index (sink_kind_name s.AP.kind)
-               (json_escape (insn_text prog s.AP.sink_index)));
-          List.iteri
-            (fun qi q ->
-              if qi > 0 then Buffer.add_string b ", ";
-              Buffer.add_string b
-                (Printf.sprintf "{ \"index\": %d, \"insn\": \"%s\" }" q
-                   (json_escape (insn_text prog q))))
-            s.AP.srcs;
-          Buffer.add_string b "] }")
-        p.AP.sinks;
-      Buffer.add_string b " ],\n";
-      (* FP special-value tier: per-site verdicts with provenance. *)
-      let f = a.Fpvm.Vsa.fpa in
-      Buffer.add_string b
-        (Printf.sprintf
-           "      \"fp\": { \"sites\": %d, \"sub_free\": %d, \"born_free\": \
-            %d, \"proven\": %d, \"bailed_out\": %b,\n\
-           \        \"verdicts\": ["
-           f.Analysis.Fpa.sites f.Analysis.Fpa.sub_free
-           f.Analysis.Fpa.born_free f.Analysis.Fpa.proven
-           f.Analysis.Fpa.bailed_out);
-      Array.iteri
-        (fun vi (v : Analysis.Fpa.verdict) ->
-          if vi > 0 then Buffer.add_string b ",";
-          Buffer.add_string b
-            (Printf.sprintf
-               "\n          { \"index\": %d, \"insn\": \"%s\", \"sub_free\": \
-                %b, \"born_free\": %b, \"risks\": [%s], \"srcs\": [%s] }"
-               v.Analysis.Fpa.v_index
-               (json_escape (insn_text prog v.Analysis.Fpa.v_index))
-               v.Analysis.Fpa.v_sub_free v.Analysis.Fpa.v_born_free
-               (String.concat ", "
-                  (List.map
-                     (fun r -> Printf.sprintf "\"%s\"" (json_escape r))
-                     v.Analysis.Fpa.v_risks))
-               (String.concat ", "
-                  (List.map string_of_int v.Analysis.Fpa.v_srcs))))
-        f.Analysis.Fpa.verdicts;
-      Buffer.add_string b "] } }")
-    results;
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
+  let workload (e, prog, (a : Fpvm.Vsa.analysis), (l : Analysis.Legacy.analysis)) =
+    let p = a.Fpvm.Vsa.pipeline in
+    let f = a.Fpvm.Vsa.fpa in
+    let sink (s : AP.sink) =
+      J.Obj
+        [ ("index", J.Int s.AP.sink_index);
+          ("kind", J.Str (sink_kind_name s.AP.kind));
+          ("insn", J.Str (insn_text prog s.AP.sink_index));
+          ("sources", J.Arr (List.map (fun q -> J.Obj (insn_json prog q)) s.AP.srcs)) ]
+    in
+    (* FP special-value tier: per-site verdicts with provenance. *)
+    let verdict (v : Analysis.Fpa.verdict) =
+      verdict_json prog v
+        ("srcs", J.Arr (List.map (fun q -> J.Int q) v.Analysis.Fpa.v_srcs))
+    in
+    J.Obj
+      [ ("name", J.Str e.W.name);
+        ("insns", J.Int (Array.length prog.Machine.Program.insns));
+        ("blocks", J.Int p.AP.n_blocks);
+        ("loop_heads", J.Int p.AP.n_loop_heads);
+        ("iterations", J.Int p.AP.iterations);
+        ("bailed_out", J.Bool p.AP.bailed_out);
+        ("total_int_loads", J.Int p.AP.total_int_loads);
+        ("proven_safe_loads", J.Int p.AP.proven_safe_loads);
+        ("trap_checks_elided", J.Int p.AP.trap_checks_elided);
+        ("legacy",
+         J.Obj
+           (J.ints
+              [ ("sinks", List.length l.Analysis.Legacy.sinks);
+                ("proven_safe_loads", l.Analysis.Legacy.proven_safe_loads) ]));
+        ("delta_proven_safe",
+         J.Int (p.AP.proven_safe_loads - l.Analysis.Legacy.proven_safe_loads));
+        ("delta_sinks",
+         J.Int (List.length l.Analysis.Legacy.sinks - List.length p.AP.sinks));
+        ("sinks", J.Arr (List.map sink p.AP.sinks));
+        ("fp",
+         J.Obj
+           (J.ints
+              [ ("sites", f.Analysis.Fpa.sites);
+                ("sub_free", f.Analysis.Fpa.sub_free);
+                ("born_free", f.Analysis.Fpa.born_free);
+                ("proven", f.Analysis.Fpa.proven) ]
+           @ [ ("bailed_out", J.Bool f.Analysis.Fpa.bailed_out);
+               ("verdicts",
+                J.Arr (Array.to_list (Array.map verdict f.Analysis.Fpa.verdicts))) ])) ]
+  in
+  J.Obj [ ("workloads", J.Arr (List.map workload results)) ]
 
 (* Golden format: one
    "name|sinks|total_int_loads|proven_safe|fp_sites|fp_sub_free|fp_born_free"
@@ -802,7 +654,7 @@ let analyze only check =
             (e, prog, Fpvm.Vsa.analyze prog, Analysis.Legacy.analyze prog))
           entries
       in
-      print_string (analyze_json results);
+      print_endline (J.to_string (analyze_json results));
       if check = "" then `Ok 0
       else
         guard (fun () ->
@@ -855,48 +707,28 @@ let lint only json check =
                not (v.Analysis.Fpa.v_sub_free && v.Analysis.Fpa.v_born_free))
       in
       if json then begin
-        let b = Buffer.create 4096 in
-        Buffer.add_string b "{\n  \"schema_version\": 1,\n  \"workloads\": [\n";
-        List.iteri
-          (fun wi (e, prog, (f : Analysis.Fpa.t)) ->
-            if wi > 0 then Buffer.add_string b ",\n";
-            Buffer.add_string b
-              (Printf.sprintf
-                 "    { \"name\": \"%s\", \"sites\": %d, \"sub_free\": %d, \
-                  \"born_free\": %d, \"proven\": %d, \"hint\": \"%s\",\n\
-                 \      \"warnings\": ["
-                 (json_escape e.W.name) f.Analysis.Fpa.sites
-                 f.Analysis.Fpa.sub_free f.Analysis.Fpa.born_free
-                 f.Analysis.Fpa.proven
-                 (json_escape (lint_hint e.W.name)));
-            List.iteri
-              (fun vi (v : Analysis.Fpa.verdict) ->
-                if vi > 0 then Buffer.add_string b ",";
-                Buffer.add_string b
-                  (Printf.sprintf
-                     "\n        { \"index\": %d, \"insn\": \"%s\", \
-                      \"sub_free\": %b, \"born_free\": %b, \"risks\": [%s], \
-                      \"provenance\": [%s] }"
-                     v.Analysis.Fpa.v_index
-                     (json_escape (insn_text prog v.Analysis.Fpa.v_index))
-                     v.Analysis.Fpa.v_sub_free v.Analysis.Fpa.v_born_free
-                     (String.concat ", "
-                        (List.map
-                           (fun r ->
-                             Printf.sprintf "\"%s\"" (json_escape r))
-                           v.Analysis.Fpa.v_risks))
-                     (String.concat ", "
-                        (List.map
-                           (fun q ->
-                             Printf.sprintf
-                               "{ \"index\": %d, \"insn\": \"%s\" }" q
-                               (json_escape (insn_text prog q)))
-                           v.Analysis.Fpa.v_srcs))))
-              (warn_sites f);
-            Buffer.add_string b "] }")
-          results;
-        Buffer.add_string b "\n  ]\n}\n";
-        print_string (Buffer.contents b)
+        let warning prog (v : Analysis.Fpa.verdict) =
+          verdict_json prog v
+            ("provenance",
+             J.Arr
+               (List.map (fun q -> J.Obj (insn_json prog q)) v.Analysis.Fpa.v_srcs))
+        in
+        let workload (e, prog, (f : Analysis.Fpa.t)) =
+          J.Obj
+            ([ ("name", J.Str e.W.name) ]
+            @ J.ints
+                [ ("sites", f.Analysis.Fpa.sites);
+                  ("sub_free", f.Analysis.Fpa.sub_free);
+                  ("born_free", f.Analysis.Fpa.born_free);
+                  ("proven", f.Analysis.Fpa.proven) ]
+            @ [ ("hint", J.Str (lint_hint e.W.name));
+                ("warnings", J.Arr (List.map (warning prog) (warn_sites f))) ])
+        in
+        print_endline
+          (J.to_string
+             (J.Obj
+                [ ("schema_version", J.Int 1);
+                  ("workloads", J.Arr (List.map workload results)) ]))
       end
       else
         List.iter

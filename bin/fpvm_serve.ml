@@ -15,77 +15,43 @@
    workload/flags run solo under fpvm_run; --verify-solo re-runs each
    guest solo after the fleet and exits 7 on any mismatch. *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module J = Fpvm.Json
 
 let guest_json (r : Fleet.guest_result) =
   let g = r.Fleet.r_guest in
-  Printf.sprintf
-    "{\"guest\": %d, \"workload\": \"%s\", \"arith\": \"%s\", \"scale\": \
-     \"%s\", \"gc\": \"%s\", \"domain\": %d, \"cycles\": %d, \"insns\": %d, \
-     \"fp_insns\": %d, \"output_bytes\": %d, \"fpa_sites_proven\": %d, \
-     \"fused_unguarded\": %d, \"shadow_elided\": %d, \"jit_compiles\": %d, \
-     \"cache_hits\": %d, \"cache_misses\": %d, \"blocks_shared\": %d, \
-     \"cyc_compile_shared\": %d, \"flows_open\": %d, \"flows_completed\": \
-     %d, \"flows_dropped\": %d, \"fingerprint\": \"%s\"}"
-    g.Fleet.g_id
-    (json_escape g.Fleet.g_workload)
-    (json_escape (Fleet.guest_arith g))
-    (Fleet.scale_string g.Fleet.g_scale)
-    (if g.Fleet.g_config.Fpvm.Engine.incremental_gc then "inc" else "full")
-    r.Fleet.r_domain r.Fleet.r_cycles r.Fleet.r_insns r.Fleet.r_fp_insns
-    (String.length r.Fleet.r_output)
-    r.Fleet.r_fpa_sites_proven r.Fleet.r_fused_unguarded
-    r.Fleet.r_shadow_elided r.Fleet.r_jit_compiles r.Fleet.r_cache_hits
-    r.Fleet.r_cache_misses r.Fleet.r_blocks_shared r.Fleet.r_cyc_compile_shared
-    r.Fleet.r_flows_open r.Fleet.r_flows_completed r.Fleet.r_flows_dropped
-    (json_escape r.Fleet.r_fingerprint)
+  J.Obj
+    ([ ("guest", J.Int g.Fleet.g_id);
+       ("workload", J.Str g.Fleet.g_workload);
+       ("arith", J.Str (Fleet.guest_arith g));
+       ("scale", J.Str (Fleet.scale_string g.Fleet.g_scale));
+       ("gc",
+        J.Str (if g.Fleet.g_config.Fpvm.Engine.incremental_gc then "inc" else "full"));
+       ("domain", J.Int r.Fleet.r_domain);
+       ("cycles", J.Int r.Fleet.r_cycles);
+       ("insns", J.Int r.Fleet.r_insns);
+       ("fp_insns", J.Int r.Fleet.r_fp_insns);
+       ("output_bytes", J.Int (String.length r.Fleet.r_output)) ]
+    @ Fpvm.Stats.to_json r.Fleet.r_stats
+    @ [ ("fingerprint", J.Str r.Fleet.r_fingerprint) ])
 
 let fleet_json (f : Fleet.fleet_result) =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n  \"schema_version\": 1,\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"guests\": %d,\n  \"domains\": %d,\n  \"batch\": %d,\n"
-       (List.length f.Fleet.f_results)
-       f.Fleet.f_domains f.Fleet.f_batch);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"switches\": %d,\n  \"facts_hits\": %d,\n  \"facts_misses\": %d,\n"
-       f.Fleet.f_switches f.Fleet.f_facts_hits f.Fleet.f_facts_misses);
-  Buffer.add_string b
-    (Printf.sprintf "  \"total_cycles\": %d,\n  \"makespan\": %d,\n"
-       f.Fleet.f_total_cycles f.Fleet.f_makespan);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"blocks_published\": %d,\n  \"blocks_shared\": %d,\n  \
-        \"cyc_compile_shared\": %d,\n"
-       f.Fleet.f_blocks_published f.Fleet.f_blocks_shared
-       f.Fleet.f_cyc_compile_shared);
-  Buffer.add_string b "  \"domain_cycles\": [";
-  Array.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b (string_of_int c))
-    f.Fleet.f_domain_cycles;
-  Buffer.add_string b "],\n  \"results\": [\n";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b ("    " ^ guest_json r))
-    f.Fleet.f_results;
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
+  J.Obj
+    (J.ints
+       [ ("schema_version", 1);
+         ("guests", List.length f.Fleet.f_results);
+         ("domains", f.Fleet.f_domains);
+         ("batch", f.Fleet.f_batch);
+         ("switches", f.Fleet.f_switches);
+         ("facts_hits", f.Fleet.f_facts_hits);
+         ("facts_misses", f.Fleet.f_facts_misses);
+         ("total_cycles", f.Fleet.f_total_cycles);
+         ("makespan", f.Fleet.f_makespan);
+         ("blocks_published", f.Fleet.f_blocks_published);
+         ("blocks_shared", f.Fleet.f_blocks_shared);
+         ("cyc_compile_shared", f.Fleet.f_cyc_compile_shared) ]
+    @ [ ("domain_cycles",
+         J.Arr (Array.to_list (Array.map (fun c -> J.Int c) f.Fleet.f_domain_cycles)));
+        ("results", J.Arr (List.map guest_json f.Fleet.f_results)) ])
 
 let serve manifest domains batch switch_cost flows verify_solo json quiet =
   match Fleet.validate_serve ~domains ~batch with
@@ -98,7 +64,7 @@ let serve manifest domains batch switch_cost flows verify_solo json quiet =
         | Ok guests ->
             let on_result r =
               if not quiet then begin
-                print_endline (guest_json r);
+                print_endline (J.to_string (guest_json r));
                 flush stdout
               end
             in
@@ -106,7 +72,7 @@ let serve manifest domains batch switch_cost flows verify_solo json quiet =
               Fleet.serve ~domains ~batch ~switch_cost ~flows ~on_result
                 guests
             in
-            if json then print_string (fleet_json fleet)
+            if json then print_endline (J.to_string (fleet_json fleet))
             else begin
               Printf.eprintf
                 "fleet: %d guests on %d domain(s), batch %d: makespan %d \
@@ -141,7 +107,8 @@ let serve manifest domains batch switch_cost flows verify_solo json quiet =
                        pays on-guest exactly what the fleet guest saw
                        elided into its off-guest bucket *)
                     && solo.Fpvm.Engine.cycles
-                       = r.Fleet.r_cycles + r.Fleet.r_cyc_compile_shared
+                       = r.Fleet.r_cycles
+                         + r.Fleet.r_stats.Fpvm.Stats.cyc_compile_shared
                   in
                   if not ok then begin
                     incr mismatches;
@@ -199,9 +166,9 @@ let switch_cost =
 let flows =
   Arg.(value & flag
        & info [ "flows" ]
-           ~doc:"Attach a per-guest FP-exception flight recorder and report \
-                 flows_open/flows_completed/flows_dropped in each guest's \
-                 JSON line. Observation only: fingerprints are unchanged.")
+           ~doc:"Attach a per-guest FP-exception flight recorder; its \
+                 flows_* gauges then count in each guest's JSON line. \
+                 Observation only: fingerprints are unchanged.")
 
 let verify_solo =
   Arg.(value & flag

@@ -144,43 +144,16 @@ let quiesce sink st =
    checkpoints there — so installers must compose rather than overwrite.
    Existing callbacks run first: an earlier observer never sees state
    a later-installed one (e.g. a scheduler that switches guests) has
-   moved past. *)
-let add_event sink f =
-  match sink.on_event with
-  | None -> sink.on_event <- Some f
-  | Some g ->
-      sink.on_event <-
-        Some
-          (fun st ev ->
-            g st ev;
-            f st ev)
+   moved past. [chain both slot f] appends [f] to [slot], where
+   [both g f] is the callback that runs [g], then [f]. *)
+let chain both slot f =
+  match slot with None -> Some f | Some g -> Some (both g f)
 
-let add_quiesce sink f =
-  match sink.on_quiesce with
-  | None -> sink.on_quiesce <- Some f
-  | Some g ->
-      sink.on_quiesce <-
-        Some
-          (fun st ->
-            g st;
-            f st)
+let both g f st x =
+  g st x;
+  f st x
 
-let add_tel sink f =
-  match sink.on_tel with
-  | None -> sink.on_tel <- Some f
-  | Some g ->
-      sink.on_tel <-
-        Some
-          (fun st ev ->
-            g st ev;
-            f st ev)
-
-let add_num sink f =
-  match sink.on_num with
-  | None -> sink.on_num <- Some f
-  | Some g ->
-      sink.on_num <-
-        Some
-          (fun st ev ->
-            g st ev;
-            f st ev)
+let add_event sink f = sink.on_event <- chain both sink.on_event f
+let add_quiesce sink f = sink.on_quiesce <- chain (fun g f st -> g st; f st) sink.on_quiesce f
+let add_tel sink f = sink.on_tel <- chain both sink.on_tel f
+let add_num sink f = sink.on_num <- chain both sink.on_num f

@@ -200,26 +200,127 @@ let create () =
     flows_open = 0; flows_completed = 0; flows_dropped = 0;
     flows_real = 0; flows_spurious = 0 }
 
-(* Deterministic counters only: excludes wall-clock GC latency and the
-   recorder's own bookkeeping, so a recorded run, its replay, and a
-   checkpoint-resumed run all fingerprint identically. *)
+(* The metric table: every int field of [t] once, with its name and
+   class, in checkpoint order. Everything that lists the fields (the
+   fingerprint, the checkpoint stats tail, [pp], [to_json]) iterates
+   this table, so a new metric is one line here plus its record field.
+
+   - [Counter]: deterministic engine work; in the fingerprint and the
+     checkpoint. The fingerprint is the Counters in table order.
+   - [Checkpointed]: in the checkpoint only (the recorder's replay_*
+     bookkeeping and the trace JIT's counters, which a resumed run must
+     continue from but which the fingerprint predates).
+   - [Gauge]: in neither (analysis, oracle, telemetry, cache and flow
+     observations, which must not perturb determinism comparisons).
+
+   Adding a Counter or Checkpointed entry changes the checkpoint format
+   (bump Snapshot.version); adding a Gauge does not. [gc_latency_s], the
+   one float, is host time: it is not in the table and rides last in the
+   checkpoint tail. *)
+type cls = Counter | Checkpointed | Gauge
+
+type metric = {
+  name : string;
+  cls : cls;
+  get : t -> int;
+  set : t -> int -> unit;
+}
+
+let metrics =
+  let m name cls get set = { name; cls; get; set } in
+  [
+    m "fp_traps" Counter (fun t -> t.fp_traps) (fun t v -> t.fp_traps <- v);
+    m "correctness_traps" Counter (fun t -> t.correctness_traps) (fun t v -> t.correctness_traps <- v);
+    m "correctness_demotions" Counter (fun t -> t.correctness_demotions) (fun t v -> t.correctness_demotions <- v);
+    m "patch_invocations" Counter (fun t -> t.patch_invocations) (fun t v -> t.patch_invocations <- v);
+    m "checked_invocations" Counter (fun t -> t.checked_invocations) (fun t v -> t.checked_invocations <- v);
+    m "emulated_ops" Counter (fun t -> t.emulated_ops) (fun t v -> t.emulated_ops <- v);
+    m "emulated_insns" Counter (fun t -> t.emulated_insns) (fun t v -> t.emulated_insns <- v);
+    m "traces" Counter (fun t -> t.traces) (fun t v -> t.traces <- v);
+    m "trace_insns" Counter (fun t -> t.trace_insns) (fun t v -> t.trace_insns <- v);
+    m "traps_avoided" Counter (fun t -> t.traps_avoided) (fun t v -> t.traps_avoided <- v);
+    m "math_calls" Counter (fun t -> t.math_calls) (fun t v -> t.math_calls <- v);
+    m "printf_hijacks" Counter (fun t -> t.printf_hijacks) (fun t v -> t.printf_hijacks <- v);
+    m "serialize_demotions" Counter (fun t -> t.serialize_demotions) (fun t v -> t.serialize_demotions <- v);
+    m "decode_hits" Counter (fun t -> t.decode_hits) (fun t v -> t.decode_hits <- v);
+    m "decode_misses" Counter (fun t -> t.decode_misses) (fun t v -> t.decode_misses <- v);
+    m "cyc_hw" Counter (fun t -> t.cyc_hw) (fun t v -> t.cyc_hw <- v);
+    m "cyc_kernel" Counter (fun t -> t.cyc_kernel) (fun t v -> t.cyc_kernel <- v);
+    m "cyc_delivery" Counter (fun t -> t.cyc_delivery) (fun t v -> t.cyc_delivery <- v);
+    m "cyc_decode" Counter (fun t -> t.cyc_decode) (fun t v -> t.cyc_decode <- v);
+    m "cyc_bind" Counter (fun t -> t.cyc_bind) (fun t v -> t.cyc_bind <- v);
+    m "cyc_emulate" Counter (fun t -> t.cyc_emulate) (fun t v -> t.cyc_emulate <- v);
+    m "cyc_trace" Counter (fun t -> t.cyc_trace) (fun t v -> t.cyc_trace <- v);
+    m "cyc_gc" Counter (fun t -> t.cyc_gc) (fun t v -> t.cyc_gc <- v);
+    m "cyc_correctness" Counter (fun t -> t.cyc_correctness) (fun t v -> t.cyc_correctness <- v);
+    m "cyc_correctness_handler" Counter (fun t -> t.cyc_correctness_handler) (fun t v -> t.cyc_correctness_handler <- v);
+    m "cyc_patch_checks" Counter (fun t -> t.cyc_patch_checks) (fun t v -> t.cyc_patch_checks <- v);
+    m "gc_passes" Counter (fun t -> t.gc_passes) (fun t v -> t.gc_passes <- v);
+    m "gc_full_passes" Counter (fun t -> t.gc_full_passes) (fun t v -> t.gc_full_passes <- v);
+    m "gc_freed" Counter (fun t -> t.gc_freed) (fun t v -> t.gc_freed <- v);
+    m "gc_alive_last" Counter (fun t -> t.gc_alive_last) (fun t v -> t.gc_alive_last <- v);
+    m "gc_words_scanned" Counter (fun t -> t.gc_words_scanned) (fun t v -> t.gc_words_scanned <- v);
+    m "boxes_allocated" Counter (fun t -> t.boxes_allocated) (fun t v -> t.boxes_allocated <- v);
+    m "eager_frees" Counter (fun t -> t.eager_frees) (fun t v -> t.eager_frees <- v);
+    (* the recorder's own bookkeeping *)
+    m "replay_events" Checkpointed (fun t -> t.replay_events) (fun t v -> t.replay_events <- v);
+    m "replay_checkpoints" Checkpointed (fun t -> t.replay_checkpoints) (fun t v -> t.replay_checkpoints <- v);
+    m "replay_checkpoint_bytes" Checkpointed (fun t -> t.replay_checkpoint_bytes) (fun t v -> t.replay_checkpoint_bytes <- v);
+    m "replay_log_bytes" Checkpointed (fun t -> t.replay_log_bytes) (fun t v -> t.replay_log_bytes <- v);
+    (* appended: the correctness-demotion split *)
+    m "corr_demote_boxed" Counter (fun t -> t.corr_demote_boxed) (fun t v -> t.corr_demote_boxed <- v);
+    m "corr_demote_clean" Counter (fun t -> t.corr_demote_clean) (fun t v -> t.corr_demote_clean <- v);
+    (* v2: site specialization *)
+    m "plan_hits" Counter (fun t -> t.plan_hits) (fun t v -> t.plan_hits <- v);
+    m "plan_misses" Counter (fun t -> t.plan_misses) (fun t v -> t.plan_misses <- v);
+    m "plan_invalidations" Counter (fun t -> t.plan_invalidations) (fun t v -> t.plan_invalidations <- v);
+    m "temps_elided" Counter (fun t -> t.temps_elided) (fun t v -> t.temps_elided <- v);
+    m "temps_materialized" Counter (fun t -> t.temps_materialized) (fun t v -> t.temps_materialized <- v);
+    m "cyc_plan" Counter (fun t -> t.cyc_plan) (fun t v -> t.cyc_plan <- v);
+    m "cyc_emu_dispatch" Counter (fun t -> t.cyc_emu_dispatch) (fun t v -> t.cyc_emu_dispatch <- v);
+    (* v3: trace JIT *)
+    m "jit_compiles" Checkpointed (fun t -> t.jit_compiles) (fun t v -> t.jit_compiles <- v);
+    m "jit_hits" Checkpointed (fun t -> t.jit_hits) (fun t v -> t.jit_hits <- v);
+    m "jit_links" Checkpointed (fun t -> t.jit_links) (fun t v -> t.jit_links <- v);
+    m "jit_guard_exits" Checkpointed (fun t -> t.jit_guard_exits) (fun t v -> t.jit_guard_exits <- v);
+    m "jit_invalidations" Checkpointed (fun t -> t.jit_invalidations) (fun t v -> t.jit_invalidations <- v);
+    m "cyc_jit" Checkpointed (fun t -> t.cyc_jit) (fun t v -> t.cyc_jit <- v);
+    (* gauges, never checkpointed *)
+    m "patched_sites" Gauge (fun t -> t.patched_sites) (fun t v -> t.patched_sites <- v);
+    m "patched_sites_boxed" Gauge (fun t -> t.patched_sites_boxed) (fun t v -> t.patched_sites_boxed <- v);
+    m "trap_checks_elided" Gauge (fun t -> t.trap_checks_elided) (fun t v -> t.trap_checks_elided <- v);
+    m "oracle_loads_checked" Gauge (fun t -> t.oracle_loads_checked) (fun t v -> t.oracle_loads_checked <- v);
+    m "oracle_boxed_loads" Gauge (fun t -> t.oracle_boxed_loads) (fun t v -> t.oracle_boxed_loads <- v);
+    m "tel_events" Gauge (fun t -> t.tel_events) (fun t v -> t.tel_events <- v);
+    m "tel_dropped" Gauge (fun t -> t.tel_dropped) (fun t v -> t.tel_dropped <- v);
+    m "fpa_sites_proven" Gauge (fun t -> t.fpa_sites_proven) (fun t v -> t.fpa_sites_proven <- v);
+    m "fused_unguarded" Gauge (fun t -> t.fused_unguarded) (fun t v -> t.fused_unguarded <- v);
+    m "shadow_elided" Gauge (fun t -> t.shadow_elided) (fun t v -> t.shadow_elided <- v);
+    m "jit_fused_steps" Gauge (fun t -> t.jit_fused_steps) (fun t v -> t.jit_fused_steps <- v);
+    m "fpa_sub_violations" Gauge (fun t -> t.fpa_sub_violations) (fun t v -> t.fpa_sub_violations <- v);
+    m "fpa_nan_violations" Gauge (fun t -> t.fpa_nan_violations) (fun t v -> t.fpa_nan_violations <- v);
+    m "cache_hits" Gauge (fun t -> t.cache_hits) (fun t v -> t.cache_hits <- v);
+    m "cache_misses" Gauge (fun t -> t.cache_misses) (fun t v -> t.cache_misses <- v);
+    m "blocks_shared" Gauge (fun t -> t.blocks_shared) (fun t v -> t.blocks_shared <- v);
+    m "cyc_compile_shared" Gauge (fun t -> t.cyc_compile_shared) (fun t v -> t.cyc_compile_shared <- v);
+    m "flows_open" Gauge (fun t -> t.flows_open) (fun t v -> t.flows_open <- v);
+    m "flows_completed" Gauge (fun t -> t.flows_completed) (fun t v -> t.flows_completed <- v);
+    m "flows_dropped" Gauge (fun t -> t.flows_dropped) (fun t v -> t.flows_dropped <- v);
+    m "flows_real" Gauge (fun t -> t.flows_real) (fun t v -> t.flows_real <- v);
+    m "flows_spurious" Gauge (fun t -> t.flows_spurious) (fun t v -> t.flows_spurious <- v);
+  ]
+
+let in_fingerprint m = m.cls = Counter
+let in_checkpoint m = m.cls <> Gauge
+
+(* Deterministic counters only: excludes wall-clock GC latency, the
+   recorder's own bookkeeping and every gauge, so a recorded run, its
+   replay, and a checkpoint-resumed run all fingerprint identically. *)
 let fingerprint t =
   String.concat ","
-    (List.map string_of_int
-       [ t.fp_traps; t.correctness_traps; t.correctness_demotions;
-         t.patch_invocations; t.checked_invocations; t.emulated_ops;
-         t.emulated_insns; t.traces; t.trace_insns; t.traps_avoided;
-         t.math_calls; t.printf_hijacks; t.serialize_demotions;
-         t.decode_hits; t.decode_misses; t.cyc_hw; t.cyc_kernel;
-         t.cyc_delivery; t.cyc_decode; t.cyc_bind; t.cyc_emulate;
-         t.cyc_trace; t.cyc_gc; t.cyc_correctness;
-         t.cyc_correctness_handler; t.cyc_patch_checks; t.gc_passes;
-         t.gc_full_passes; t.gc_freed; t.gc_alive_last;
-         t.gc_words_scanned; t.boxes_allocated; t.eager_frees;
-         t.corr_demote_boxed; t.corr_demote_clean;
-         t.plan_hits; t.plan_misses; t.plan_invalidations;
-         t.temps_elided; t.temps_materialized; t.cyc_plan;
-         t.cyc_emu_dispatch ])
+    (List.filter_map
+       (fun m -> if in_fingerprint m then Some (string_of_int (m.get t)) else None)
+       metrics)
 
 (* Arena allocations avoided by shadow-temp elision: every elided temp
    skipped a box; those still live at trace exit were boxed after all. *)
@@ -277,39 +378,12 @@ let breakdown t =
     avg_correctness = f t.cyc_correctness;
     avg_correctness_handler = f t.cyc_correctness_handler }
 
-(* One line, every deterministic gauge --json exposes: the satellite fix
-   for the old pp that omitted plan_invalidations, allocs_avoided, the
-   corr_demote_boxed/clean split, and the VSA/oracle gauges. *)
+(* Every metric, one "name value" line each, in table order. *)
 let pp fmt t =
-  Format.fprintf fmt
-    "traps=%d(avoided %d) traces=%d(mean %.1f) corr=%d(boxed %d/clean %d) emu_insns=%d emu_ops=%d math=%d decode=%d/%d plans=%d/%d(inval %d) temps=%d(-%d, avoided %d) jit=%d/%d/%d(compiles/hits/links, guard_exits %d, inval %d, cyc %d) gc=%d/%d(passes full/total) freed=%d alive=%d scanned=%d boxes=%d vsa=%d/%d(patched/boxed) elided_checks=%d oracle=%d/%d(checked/boxed)"
-    t.fp_traps t.traps_avoided t.traces (mean_trace_len t)
-    t.correctness_traps t.corr_demote_boxed t.corr_demote_clean
-    t.emulated_insns t.emulated_ops
-    t.math_calls t.decode_hits t.decode_misses t.plan_hits t.plan_misses
-    t.plan_invalidations
-    t.temps_elided t.temps_materialized (allocs_avoided t)
-    t.jit_compiles t.jit_hits t.jit_links t.jit_guard_exits
-    t.jit_invalidations t.cyc_jit
-    t.gc_full_passes t.gc_passes
-    t.gc_freed t.gc_alive_last t.gc_words_scanned t.boxes_allocated
-    t.patched_sites t.patched_sites_boxed t.trap_checks_elided
-    t.oracle_loads_checked t.oracle_boxed_loads;
-  if t.fpa_sites_proven > 0 || t.fused_unguarded > 0 || t.shadow_elided > 0
-  then
-    Format.fprintf fmt
-      " fpa=%d(proven) fused_unguarded=%d shadow_elided=%d fused_steps=%d fpa_violations=%d/%d(sub/nan)"
-      t.fpa_sites_proven t.fused_unguarded t.shadow_elided t.jit_fused_steps
-      t.fpa_sub_violations t.fpa_nan_violations;
-  if t.cache_hits > 0 || t.cache_misses > 0 then
-    Format.fprintf fmt
-      " cache=%d/%d(hits/misses) blocks_shared=%d cyc_compile_shared=%d"
-      t.cache_hits t.cache_misses t.blocks_shared t.cyc_compile_shared;
-  if
-    t.flows_open > 0 || t.flows_completed > 0 || t.flows_dropped > 0
-    || t.flows_real > 0 || t.flows_spurious > 0
-  then
-    Format.fprintf fmt
-      " flows=%d/%d/%d(open/completed/dropped) flow_truth=%d/%d(real/spurious)"
-      t.flows_open t.flows_completed t.flows_dropped t.flows_real
-      t.flows_spurious
+  Format.fprintf fmt "@[<v>%a@]"
+    (Format.pp_print_list (fun fmt m ->
+         Format.fprintf fmt "%-24s %d" m.name (m.get t)))
+    metrics
+
+(* Every metric as a JSON member under its own name, in table order. *)
+let to_json t = List.map (fun m -> (m.name, Json.Int (m.get t))) metrics

@@ -278,7 +278,10 @@ let scale_string = function W.Test -> "test" | W.S -> "s"
 
 (* One guest's outcome. Everything here is functor-free; the
    fingerprint is the engine's 42-counter deterministic stats string,
-   the bit-identity witness against a solo run. *)
+   the bit-identity witness against a solo run, and [r_stats] carries
+   every other metric (the fingerprint-excluded gauges included; the
+   flows_* gauges are zero unless [serve ~flows:true] attached a
+   per-guest recorder). *)
 type guest_result = {
   r_guest : guest;
   r_domain : int; (* domain the guest ran on *)
@@ -288,23 +291,7 @@ type guest_result = {
   r_output : string;
   r_serialized : string;
   r_fingerprint : string;
-  (* FP special-value analysis gauges (fingerprint-excluded, like every
-     observation counter): what the static tier proved for this guest
-     and what its consumers saved at runtime *)
-  r_fpa_sites_proven : int;
-  r_fused_unguarded : int;
-  r_shadow_elided : int;
-  (* compilation-artifact cache gauges (fingerprint-excluded) *)
-  r_jit_compiles : int;
-  r_cache_hits : int;
-  r_cache_misses : int;
-  r_blocks_shared : int;
-  r_cyc_compile_shared : int; (* compile cycles elided off this guest *)
-  (* FP-exception flight-recorder gauges (fingerprint-excluded); all
-     zero unless [serve ~flows:true] attached a per-guest recorder *)
-  r_flows_open : int;
-  r_flows_completed : int;
-  r_flows_dropped : int;
+  r_stats : Fpvm.Stats.t;
 }
 
 (* ---- manifest ---------------------------------------------------------- *)
@@ -579,10 +566,11 @@ let partition ~domains (weights : int array) : int list array =
 
 (* Run one guest to completion on the current domain, yielding to the
    co-scheduled guests every [batch] quiesce points. When [flows] is
-   set, a per-guest flight recorder rides the same instrument hook
-   (observation only: the fingerprint is recorder-invariant). *)
+   set, a per-guest flight recorder rides the same instrument hook and
+   lands its gauges in the guest's stats (observation only: the
+   fingerprint is recorder-invariant). *)
 let run_guest ~batch ~flows ~facts ~artifacts ~on_switch (g : guest) :
-    Fpvm.Engine.result * Telemetry.Flowrec.t option =
+    Fpvm.Engine.result =
   let entry =
     match W.find g.g_workload with
     | Some e -> e
@@ -595,7 +583,7 @@ let run_guest ~batch ~flows ~facts ~artifacts ~on_switch (g : guest) :
   let a = Facts.get facts ~key prog in
   let d = port_driver g.g_port in
   let quiesces = ref 0 in
-  let fr = if flows then Some (Telemetry.Flowrec.create ()) else None in
+  let tel = if flows then Some (Telemetry.create ~flows:true ()) else None in
   let r =
     d.d_run ~facts:a ~artifacts
       ~instrument:(fun sink ->
@@ -606,16 +594,11 @@ let run_guest ~batch ~flows ~facts ~artifacts ~on_switch (g : guest) :
               on_switch ();
               Sched.yield ()
             end);
-        match fr with
-        | None -> ()
-        | Some fr ->
-            P.add_event sink (fun _st _ev -> Telemetry.Flowrec.saw_event fr);
-            P.add_num sink (fun st ev ->
-                Telemetry.Flowrec.record fr
-                  ~cycles:st.Machine.State.cycles ev))
+        Option.iter (fun t -> Telemetry.attach t sink) tel)
       ~config:g.g_config prog
   in
-  (r, fr)
+  Option.iter (fun t -> Telemetry.finalize t r.Fpvm.Engine.stats) tel;
+  r
 
 (* Run one domain's shard cooperatively; returns results in shard
    order plus the switch count. *)
@@ -626,15 +609,10 @@ let run_shard ~batch ~flows ~facts ~artifacts ~domain_id
   Sched.run
     (List.mapi
        (fun i g () ->
-         let r, fr =
+         let r =
            run_guest ~batch ~flows ~facts ~artifacts
              ~on_switch:(fun () -> incr switches)
              g
-         in
-         let fl_open, fl_comp, fl_drop =
-           match fr with
-           | Some fr -> Telemetry.Flowrec.gauges fr
-           | None -> (0, 0, 0)
          in
          out.(i) <-
            Some
@@ -646,21 +624,7 @@ let run_shard ~batch ~flows ~facts ~artifacts ~domain_id
                r_output = r.Fpvm.Engine.output;
                r_serialized = r.Fpvm.Engine.serialized;
                r_fingerprint = Fpvm.Stats.fingerprint r.Fpvm.Engine.stats;
-               r_fpa_sites_proven =
-                 r.Fpvm.Engine.stats.Fpvm.Stats.fpa_sites_proven;
-               r_fused_unguarded =
-                 r.Fpvm.Engine.stats.Fpvm.Stats.fused_unguarded;
-               r_shadow_elided =
-                 r.Fpvm.Engine.stats.Fpvm.Stats.shadow_elided;
-               r_jit_compiles = r.Fpvm.Engine.stats.Fpvm.Stats.jit_compiles;
-               r_cache_hits = r.Fpvm.Engine.stats.Fpvm.Stats.cache_hits;
-               r_cache_misses = r.Fpvm.Engine.stats.Fpvm.Stats.cache_misses;
-               r_blocks_shared = r.Fpvm.Engine.stats.Fpvm.Stats.blocks_shared;
-               r_cyc_compile_shared =
-                 r.Fpvm.Engine.stats.Fpvm.Stats.cyc_compile_shared;
-               r_flows_open = fl_open;
-               r_flows_completed = fl_comp;
-               r_flows_dropped = fl_drop })
+               r_stats = r.Fpvm.Engine.stats })
        guests);
   ( Array.to_list out
     |> List.map (function
@@ -757,9 +721,10 @@ let serve ?(domains = 1) ?(batch = 8) ?(switch_cost = default_switch_cost)
   let sum f = List.fold_left (fun a r -> a + f r) 0 by_id in
   assert (
     c.Fpvm.Artifact.c_blocks_published + c.Fpvm.Artifact.c_blocks_shared
-    = sum (fun r -> r.r_jit_compiles));
+    = sum (fun r -> r.r_stats.Fpvm.Stats.jit_compiles));
   assert (
-    c.Fpvm.Artifact.c_cyc_elided = sum (fun r -> r.r_cyc_compile_shared));
+    c.Fpvm.Artifact.c_cyc_elided
+    = sum (fun r -> r.r_stats.Fpvm.Stats.cyc_compile_shared));
   { f_results = by_id;
     f_domains = domains;
     f_batch = batch;

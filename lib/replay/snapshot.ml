@@ -178,86 +178,20 @@ let restore_arena s pos dec (ar : 'v Fpvm.Arena.t) =
 
 (* ---- engine statistics ----------------------------------------------- *)
 
-(* Field order is part of the format. *)
-let stats_ints (s : Fpvm.Stats.t) =
-  [ s.fp_traps; s.correctness_traps; s.correctness_demotions;
-    s.patch_invocations; s.checked_invocations; s.emulated_ops;
-    s.emulated_insns; s.traces; s.trace_insns; s.traps_avoided;
-    s.math_calls; s.printf_hijacks; s.serialize_demotions; s.decode_hits;
-    s.decode_misses; s.cyc_hw; s.cyc_kernel; s.cyc_delivery; s.cyc_decode;
-    s.cyc_bind; s.cyc_emulate; s.cyc_trace; s.cyc_gc; s.cyc_correctness;
-    s.cyc_correctness_handler; s.cyc_patch_checks; s.gc_passes;
-    s.gc_full_passes; s.gc_freed; s.gc_alive_last; s.gc_words_scanned;
-    s.boxes_allocated; s.eager_frees; s.replay_events;
-    s.replay_checkpoints; s.replay_checkpoint_bytes; s.replay_log_bytes;
-    (* appended fields (order is the format; oracle/analysis gauges are
-       deliberately NOT checkpointed) *)
-    s.corr_demote_boxed; s.corr_demote_clean;
-    (* v2: site specialization *)
-    s.plan_hits; s.plan_misses; s.plan_invalidations; s.temps_elided;
-    s.temps_materialized; s.cyc_plan; s.cyc_emu_dispatch;
-    (* v3: trace JIT *)
-    s.jit_compiles; s.jit_hits; s.jit_links; s.jit_guard_exits;
-    s.jit_invalidations; s.cyc_jit ]
+(* Every checkpointed metric as an i64, in Stats table order (the order
+   is the format), then the host-clock gc_latency_s. *)
+let checkpointed = List.filter Fpvm.Stats.in_checkpoint Fpvm.Stats.metrics
 
 let encode_stats b (s : Fpvm.Stats.t) =
-  List.iter (fun v -> Codec.i64 b (Int64.of_int v)) (stats_ints s);
+  List.iter
+    (fun (m : Fpvm.Stats.metric) -> Codec.i64 b (Int64.of_int (m.get s)))
+    checkpointed;
   Codec.i64 b (Int64.bits_of_float s.Fpvm.Stats.gc_latency_s)
 
 let restore_stats s pos (t : Fpvm.Stats.t) =
-  let r () = Int64.to_int (Codec.r_i64 s pos) in
-  t.Fpvm.Stats.fp_traps <- r ();
-  t.Fpvm.Stats.correctness_traps <- r ();
-  t.Fpvm.Stats.correctness_demotions <- r ();
-  t.Fpvm.Stats.patch_invocations <- r ();
-  t.Fpvm.Stats.checked_invocations <- r ();
-  t.Fpvm.Stats.emulated_ops <- r ();
-  t.Fpvm.Stats.emulated_insns <- r ();
-  t.Fpvm.Stats.traces <- r ();
-  t.Fpvm.Stats.trace_insns <- r ();
-  t.Fpvm.Stats.traps_avoided <- r ();
-  t.Fpvm.Stats.math_calls <- r ();
-  t.Fpvm.Stats.printf_hijacks <- r ();
-  t.Fpvm.Stats.serialize_demotions <- r ();
-  t.Fpvm.Stats.decode_hits <- r ();
-  t.Fpvm.Stats.decode_misses <- r ();
-  t.Fpvm.Stats.cyc_hw <- r ();
-  t.Fpvm.Stats.cyc_kernel <- r ();
-  t.Fpvm.Stats.cyc_delivery <- r ();
-  t.Fpvm.Stats.cyc_decode <- r ();
-  t.Fpvm.Stats.cyc_bind <- r ();
-  t.Fpvm.Stats.cyc_emulate <- r ();
-  t.Fpvm.Stats.cyc_trace <- r ();
-  t.Fpvm.Stats.cyc_gc <- r ();
-  t.Fpvm.Stats.cyc_correctness <- r ();
-  t.Fpvm.Stats.cyc_correctness_handler <- r ();
-  t.Fpvm.Stats.cyc_patch_checks <- r ();
-  t.Fpvm.Stats.gc_passes <- r ();
-  t.Fpvm.Stats.gc_full_passes <- r ();
-  t.Fpvm.Stats.gc_freed <- r ();
-  t.Fpvm.Stats.gc_alive_last <- r ();
-  t.Fpvm.Stats.gc_words_scanned <- r ();
-  t.Fpvm.Stats.boxes_allocated <- r ();
-  t.Fpvm.Stats.eager_frees <- r ();
-  t.Fpvm.Stats.replay_events <- r ();
-  t.Fpvm.Stats.replay_checkpoints <- r ();
-  t.Fpvm.Stats.replay_checkpoint_bytes <- r ();
-  t.Fpvm.Stats.replay_log_bytes <- r ();
-  t.Fpvm.Stats.corr_demote_boxed <- r ();
-  t.Fpvm.Stats.corr_demote_clean <- r ();
-  t.Fpvm.Stats.plan_hits <- r ();
-  t.Fpvm.Stats.plan_misses <- r ();
-  t.Fpvm.Stats.plan_invalidations <- r ();
-  t.Fpvm.Stats.temps_elided <- r ();
-  t.Fpvm.Stats.temps_materialized <- r ();
-  t.Fpvm.Stats.cyc_plan <- r ();
-  t.Fpvm.Stats.cyc_emu_dispatch <- r ();
-  t.Fpvm.Stats.jit_compiles <- r ();
-  t.Fpvm.Stats.jit_hits <- r ();
-  t.Fpvm.Stats.jit_links <- r ();
-  t.Fpvm.Stats.jit_guard_exits <- r ();
-  t.Fpvm.Stats.jit_invalidations <- r ();
-  t.Fpvm.Stats.cyc_jit <- r ();
+  List.iter
+    (fun (m : Fpvm.Stats.metric) -> m.set t (Int64.to_int (Codec.r_i64 s pos)))
+    checkpointed;
   t.Fpvm.Stats.gc_latency_s <- Int64.float_of_bits (Codec.r_i64 s pos)
 
 (* ---- capture / restore ----------------------------------------------- *)

@@ -44,6 +44,7 @@
    fingerprint identically with it on or off. *)
 
 module Isa = Machine.Isa
+module J = Fpvm.Json
 
 let exp_mask = 0x7ff0000000000000L
 let abs_mask = 0x7fffffffffffffffL
@@ -424,12 +425,12 @@ let links_of t fid =
 
 (* ---- Perfetto export ---------------------------------------------------- *)
 
-(* Appended inside the trace's [traceEvents] array (via the exporter's
-   [?extra] hook): an instant slice per chain link plus the
-   s/t/f flow-arrow triple Perfetto draws between them, one arrow id
-   per flow. Dropped flows are omitted — chains export whole or not at
-   all, matching the report. *)
-let export_flows t bb (first : bool ref) =
+(* Events for the trace's [traceEvents] array (the exporter's [?extra]
+   hook): an instant slice per chain link plus the s/t/f flow-arrow
+   triple Perfetto draws between them, one arrow id per flow. Dropped
+   flows are omitted — chains export whole or not at all, matching the
+   report. *)
+let export_flows t =
   (* per-flow live-link counts, so the last link can close the arrow *)
   let totals = Hashtbl.create 64 in
   iter_links t (fun s ->
@@ -437,11 +438,7 @@ let export_flows t bb (first : bool ref) =
         Hashtbl.replace totals s.s_flow
           (1 + try Hashtbl.find totals s.s_flow with Not_found -> 0));
   let seen = Hashtbl.create 64 in
-  let emit str =
-    if not !first then Buffer.add_string bb ",\n";
-    first := false;
-    Buffer.add_string bb str
-  in
+  let events = ref [] in
   iter_links t (fun s ->
       if s.s_flow >= 0 && Hashtbl.mem totals s.s_flow then begin
         let k = 1 + try Hashtbl.find seen s.s_flow with Not_found -> 0 in
@@ -454,23 +451,30 @@ let export_flows t bb (first : bool ref) =
           | 2 -> "flow_kill"
           | _ -> "flow_sink"
         in
-        emit
-          (Printf.sprintf
-             "    {\"ph\":\"i\",\"ts\":%d,\"pid\":1,\"tid\":1,\"s\":\"t\",\"name\":\"%s\",\"cat\":\"flow\",\"args\":{\"flow\":%d,\"site\":%d,\"op\":\"%s\",\"fa\":%d,\"fb\":%d}}"
-             s.s_cyc name s.s_flow s.s_site (op_name s.s_op) s.s_fa s.s_fb);
+        let slice =
+          Trace.event ~ph:"i" ~ts:s.s_cyc ~name ~cat:"flow"
+            [ ("flow", J.Int s.s_flow); ("site", J.Int s.s_site);
+              ("op", J.Str (op_name s.s_op)); ("fa", J.Int s.s_fa);
+              ("fb", J.Int s.s_fb) ]
+        in
         (* the arrow: s at the first link, t in the middle, f at the
            last (bp:e binds the terminator to the enclosing instant) *)
         let ph, bp =
-          if total = 1 then ("s", "") (* single-link chain: start only *)
-          else if k = 1 then ("s", "")
-          else if k = total then ("f", ",\"bp\":\"e\"")
-          else ("t", "")
+          if total = 1 then ("s", []) (* single-link chain: start only *)
+          else if k = 1 then ("s", [])
+          else if k = total then ("f", [ ("bp", J.Str "e") ])
+          else ("t", [])
         in
-        emit
-          (Printf.sprintf
-             "    {\"ph\":\"%s\",\"id\":%d,\"ts\":%d,\"pid\":1,\"tid\":1,\"name\":\"nanflow\",\"cat\":\"flow\"%s}"
-             ph s.s_flow s.s_cyc bp)
-      end)
+        let arrow =
+          J.Obj
+            ([ ("ph", J.Str ph); ("id", J.Int s.s_flow); ("ts", J.Int s.s_cyc);
+               ("pid", J.Int 1); ("tid", J.Int 1); ("name", J.Str "nanflow");
+               ("cat", J.Str "flow") ]
+            @ bp)
+        in
+        events := arrow :: slice :: !events
+      end);
+  List.rev !events
 
 (* ---- text report --------------------------------------------------------- *)
 

@@ -226,6 +226,8 @@ let relerr x_bits y_bits =
     if nx && ny then 0.0
     else if nx || ny then infinity
     else if fx = fy then 0.0
+    (* against an infinity the ratio below would be inf /. inf = nan *)
+    else if Float.abs fx = infinity || Float.abs fy = infinity then infinity
     else
       let d = Float.abs (fx -. fy) in
       let m = Float.max (Float.abs fx) (Float.max (Float.abs fy) 1e-300) in
@@ -355,8 +357,6 @@ let hot_sites t n =
   in
   take n sorted
 
-let schema_version = 1
-
 (* Which dynamic sites of this run were born at (for cross-referencing
    the static candidate list in the reports). *)
 let births_at t i =
@@ -427,41 +427,3 @@ let report_text ?(n = 10) t bb =
                s.ops s.nan_births s.nan_props s.nan_kills s.inf_births
                s.inf_props s.inf_kills s.max_err))
         sites
-
-let report_json ?(n = 10) t bb =
-  let nb, np, nk, ib, ip, ik = totals t in
-  Buffer.add_string bb
-    (Printf.sprintf
-       "{\n  \"schema_version\": %d,\n  \"shadow_check\": %b,\n  \"nan\": {\"births\":%d,\"props\":%d,\"kills\":%d},\n  \"inf\": {\"births\":%d,\"props\":%d,\"kills\":%d},\n  \"elided\": %d,\n  \"violations\": %d,\n  \"static_candidates\": ["
-       schema_version t.shadow_mode nb np nk ib ip ik t.elided
-       t.nan_violations);
-  List.iteri
-    (fun k (i, risks) ->
-      if k > 0 then Buffer.add_char bb ',';
-      Buffer.add_string bb
-        (Printf.sprintf "{\"site\":%d,\"risks\":[%s],\"born\":%d}" i
-           (String.concat ","
-              (List.map (fun r -> Printf.sprintf "\"%s\"" r) risks))
-           (births_at t i)))
-    t.static_candidates;
-  Buffer.add_string bb
-    (Printf.sprintf
-       "],\n  \"sinks\": {\"compare\":%d,\"print\":%d,\"serialize\":%d,\"demote\":%d},\n  \"checked\": %d,\n  \"exact\": %d,\n  \"max_rel_err\": %.17g,\n  \"max_err_site\": %d,\n  \"err_hist\": ["
-       t.sink_compare t.sink_print t.sink_serialize t.sink_demote t.checked
-       t.exact t.max_rel_err t.max_err_site);
-  Array.iteri
-    (fun k c ->
-      if k > 0 then Buffer.add_char bb ',';
-      Buffer.add_string bb (string_of_int c))
-    t.hist;
-  Buffer.add_string bb "],\n  \"sites\": [\n";
-  List.iteri
-    (fun k (i, s) ->
-      if k > 0 then Buffer.add_string bb ",\n";
-      Buffer.add_string bb
-        (Printf.sprintf
-           "    {\"site\":%d,\"ops\":%d,\"nan_births\":%d,\"nan_props\":%d,\"nan_kills\":%d,\"inf_births\":%d,\"inf_props\":%d,\"inf_kills\":%d,\"sinks\":%d,\"max_rel_err\":%.17g}"
-           i s.ops s.nan_births s.nan_props s.nan_kills s.inf_births
-           s.inf_props s.inf_kills s.sinks s.max_err))
-    (hot_sites t n);
-  Buffer.add_string bb "\n  ]\n}\n"

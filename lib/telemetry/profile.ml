@@ -208,23 +208,30 @@ let report_text ?(n = 10) t (stats : Fpvm.Stats.t) bb =
            s.patch_checks))
     (top t n)
 
-let report_json ?(n = 10) t (stats : Fpvm.Stats.t) bb =
-  let total = Fpvm.Stats.total_fpvm_cycles stats in
-  Buffer.add_string bb
-    (Printf.sprintf
-       "{\n  \"schema_version\": %d,\n  \"total_fpvm_cycles\": %d,\n  \"tracked_cycles\": %d,\n  \"gc_cycles\": %d,\n  \"gc_passes\": %d,\n  \"checkpoints\": %d,\n  \"sites\": [\n"
-       schema_version total (tracked_cycles t) t.gc_cycles t.gc_passes
-       t.checkpoints);
-  List.iteri
-    (fun k (i, s) ->
-      if k > 0 then Buffer.add_string bb ",\n";
-      Buffer.add_string bb
-        (Printf.sprintf
-           "    {\"site\":%d,\"cycles\":%d,\"traps\":%d,\"absorbed\":%d,\"emulations\":%d,\"plan_hits\":%d,\"plan_misses\":%d,\"plan_invalidations\":%d,\"temps_elided\":%d,\"demotions\":%d,\"corr_traps\":%d,\"patch_checks\":%d,\"traces\":%d,\"trace_insns\":%d,\"jit_compiles\":%d,\"jit_execs\":%d,\"jit_insns\":%d,\"jit_invalidations\":%d,\"cyc_delivery\":%d,\"cyc_emulate\":%d,\"cyc_trace\":%d,\"cyc_jit\":%d,\"cyc_correctness\":%d,\"cyc_patch\":%d}"
-           i (site_cycles s) s.traps s.absorbed s.emulations s.plan_hits
-           s.plan_misses s.plan_invalidations s.temps_elided s.demotions
-           s.corr_traps s.patch_checks s.traces s.trace_insns s.jit_compiles
-           s.jit_execs s.jit_insns s.jit_invalidations s.cyc_delivery
-           s.cyc_emulate s.cyc_trace s.cyc_jit s.cyc_correctness s.cyc_patch))
-    (top t n);
-  Buffer.add_string bb "\n  ]\n}\n"
+let report_json ?(n = 10) t (stats : Fpvm.Stats.t) =
+  let module J = Fpvm.Json in
+  let site (i, s) =
+    J.Obj
+      (J.ints
+         [ ("site", i); ("cycles", site_cycles s); ("traps", s.traps);
+           ("absorbed", s.absorbed); ("emulations", s.emulations);
+           ("plan_hits", s.plan_hits); ("plan_misses", s.plan_misses);
+           ("plan_invalidations", s.plan_invalidations);
+           ("temps_elided", s.temps_elided); ("demotions", s.demotions);
+           ("corr_traps", s.corr_traps); ("patch_checks", s.patch_checks);
+           ("traces", s.traces); ("trace_insns", s.trace_insns);
+           ("jit_compiles", s.jit_compiles); ("jit_execs", s.jit_execs);
+           ("jit_insns", s.jit_insns);
+           ("jit_invalidations", s.jit_invalidations);
+           ("cyc_delivery", s.cyc_delivery); ("cyc_emulate", s.cyc_emulate);
+           ("cyc_trace", s.cyc_trace); ("cyc_jit", s.cyc_jit);
+           ("cyc_correctness", s.cyc_correctness);
+           ("cyc_patch", s.cyc_patch) ])
+  in
+  J.Obj
+    (J.ints
+       [ ("schema_version", schema_version);
+         ("total_fpvm_cycles", Fpvm.Stats.total_fpvm_cycles stats);
+         ("tracked_cycles", tracked_cycles t); ("gc_cycles", t.gc_cycles);
+         ("gc_passes", t.gc_passes); ("checkpoints", t.checkpoints) ]
+    @ [ ("sites", J.Arr (List.map site (top t n))) ])

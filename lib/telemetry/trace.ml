@@ -133,61 +133,40 @@ let iter t f =
 
 let schema_version = 1
 
-let buf_event bb ~first ~ph ~ts ?dur ~name ~cat args =
-  if not !first then Buffer.add_string bb ",\n";
-  first := false;
-  Buffer.add_string bb
-    (Printf.sprintf "    {\"ph\":\"%s\",\"ts\":%d,\"pid\":1,\"tid\":1" ph ts);
-  (match dur with
-  | Some d -> Buffer.add_string bb (Printf.sprintf ",\"dur\":%d" d)
-  | None -> ());
-  if ph = "i" then Buffer.add_string bb ",\"s\":\"t\"";
-  Buffer.add_string bb
-    (Printf.sprintf ",\"name\":\"%s\",\"cat\":\"%s\"" name cat);
-  (match args with
-  | [] -> ()
-  | kvs ->
-      Buffer.add_string bb ",\"args\":{";
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char bb ',';
-          Buffer.add_string bb (Printf.sprintf "\"%s\":%s" k v))
-        kvs;
-      Buffer.add_char bb '}');
-  Buffer.add_char bb '}'
+module J = Fpvm.Json
 
-(* [extra] lets a caller append additional events inside the
-   [traceEvents] array (e.g. Flowrec's flow arrows) without this module
-   depending on the producer: it receives the buffer and the
-   first-event flag and must emit complete, comma-prefixed objects the
-   way [buf_event] does. *)
-let export_json ?extra t bb =
-  Buffer.add_string bb
-    (Printf.sprintf
-       "{\n  \"schema_version\": %d,\n  \"recorded\": %d,\n  \"dropped\": %d,\n  \"traceEvents\": [\n"
-       schema_version t.recorded t.dropped);
-  let first = ref true in
+(* One trace event; instants are thread-scoped. *)
+let event ~ph ~ts ?dur ~name ~cat args =
+  J.Obj
+    ([ ("ph", J.Str ph); ("ts", J.Int ts); ("pid", J.Int 1); ("tid", J.Int 1) ]
+    @ (match dur with Some d -> [ ("dur", J.Int d) ] | None -> [])
+    @ (if ph = "i" then [ ("s", J.Str "t") ] else [])
+    @ [ ("name", J.Str name); ("cat", J.Str cat) ]
+    @ if args = [] then [] else [ ("args", J.Obj args) ])
+
+(* [extra] events are appended to the [traceEvents] array (e.g.
+   Flowrec's flow arrows), so this module does not depend on their
+   producer. *)
+let export_json ?(extra = []) t =
+  let events = ref [] in
+  let ev ~ph ~ts ?dur ~name ~cat args =
+    events := event ~ph ~ts ?dur ~name ~cat args :: !events
+  in
   (* Trace windows never nest (absorbed faults do not re-deliver and a
      correctness trap is a trace terminator), so depth is 0 or 1. A
      leading "E" whose "B" was overwritten by the ring is skipped. *)
   let depth = ref 0 in
-  let i = string_of_int in
+  let i n = J.Int n in
+  let flags bits = J.Str (String.concat "+" (Ieee754.Flags.names bits)) in
   iter t (fun s ->
-      let ev = buf_event bb ~first in
       if s.kind = k_trap then
         ev ~ph:"X"
           ~ts:(max 0 (s.ts - s.c))
           ~dur:s.c ~name:"trap" ~cat:"delivery"
-          [ ("site", i s.a);
-            ("events",
-             Printf.sprintf "\"%s\""
-               (String.concat "+" (Ieee754.Flags.names s.b))) ]
+          [ ("site", i s.a); ("events", flags s.b) ]
       else if s.kind = k_absorbed then
         ev ~ph:"i" ~ts:s.ts ~name:"absorbed" ~cat:"trace"
-          [ ("site", i s.a);
-            ("events",
-             Printf.sprintf "\"%s\""
-               (String.concat "+" (Ieee754.Flags.names s.b))) ]
+          [ ("site", i s.a); ("events", flags s.b) ]
       else if s.kind = k_trace_enter then begin
         if !depth = 0 then begin
           incr depth;
@@ -246,14 +225,16 @@ let export_json ?extra t bb =
       else
         t.slots.((t.head - 1 + t.capacity) mod t.capacity).ts
     in
-    buf_event bb ~first ~ph:"E" ~ts:last_ts ~name:"trace" ~cat:"trace" []
+    ev ~ph:"E" ~ts:last_ts ~name:"trace" ~cat:"trace" []
   end;
-  (match extra with None -> () | Some f -> f bb first);
-  Buffer.add_string bb "\n  ]\n}\n"
+  J.Obj
+    [ ("schema_version", J.Int schema_version);
+      ("recorded", J.Int t.recorded);
+      ("dropped", J.Int t.dropped);
+      ("traceEvents", J.Arr (List.rev_append !events extra)) ]
 
 let write_file ?extra t path =
-  let bb = Buffer.create 4096 in
-  export_json ?extra t bb;
   let oc = open_out path in
-  output_string oc (Buffer.contents bb);
+  output_string oc (J.to_string (export_json ?extra t));
+  output_char oc '\n';
   close_out oc

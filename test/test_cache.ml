@@ -219,13 +219,13 @@ let fleet_tests =
               r.Fleet.r_fingerprint;
             Alcotest.(check int) "per-guest cycle conservation"
               solo.Fpvm.Engine.cycles
-              (r.Fleet.r_cycles + r.Fleet.r_cyc_compile_shared))
+              (r.Fleet.r_cycles + r.Fleet.r_stats.Fpvm.Stats.cyc_compile_shared))
           f.Fleet.f_results;
         (* fleet-wide ledger: elided cycles match the per-guest buckets *)
         Alcotest.(check int) "ledger"
           (List.fold_left
              (fun a (r : Fleet.guest_result) ->
-               a + r.Fleet.r_cyc_compile_shared)
+               a + r.Fleet.r_stats.Fpvm.Stats.cyc_compile_shared)
              0 f.Fleet.f_results)
           f.Fleet.f_cyc_compile_shared);
     Alcotest.test_case "serve composes with a preloaded (warm) store" `Quick

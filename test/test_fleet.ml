@@ -161,6 +161,24 @@ let serve_tests =
             Alcotest.(check string) "output" solo.Fpvm.Engine.output
               r.Fleet.r_output)
           f.Fleet.f_results);
+    Alcotest.test_case "flows gauges land in the guest's stats" `Quick
+      (fun () ->
+        (* --flows attaches a per-guest recorder through Telemetry: its
+           gauges fill the guest's Stats.t, and the fingerprint stays
+           the solo run's *)
+        let g = mk "lorenz" in
+        let plain = Fleet.serve [ g ] and flows = Fleet.serve ~flows:true [ g ] in
+        match (plain.Fleet.f_results, flows.Fleet.f_results) with
+        | [ p ], [ r ] ->
+            Alcotest.(check int) "no recorder, no events" 0
+              p.Fleet.r_stats.Fpvm.Stats.tel_events;
+            Alcotest.(check bool) "the recorder saw the guest's ops" true
+              (r.Fleet.r_stats.Fpvm.Stats.tel_events > 0);
+            Alcotest.(check string) "fingerprint unchanged" p.Fleet.r_fingerprint
+              r.Fleet.r_fingerprint;
+            Alcotest.(check string) "fingerprint of r_stats" r.Fleet.r_fingerprint
+              (Fpvm.Stats.fingerprint r.Fleet.r_stats)
+        | _ -> Alcotest.fail "one guest, one result");
     Alcotest.test_case "invalid fleets rejected" `Quick (fun () ->
         Alcotest.check_raises "no guests"
           (Invalid_argument "fleet: no guests") (fun () ->

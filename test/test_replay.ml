@@ -442,7 +442,7 @@ let checkpoint_fields blob =
   ignore (Wire.r_str blob pos) (* out *);
   ignore (Wire.r_str blob pos) (* serialized *);
   varints 3 (* since_gc, gc_count, patch_sites *);
-  pos := !pos + (8 * List.length (Replay.Snapshot.stats_ints (Fpvm.Stats.create ())));
+  pos := !pos + (8 * List.length Replay.Snapshot.checkpointed);
   let gc_latency = !pos in
   pos := !pos + 8 + 1 (* decode cache enabled *);
   varints 2 (* hits, misses *);

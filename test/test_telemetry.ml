@@ -160,6 +160,48 @@ let test_fingerprint_golden () =
   s.Fpvm.Stats.cyc_jit <- 12345;
   check_fp "gauges excluded from fingerprint"
 
+(* ---- the metric table ------------------------------------------------ *)
+
+(* The table declares every int field of Stats.t exactly once: it has
+   one entry per field but gc_latency_s, no two entries share a name or
+   a field, and the classes split the way the fingerprint (42 Counters)
+   and the checkpoint (those plus 10 Checkpointed) expect. *)
+let test_metric_table () =
+  let module S = Fpvm.Stats in
+  let ms = S.metrics in
+  let n = List.length ms in
+  Alcotest.(check int) "one entry per int field (+ gc_latency_s)"
+    (Obj.size (Obj.repr (S.create ()))) (n + 1);
+  let names = List.map (fun (m : S.metric) -> m.S.name) ms in
+  Alcotest.(check int) "names are unique" n
+    (List.length (List.sort_uniq compare names));
+  let s = S.create () in
+  List.iteri (fun i (m : S.metric) -> m.S.set s (i + 1)) ms;
+  List.iteri
+    (fun i (m : S.metric) ->
+      Alcotest.(check int) (m.S.name ^ " reads its own field") (i + 1) (m.S.get s))
+    ms;
+  let count c = List.length (List.filter (fun (m : S.metric) -> m.S.cls = c) ms) in
+  Alcotest.(check (list int)) "Counter / Checkpointed / Gauge" [ 42; 10; 22 ]
+    [ count S.Counter; count S.Checkpointed; count S.Gauge ]
+
+(* ---- the JSON writer --------------------------------------------------- *)
+
+let test_json () =
+  let module J = Fpvm.Json in
+  let pin label expected v = Alcotest.(check string) label expected (J.to_string v) in
+  pin "escapes" {|"q\"b\\n\nc\u0001"|} (J.Str "q\"b\\n\nc\001");
+  pin "non-finite floats" "[null,null,null,0.5,-3,1e+300]"
+    (J.Arr
+       [ J.Float Float.nan; J.Float Float.infinity; J.Float Float.neg_infinity;
+         J.Float 0.5; J.Float (-3.0); J.Float 1e300 ]);
+  pin "empty containers" {|[[],{}]|} (J.Arr [ J.Arr []; J.Obj [] ]);
+  pin "nested" {|{"a":[1,{"b":null,"c":true}],"d":{"e":[]},"f":"x"}|}
+    (J.Obj
+       [ ("a", J.Arr [ J.Int 1; J.Obj [ ("b", J.Null); ("c", J.Bool true) ] ]);
+         ("d", J.Obj [ ("e", J.Arr []) ]);
+         ("f", J.Str "x") ])
+
 (* ---- breakdown arithmetic ------------------------------------------- *)
 
 let test_breakdown () =
@@ -250,9 +292,7 @@ let test_trace_export () =
   | Some { Telemetry.trace = Some tr; _ } ->
       Alcotest.(check bool) "events recorded" true
         (Telemetry.Trace.recorded tr > 0);
-      let bb = Buffer.create 4096 in
-      Telemetry.Trace.export_json tr bb;
-      let body = Buffer.contents bb in
+      let body = Fpvm.Json.to_string (Telemetry.Trace.export_json tr) in
       let has needle =
         let n = String.length needle and m = String.length body in
         let rec at i =
@@ -302,6 +342,28 @@ let test_shadow_mpfr_low_prec () =
   Alcotest.(check bool)
     "8-bit mpfr shows nonzero error at sinks" true
     (Telemetry.Numprof.max_rel_err (numprof_of tel) > 0.0)
+
+(* An infinity against a finite value or the opposite infinity is an
+   infinite divergence: it lands in the last histogram bucket and sets
+   the run's maximum error. *)
+let test_relerr_infinite () =
+  let module N = Telemetry.Numprof in
+  let b = Int64.bits_of_float in
+  let inf = Float.infinity and ninf = Float.neg_infinity in
+  List.iter
+    (fun (label, x, y) ->
+      Alcotest.(check (float 0.0)) label inf (N.relerr (b x) (b y)))
+    [ ("inf vs 1", inf, 1.0); ("1 vs inf", 1.0, inf); ("inf vs -inf", inf, ninf);
+      ("-inf vs 0", ninf, 0.0) ];
+  Alcotest.(check (float 0.0)) "inf vs inf" 0.0 (N.relerr (b inf) (b inf));
+  Alcotest.(check int) "bucket_of inf" (N.n_buckets - 1) (N.bucket_of inf);
+  let t = N.create ~shadow:true () in
+  N.observe_sink t 7 (N.relerr (b inf) (b 1.0));
+  Alcotest.(check (float 0.0)) "max_rel_err" inf (N.max_rel_err t);
+  Alcotest.(check int) "max_err_site" 7 t.N.max_err_site;
+  Alcotest.(check int) "last bucket" 1 t.N.hist.(N.n_buckets - 1);
+  Alcotest.(check int) "one sink, nothing else binned" 1
+    (Array.fold_left ( + ) 0 t.N.hist)
 
 (* ---- NaN / Inf flow tracking ----------------------------------------- *)
 
@@ -385,7 +447,10 @@ let () =
     [ ("stats",
        [ Alcotest.test_case "fingerprint golden" `Quick
            test_fingerprint_golden;
+         Alcotest.test_case "metric table covers the record" `Quick
+           test_metric_table;
          Alcotest.test_case "breakdown arithmetic" `Quick test_breakdown ]);
+      ("json", [ Alcotest.test_case "pinned output" `Quick test_json ]);
       ("determinism",
        [ Alcotest.test_case "fingerprint on == off" `Slow test_identity ]);
       ("profile",
@@ -400,7 +465,9 @@ let () =
            test_shadow_vanilla_zero;
          Alcotest.test_case "mpfr-8 shadow error nonzero" `Quick
            test_shadow_mpfr_low_prec;
-         Alcotest.test_case "nan/inf births" `Quick test_nan_inf_births ]);
+         Alcotest.test_case "nan/inf births" `Quick test_nan_inf_births;
+         Alcotest.test_case "infinite relative error" `Quick
+           test_relerr_infinite ]);
       ("replay",
        [ Alcotest.test_case "instrumented checkpoint/restore" `Slow
            test_checkpoint_instrumented ]) ]
