@@ -964,12 +964,28 @@ let bench_plans () =
       (fun name ->
         let e = get name in
         let prog = e.W.program W.Test in
-        let ron = E_mpfr.run ~config:(cfg ~max_trace_len:256 ()) prog in
+        let ron =
+          E_mpfr.run ~config:(cfg ~max_trace_len:256 ~use_jit:false ()) prog
+        in
         let roff =
-          E_mpfr.run ~config:(cfg ~max_trace_len:256 ~use_plans:false ()) prog
+          E_mpfr.run
+            ~config:(cfg ~max_trace_len:256 ~use_plans:false ~use_jit:false ())
+            prog
         in
         let son = ron.Fpvm.Engine.stats and soff = roff.Fpvm.Engine.stats in
         let hr_ = hit_rate son in
+        (* The JIT-off runs measure the plan table alone: steps inside a
+           superblock never look it up, so with the JIT on hits fall
+           while misses must stay the same. *)
+        let jit_misses =
+          (E_mpfr.run ~config:(cfg ~max_trace_len:256 ()) prog)
+            .Fpvm.Engine.stats.Fpvm.Stats.plan_misses
+        in
+        if jit_misses <> son.Fpvm.Stats.plan_misses then begin
+          incr failures;
+          printf "FAIL %s: plan misses %d with the JIT on, %d without\n" name
+            jit_misses son.Fpvm.Stats.plan_misses
+        end;
         let ratio =
           float_of_int (bind_disp soff) /. float_of_int (max 1 (bind_disp son))
         in
@@ -1087,11 +1103,14 @@ let bench_plans () =
       (fun cost ->
         let prog = (get "NAS CG").W.program W.Test in
         let son =
-          (E_mpfr.run ~config:(cfg ~cost ~max_trace_len:256 ()) prog)
+          (E_mpfr.run ~config:(cfg ~cost ~max_trace_len:256 ~use_jit:false ())
+             prog)
             .Fpvm.Engine.stats
         in
         let soff =
-          (E_mpfr.run ~config:(cfg ~cost ~max_trace_len:256 ~use_plans:false ())
+          (E_mpfr.run
+             ~config:
+               (cfg ~cost ~max_trace_len:256 ~use_plans:false ~use_jit:false ())
              prog)
             .Fpvm.Engine.stats
         in

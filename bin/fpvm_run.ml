@@ -220,7 +220,8 @@ let run workload arith prec posit_bits approach machine deployment scale
                        an FPVM arithmetic, not native" )
               | Ok d ->
                   (* One shared analysis per run: the driver reuses it to
-                     patch sinks, the engine consumes the FP tier for
+                     patch sinks (when running, recording, replaying or
+                     restoring alike), the engine consumes the FP tier for
                      fusion widening, and the numprof elision predicate /
                      static birth candidates come from the same verdicts —
                      no tier runs twice. *)
@@ -433,8 +434,8 @@ let run workload arith prec posit_bits approach machine deployment scale
                             else Some (Replay.Codec.read_file from_checkpoint)
                           in
                           match
-                            d.d_replay ?checkpoint ?instrument ~config log
-                              prog
+                            d.d_replay ?checkpoint ?instrument ?facts ~config
+                              log prog
                           with
                           | Replay.Session.Match r ->
                               Printf.eprintf "replay: %d events matched\n"
@@ -447,8 +448,8 @@ let run workload arith prec posit_bits approach machine deployment scale
                   else if from_checkpoint <> "" then
                     guard (fun () ->
                         finish
-                          (d.d_resume ?instrument ?artifacts:cache_art ~config
-                             prog
+                          (d.d_resume ?instrument ?facts ?artifacts:cache_art
+                             ~config prog
                              (Replay.Codec.read_file from_checkpoint)))
                   else
                     finish

@@ -111,6 +111,10 @@ let config_flags (c : config) =
     c.use_vsa c.use_fpa c.use_plans c.use_jit c.jit_threshold c.max_trace_len
     c.jit_max_trace_len c.always_emulate c.decode_cache c.cost.CM.name
 
+(* [prepare]'s analysis rule: static transform patches from the facts
+   in any case, the other approaches only with VSA on. *)
+let uses_facts (c : config) = c.use_vsa || c.approach = Static_transform
+
 type result = {
   output : string;
   serialized : string;
@@ -1755,19 +1759,16 @@ module Make (A : Arith.S) = struct
           | None -> Vsa.analyze prog)
     in
     (* Static analysis + patching (the hybrid's correctness traps). *)
-    if config.use_vsa && config.approach <> Static_transform then begin
+    if uses_facts config then begin
       let analysis = analyze () in
-      Vsa.apply_patches prog analysis;
-      record_analysis analysis
-    end;
-    if config.approach = Static_transform then begin
-      (* Patch every FP instruction and every VSA sink with an inline
-         software check; no hardware traps at all. *)
-      let analysis = analyze () in
-      Array.iteri
-        (fun i insn ->
-          if Isa.is_fp_insn insn then prog.Program.insns.(i) <- Isa.Checked insn)
-        prog.Program.insns;
+      (* Static transform patches every FP instruction and every VSA
+         sink with an inline software check; no hardware traps at all. *)
+      if config.approach = Static_transform then
+        Array.iteri
+          (fun i insn ->
+            if Isa.is_fp_insn insn then
+              prog.Program.insns.(i) <- Isa.Checked insn)
+          prog.Program.insns;
       Vsa.apply_patches prog analysis;
       record_analysis analysis
     end;
@@ -1783,8 +1784,9 @@ module Make (A : Arith.S) = struct
       (if config.use_plans then Analysis.Escape.no_escape prog.Program.insns
        else Array.make (Array.length prog.Program.insns) false);
     t.scratch <- Array.make (max 1 config.max_trace_len) None;
-    let st = State.create ~cost:config.cost prog in
-    if config.incremental_gc then State.set_write_tracking st true;
+    let st =
+      State.create ~cost:config.cost ~track_writes:config.incremental_gc prog
+    in
     let kern = Trapkern.create ~deployment:config.deployment () in
     (* Hooks *)
     st.State.hooks.State.on_ext_call <-

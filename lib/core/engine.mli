@@ -103,6 +103,10 @@ val config_flags : config -> string
     shape decoded sites, plans or recorded paths, so artifacts are
     shared across them. *)
 
+val uses_facts : config -> bool
+(** Whether [prepare] under this config analyses the binary (or takes
+    [?facts]): with VSA on, or under static transform. *)
+
 type result = {
   output : string;  (** the program's printed output *)
   serialized : string;  (** bytes written through the Write_f64 channel *)

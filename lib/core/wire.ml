@@ -71,20 +71,19 @@ let nat b (n : Nat.t) =
 
 external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 
-(* Length of the zero run starting at [src.[i]]. A
+(* Length of the zero run starting at [src.[i]], counted up to [lim]. A
    checkpoint's memory image is megabytes of mostly zeros, so the scan
    reaches an 8-byte boundary bytewise and then tests whole words, four
    per step while they last: the result is the same count a byte loop
    gives, at memory speed. *)
-let zeros_at (src : Bytes.t) i =
-  let n = Bytes.length src in
+let zeros_upto (src : Bytes.t) i lim =
   let j = ref i in
-  while !j < n && !j land 7 <> 0 && Bytes.unsafe_get src !j = '\000' do
+  while !j < lim && !j land 7 <> 0 && Bytes.unsafe_get src !j = '\000' do
     incr j
   done;
   if !j land 7 = 0 then begin
     while
-      !j + 32 <= n
+      !j + 32 <= lim
       && Int64.logor
            (Int64.logor (get64u src !j) (get64u src (!j + 8)))
            (Int64.logor (get64u src (!j + 16)) (get64u src (!j + 24)))
@@ -92,23 +91,55 @@ let zeros_at (src : Bytes.t) i =
     do
       j := !j + 32
     done;
-    while !j + 8 <= n && get64u src !j = 0L do
+    while !j + 8 <= lim && get64u src !j = 0L do
       j := !j + 8
     done;
-    while !j < n && Bytes.unsafe_get src !j = '\000' do
+    while !j < lim && Bytes.unsafe_get src !j = '\000' do
       incr j
     done
   end;
   !j - i
 
+(* A page map ({!Machine.State.written_pages}) has one byte per
+   [Machine.State.page_size] bytes of the image; a page whose byte is 0
+   holds only zeros. *)
+let page_shift = Machine.State.page_shift
+
+let check_pages fn pages n =
+  match pages with
+  | Some pm
+    when Bytes.length pm < (n + Machine.State.page_size - 1) lsr page_shift ->
+      invalid_arg (fn ^ ": page map too short")
+  | _ -> ()
+
+(* The zero run at [i]: unmarked pages are stepped over whole, marked
+   ones scanned. Same count as without the map. *)
+let zeros_at ?pages (src : Bytes.t) i =
+  let n = Bytes.length src in
+  match pages with
+  | None -> zeros_upto src i n
+  | Some pm ->
+      let rec go j =
+        if j >= n then n - i
+        else
+          let next = min n ((j lsr page_shift + 1) lsl page_shift) in
+          if Bytes.unsafe_get pm (j lsr page_shift) = '\000' then go next
+          else
+            let z = zeros_upto src j next in
+            if j + z < next then j + z - i else go next
+      in
+      go i
+
 (* Zero-run RLE for memory images (mostly-zero address spaces):
    alternating (zero-run length, literal length, literal bytes) pairs
    prefixed with the decoded size. A literal run ends at the next span
-   of >= 16 consecutive zero bytes. *)
-let bytes_rle b (src : Bytes.t) =
+   of >= 16 consecutive zero bytes. [?pages] only speeds the zero scan
+   up: the runs, and so the bytes, are the same. *)
+let bytes_rle ?pages b (src : Bytes.t) =
   let n = Bytes.length src in
+  check_pages "Wire.bytes_rle" pages n;
   varint b n;
-  let zeros_at = zeros_at src in
+  let zeros_at = zeros_at ?pages src in
   let i = ref 0 in
   while !i < n do
     let z = zeros_at !i in
@@ -205,11 +236,13 @@ let r_nat s pos =
 
 (* Decode a {!bytes_rle} image over [dst], whose length the image must
    claim exactly: nothing is allocated, and every byte of [dst] is
-   written (zero runs included). *)
-let r_bytes_rle_into s pos (dst : Bytes.t) =
+   written (zero runs included). [?pages] gets every page a literal run
+   lands in marked, so it covers every nonzero byte of the image. *)
+let r_bytes_rle_into ?pages s pos (dst : Bytes.t) =
   let n = r_varint s pos in
   if n <> Bytes.length dst then
     corrupt "RLE image is %d bytes, destination has %d" n (Bytes.length dst);
+  check_pages "Wire.r_bytes_rle_into" pages n;
   let i = ref 0 in
   while !i < n do
     let z = r_varint s pos in
@@ -219,6 +252,9 @@ let r_bytes_rle_into s pos (dst : Bytes.t) =
     need s pos lit;
     Bytes.fill dst !i z '\000';
     Bytes.blit_string s !pos dst (!i + z) lit;
+    (match pages with
+    | Some pm when lit > 0 -> Machine.State.mark_pages pm (!i + z) lit
+    | _ -> ());
     pos := !pos + lit;
     i := !i + z + lit
   done

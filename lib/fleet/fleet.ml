@@ -126,6 +126,7 @@ type driver = {
   d_replay :
     ?checkpoint:string ->
     ?instrument:(Fpvm.Probe.sink -> unit) ->
+    ?facts:Fpvm.Vsa.analysis ->
     ?artifacts:Fpvm.Artifact.t ->
     config:Fpvm.Engine.config ->
     Replay.Log.t ->
@@ -133,6 +134,7 @@ type driver = {
     Replay.Session.outcome;
   d_resume :
     ?instrument:(Fpvm.Probe.sink -> unit) ->
+    ?facts:Fpvm.Vsa.analysis ->
     ?artifacts:Fpvm.Artifact.t ->
     config:Fpvm.Engine.config ->
     Machine.Program.t ->
@@ -152,7 +154,7 @@ let driver (m : (module Fpvm.Arith.S)) : driver =
       (fun ?facts ?instrument ?artifacts ~config prog ->
         (* prepare / instrument / resume, so telemetry attaches the
            same way it does around a checkpoint restore *)
-        let ses = S.E.prepare ~config ?facts ?artifacts prog in
+        let ses = S.prepare ?facts ?artifacts ~config prog in
         (match instrument with
         | Some f -> f ses.S.E.eng.S.E.probe
         | None -> ());
@@ -162,11 +164,11 @@ let driver (m : (module Fpvm.Arith.S)) : driver =
         S.record ?facts ~checkpoint_every ?instrument ?artifacts ~meta ~config
           prog);
     d_replay =
-      (fun ?checkpoint ?instrument ?artifacts ~config log prog ->
-        S.replay ?checkpoint ?instrument ?artifacts ~config log prog);
+      (fun ?checkpoint ?instrument ?facts ?artifacts ~config log prog ->
+        S.replay ?checkpoint ?instrument ?facts ?artifacts ~config log prog);
     d_resume =
-      (fun ?instrument ?artifacts ~config prog blob ->
-        S.resume_from ?instrument ?artifacts ~config prog blob);
+      (fun ?instrument ?facts ?artifacts ~config prog blob ->
+        S.resume_from ?instrument ?facts ?artifacts ~config prog blob);
     d_session_key =
       (fun ~config prog ->
         Fpvm.Artifact.session_key ~port:A.name

@@ -23,11 +23,15 @@ and t = {
   xmm : int64 array; (* 16 x 2 lanes *)
   (* write barrier: stores record the 64-byte cards they touch so an
      incremental GC can mark from recent stores instead of rescanning
-     all writable memory. Off unless an engine turns it on. *)
+     all writable memory. Off unless the state is created with it on. *)
   mutable track_writes : bool;
   dirty_map : Bytes.t; (* one byte per card: 0 clean, 1 dirty *)
   mutable dirty_cards : int list; (* deduplicated via dirty_map *)
   mutable dirty_count : int;
+  (* one byte per 4 KiB page, never cleared: 1 once the page may hold a
+     nonzero byte. Exact only while [track_writes] has been on since
+     [create] or the last checkpoint restore (see [written_pages]). *)
+  page_map : Bytes.t;
   mutable rip : int; (* instruction index *)
   mutable zf : bool;
   mutable sf : bool;
@@ -49,10 +53,24 @@ and t = {
   hooks : hooks;
 }
 
-let create ?(cost = Cost_model.r815) (prog : Program.t) : t =
+let page_shift = 12
+let page_size = 1 lsl page_shift
+
+let mark_pages page_map off len =
+  let p0 = off lsr page_shift and p1 = (off + len - 1) lsr page_shift in
+  Bytes.fill page_map p0 (p1 - p0 + 1) '\001'
+
+let create ?(cost = Cost_model.r815) ?(track_writes = false)
+    (prog : Program.t) : t =
   let mem = Bytes.make prog.mem_size '\000' in
+  let page_map =
+    Bytes.make ((prog.mem_size + page_size - 1) lsr page_shift) '\000'
+  in
   List.iter
-    (fun (off, blob) -> Bytes.blit_string blob 0 mem off (String.length blob))
+    (fun (off, blob) ->
+      let len = String.length blob in
+      Bytes.blit_string blob 0 mem off len;
+      if len > 0 then mark_pages page_map off len)
     prog.data_init;
   let heap_base = ((prog.data_size + 15) / 16 * 16) + 16 in
   let stack_base = prog.mem_size - 16 in
@@ -61,10 +79,11 @@ let create ?(cost = Cost_model.r815) (prog : Program.t) : t =
   { mem;
     gpr;
     xmm = Array.make 32 0L;
-    track_writes = false;
+    track_writes;
     dirty_map = Bytes.make ((prog.mem_size lsr 6) + 1) '\000';
     dirty_cards = [];
     dirty_count = 0;
+    page_map;
     rip = prog.entry;
     zf = false; sf = false; cf = false; of_ = false; pf = false;
     mxcsr = Ieee754.Mxcsr.create ();
@@ -92,9 +111,14 @@ let check_range t a n =
 let card_size = 64
 let card_shift = 6
 
+let card_page_shift = page_shift - card_shift
+
+(* A card's first store since the last GC epoch also marks its page: a
+   store to an already-dirty card finds the page marked. *)
 let mark_card t c =
   if Bytes.unsafe_get t.dirty_map c = '\000' then begin
     Bytes.unsafe_set t.dirty_map c '\001';
+    Bytes.unsafe_set t.page_map (c lsr card_page_shift) '\001';
     t.dirty_cards <- c :: t.dirty_cards;
     t.dirty_count <- t.dirty_count + 1
   end
@@ -109,7 +133,6 @@ let mark_write t a n =
     if c1 <> c0 then mark_card t c1
   end
 
-let set_write_tracking t on = t.track_writes <- on
 let dirty_cards t = t.dirty_cards
 let dirty_card_count t = t.dirty_count
 
@@ -117,6 +140,11 @@ let clear_dirty t =
   List.iter (fun c -> Bytes.unsafe_set t.dirty_map c '\000') t.dirty_cards;
   t.dirty_cards <- [];
   t.dirty_count <- 0
+
+(* Tracking is switched on only at [create], or by a checkpoint restore
+   that rewrites all of memory and marks the pages it writes, so while
+   it is on the barrier has seen every store the map must cover. *)
+let written_pages t = if t.track_writes then Some t.page_map else None
 
 let load64 t a =
   check_range t a 8;

@@ -24,10 +24,17 @@ and t = {
   xmm : int64 array;  (** 16 xmm registers x 2 64-bit lanes *)
   mutable track_writes : bool;
       (** write barrier switch: when on, every store records the
-          64-byte card(s) it touches for the incremental GC *)
+          64-byte card(s) it touches for the incremental GC. Set at
+          {!create}; a checkpoint restore may reset it, as it rewrites
+          all of memory and marks {!page_map} as it goes. Turned on at
+          any other time, stores made while it was off would be missing
+          from the page map. *)
   dirty_map : Bytes.t;  (** one byte per card: 0 clean, 1 dirty *)
   mutable dirty_cards : int list;  (** dirty card indices, deduplicated *)
   mutable dirty_count : int;
+  page_map : Bytes.t;
+      (** one byte per {!page_size} page, never cleared: nonzero once
+          the page may hold a nonzero byte (see {!written_pages}) *)
   mutable rip : int;  (** instruction index *)
   mutable zf : bool;
   mutable sf : bool;
@@ -49,9 +56,11 @@ and t = {
   hooks : hooks;
 }
 
-val create : ?cost:Cost_model.t -> Program.t -> t
+val create : ?cost:Cost_model.t -> ?track_writes:bool -> Program.t -> t
 (** Fresh machine with the program's data segment loaded, rsp at the
-    stack top, %mxcsr at its architectural default (all masked, RNE). *)
+    stack top, %mxcsr at its architectural default (all masked, RNE).
+    [~track_writes:true] turns the write barrier on before any store
+    (off by default; native runs pay nothing). *)
 
 exception Mem_fault of int
 
@@ -105,10 +114,6 @@ val scannable_ranges : t -> (int * int) list
 val card_size : int
 (** Bytes per card (64). *)
 
-val set_write_tracking : t -> bool -> unit
-(** Enable/disable the store barrier (off by default; native runs pay
-    nothing). *)
-
 val dirty_cards : t -> int list
 (** Cards dirtied since the last {!clear_dirty}, deduplicated. *)
 
@@ -116,3 +121,26 @@ val dirty_card_count : t -> int
 
 val clear_dirty : t -> unit
 (** Reset the dirty set (start of a GC epoch). *)
+
+(** {1 Written pages}
+
+    The barrier also keeps a map of the 4 KiB pages it has seen a store
+    to, so a checkpoint can skip pages that still hold only zeros. A
+    page is marked for the data segment at {!create}, when a store
+    first dirties one of its cards, and when a restored memory image
+    writes a nonzero run into it. *)
+
+val page_size : int
+(** Bytes per page (4096). *)
+
+val page_shift : int
+(** [log2 page_size]. *)
+
+val mark_pages : Bytes.t -> int -> int -> unit
+(** [mark_pages map off len] marks every page the [len > 0] bytes at
+    [off] touch. *)
+
+val written_pages : t -> Bytes.t option
+(** The page map when it is exact: every nonzero byte of memory lies in
+    a marked page. [None] when some store may have gone unseen
+    (tracking off), and memory must be scanned whole. *)

@@ -35,13 +35,30 @@ type t = { meta : meta; events : Event.t array }
 
 (* ---- writing --------------------------------------------------------- *)
 
-type writer = { wmeta : meta; ebuf : Buffer.t; mutable count : int }
+(* The writer keeps the events it encodes, so its log needs no decode. *)
+type writer = {
+  wmeta : meta;
+  ebuf : Buffer.t;
+  mutable count : int;
+  mutable evs : Event.t array; (* [count] events, then spare slots *)
+}
 
-let writer meta = { wmeta = meta; ebuf = Buffer.create (1 lsl 16); count = 0 }
+let writer meta =
+  { wmeta = meta; ebuf = Buffer.create (1 lsl 16); count = 0; evs = [||] }
 
 let add w (ev : Event.t) =
   Event.encode w.ebuf ev;
+  if w.count = Array.length w.evs then begin
+    let evs = Array.make (max 256 (2 * w.count)) ev in
+    Array.blit w.evs 0 evs 0 w.count;
+    w.evs <- evs
+  end;
+  w.evs.(w.count) <- ev;
   w.count <- w.count + 1
+
+(* The log [of_string (contents w)] decodes to. *)
+let of_writer (w : writer) : t =
+  { meta = w.wmeta; events = Array.sub w.evs 0 w.count }
 
 let encode_meta b (m : meta) =
   Codec.str b m.workload;

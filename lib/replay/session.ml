@@ -128,35 +128,42 @@ module Make (A : Fpvm.Arith.S) = struct
     end
     else bits
 
-  (* The per-event digest runs 48 times per event, so it mixes with
-     untagged native-int arithmetic (one xor-multiply round per word;
-     multiplication by an odd constant is bijective, so no difference
-     is ever erased) instead of allocation-heavy boxed Int64 FNV. *)
+  (* The per-event digest runs once per event over 48 registers, so it
+     mixes with untagged native-int arithmetic (one xor-multiply round
+     per word; multiplication by an odd constant is bijective, so no
+     difference is ever erased) into a local accumulator, allocating
+     nothing. Only NaN-boxed registers need [value_digest]; any other
+     register digests as its own bits. *)
+  let[@inline] mixi h v = (h lxor v) * 0x100000001B3
+
+  (* to_int keeps bits 0-62; the second round covers the top bits *)
+  let[@inline] mix h v =
+    mixi (mixi h (Int64.to_int v)) (Int64.to_int (Int64.shift_right_logical v 48))
+
+  let[@inline] mix_reg ctx eng h bits =
+    if Fpvm.Nanbox.is_boxed bits then mix h (value_digest ctx eng bits)
+    else mix h bits
+
   let arch_digest ctx (eng : E.t) (st : State.t) : int64 =
-    let h = ref 0x4BF29CE484222325 in
-    let mixi v = h := (!h lxor v) * 0x100000001B3 in
-    (* to_int keeps bits 0-62; the second round covers the top bits *)
-    let mix v =
-      mixi (Int64.to_int v);
-      mixi (Int64.to_int (Int64.shift_right_logical v 48))
+    let h = mixi 0x4BF29CE484222325 st.State.rip in
+    let h = mixi h st.State.insn_count in
+    let h = mixi h st.State.fp_insn_count in
+    let h = mixi h st.State.heap_ptr in
+    let h =
+      mixi h
+        ((if st.State.zf then 1 else 0)
+        lor (if st.State.sf then 2 else 0)
+        lor (if st.State.cf then 4 else 0)
+        lor (if st.State.of_ then 8 else 0)
+        lor if st.State.pf then 16 else 0)
     in
-    mixi st.State.rip;
-    mixi st.State.insn_count;
-    mixi st.State.fp_insn_count;
-    mixi st.State.heap_ptr;
-    mixi
-      ((if st.State.zf then 1 else 0)
-      lor (if st.State.sf then 2 else 0)
-      lor (if st.State.cf then 4 else 0)
-      lor (if st.State.of_ then 8 else 0)
-      lor if st.State.pf then 16 else 0);
-    mixi (Buffer.length st.State.out);
-    mixi (Buffer.length st.State.serialized);
+    let h = mixi h (Buffer.length st.State.out) in
+    let h = ref (mixi h (Buffer.length st.State.serialized)) in
     for i = 0 to 15 do
-      mix (value_digest ctx eng st.State.gpr.(i))
+      h := mix_reg ctx eng !h st.State.gpr.(i)
     done;
     for i = 0 to 31 do
-      mix (value_digest ctx eng st.State.xmm.(i))
+      h := mix_reg ctx eng !h st.State.xmm.(i)
     done;
     Int64.of_int !h
 
@@ -227,6 +234,62 @@ module Make (A : Fpvm.Arith.S) = struct
     in
     { Event.seq; insns = st.State.insn_count; chk; kind }
 
+  (* ---- facts: one analysis per binary ---------------------------------- *)
+
+  (* The last binary this instance analysed, a snapshot of its
+     instructions, and its facts. [Vsa.analyze] reads only [insns],
+     [entry], [mem_size], [data_size] and [data_init], and of these only
+     [insns] is mutable: the same physical program whose instructions
+     are each still physically the snapshot's has the same facts.
+     Atomic, as one instance may serve several domains; a lost update
+     costs an analysis, never wrong facts. *)
+  type known = {
+    k_prog : Machine.Program.t;
+    k_insns : Isa.insn array;
+    k_facts : Fpvm.Vsa.analysis;
+  }
+
+  let known : known option Atomic.t = Atomic.make None
+
+  let remember (prog : Machine.Program.t) a =
+    Atomic.set known
+      (Some
+         { k_prog = prog;
+           k_insns = Array.copy prog.Machine.Program.insns;
+           k_facts = a });
+    a
+
+  let same_insns (snap : Isa.insn array) (insns : Isa.insn array) =
+    Array.length snap = Array.length insns
+    && Array.for_all2 (fun a b -> a == b) snap insns
+
+  (* The facts a session of [prog] runs on: [?facts] if given, else the
+     remembered ones if [prog] is the binary they were computed for,
+     else a fresh analysis. Whatever is returned is remembered. *)
+  let facts ?facts (prog : Machine.Program.t) : Fpvm.Vsa.analysis =
+    match facts with
+    | Some a -> remember prog a
+    | None -> (
+        match Atomic.get known with
+        | Some k
+          when k.k_prog == prog
+               && same_insns k.k_insns prog.Machine.Program.insns ->
+            k.k_facts
+        | _ -> remember prog (Fpvm.Vsa.analyze prog))
+
+  (* [E.prepare] with its facts from the remembered entry. With
+     [?artifacts] and no [?facts], the store supplies them and counts its
+     hits and misses. *)
+  let prepare ?facts:given ?artifacts ~config prog : E.session =
+    let facts =
+      match (given, artifacts) with
+      | Some a, _ -> Some (facts ~facts:a prog)
+      | None, Some _ -> None
+      | None, None ->
+          if Fpvm.Engine.uses_facts config then Some (facts prog) else None
+    in
+    E.prepare ~config ?facts ?artifacts prog
+
   (* ---- checkpointing -------------------------------------------------- *)
 
   let capture ~(meta : Log.meta) ~seq (ses : E.session) : string =
@@ -240,9 +303,9 @@ module Make (A : Fpvm.Arith.S) = struct
   (* Prepare a fresh session and overwrite its mutable state from the
      blob. Returns the session and the event sequence number at which
      the checkpoint was taken. *)
-  let restore ?artifacts ~config (prog : Machine.Program.t) (blob : string) :
-      E.session * Log.meta * int =
-    let ses = E.prepare ~config ?artifacts prog in
+  let restore ?facts ?artifacts ~config (prog : Machine.Program.t)
+      (blob : string) : E.session * Log.meta * int =
+    let ses = prepare ?facts ?artifacts ~config prog in
     let r =
       Snapshot.restore ~dec:A.decode_value ~st:ses.E.st
         ~arena:ses.E.eng.E.arena ~stats:ses.E.eng.E.stats
@@ -270,7 +333,7 @@ module Make (A : Fpvm.Arith.S) = struct
 
   let record ?(checkpoint_every = 0) ?facts ?instrument ?artifacts
       ~(meta : Log.meta) ~config (prog : Machine.Program.t) : recording =
-    let ses = E.prepare ~config ?facts ?artifacts prog in
+    let ses = prepare ?facts ?artifacts ~config prog in
     (* Telemetry (lib/telemetry) installs on the on_tel/on_num channels,
        which the recorder does not use; installing it never changes
        what the recorder observes. *)
@@ -310,10 +373,7 @@ module Make (A : Fpvm.Arith.S) = struct
     s.Fpvm.Stats.replay_checkpoints <- List.length !cps;
     s.Fpvm.Stats.replay_checkpoint_bytes <- !cp_bytes;
     s.Fpvm.Stats.replay_log_bytes <- String.length log_bytes;
-    { result;
-      log = Log.of_string log_bytes;
-      log_bytes;
-      checkpoints = List.rev !cps }
+    { result; log = Log.of_writer w; log_bytes; checkpoints = List.rev !cps }
 
   (* ---- replay ----------------------------------------------------------- *)
 
@@ -322,13 +382,13 @@ module Make (A : Fpvm.Arith.S) = struct
   (* Re-execute, validating every emitted event against the log. With
      [?checkpoint], execution starts from the restored state and
      validation from the checkpoint's sequence number. *)
-  let replay ?checkpoint ?instrument ?artifacts ~config (log : Log.t)
+  let replay ?checkpoint ?instrument ?facts ?artifacts ~config (log : Log.t)
       (prog : Machine.Program.t) : outcome =
     let ses, start_seq =
       match checkpoint with
-      | None -> (E.prepare ~config ?artifacts prog, 0)
+      | None -> (prepare ?facts ?artifacts ~config prog, 0)
       | Some blob ->
-          let ses, _meta, seq = restore ?artifacts ~config prog blob in
+          let ses, _meta, seq = restore ?facts ?artifacts ~config prog blob in
           (ses, seq)
     in
     (* After prepare/restore, so telemetry survives checkpoint restore
@@ -359,9 +419,9 @@ module Make (A : Fpvm.Arith.S) = struct
     | exception Divergence_stop d -> Diverged d
 
   (* Restore a checkpoint and run to completion with no validation. *)
-  let resume_from ?instrument ?artifacts ~config (prog : Machine.Program.t)
-      (blob : string) : Fpvm.Engine.result =
-    let ses, _meta, _seq = restore ?artifacts ~config prog blob in
+  let resume_from ?instrument ?facts ?artifacts ~config
+      (prog : Machine.Program.t) (blob : string) : Fpvm.Engine.result =
+    let ses, _meta, _seq = restore ?facts ?artifacts ~config prog blob in
     (match instrument with
     | Some f -> f ses.E.eng.E.probe
     | None -> ());

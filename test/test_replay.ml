@@ -144,7 +144,25 @@ let encoded enc v =
   enc b v;
   Buffer.contents b
 
-let same_rle by = encoded Wire.bytes_rle by = encoded bytes_rle_ref by
+(* The pages of [by] that hold a nonzero byte: the least page map
+   [Wire.bytes_rle ~pages] may be given. *)
+let nonzero_pages by =
+  let pm =
+    Bytes.make
+      ((Bytes.length by + Machine.State.page_size - 1) / Machine.State.page_size)
+      '\000'
+  in
+  Bytes.iteri
+    (fun i c -> if c <> '\000' then Machine.State.mark_pages pm i 1)
+    by;
+  pm
+
+(* The encoder, with and without a page map, against the byte loop. *)
+let same_rle ?pages by =
+  let pages = match pages with Some pm -> pm | None -> nonzero_pages by in
+  let want = encoded bytes_rle_ref by in
+  encoded (fun b -> Wire.bytes_rle b) by = want
+  && encoded (Wire.bytes_rle ~pages) by = want
 
 (* Zero runs at and around the word scan's thresholds (7/8/9 bytes: one
    word; 15/16/17: the literal cut-off; 31/32/33: one 4-word step),
@@ -171,9 +189,54 @@ let arb_rle_bytes =
            (list_size (int_bound 8) (pair boundary_run lit))
            (oneof [ return 0; boundary_run; int_bound 100 ])))
 
+(* Images of a few pages (the last one maybe partial), each all zeros or
+   holding an [arb_rle_bytes] run at its start, its end or in between,
+   so zero and literal runs cross page edges; with the page map marking
+   every nonzero page and some all-zero ones. *)
+let arb_paged_image =
+  let ps = Machine.State.page_size in
+  QCheck.make
+    ~print:(fun (by, pm) ->
+      Printf.sprintf "%d bytes, pages %S" (Bytes.length by)
+        (Bytes.to_string (Bytes.map (fun c -> if c = '\000' then '.' else '#') pm)))
+    QCheck.Gen.(
+      let page =
+        pair bool
+          (opt (pair (QCheck.gen arb_rle_bytes) (oneofl [ `Start; `End; `At ]))
+          )
+      in
+      map
+        (fun (pages, last, at) ->
+          let n = List.length pages in
+          let size = ((n - 1) * ps) + max 1 last in
+          let by = Bytes.make size '\000' in
+          List.iteri
+            (fun k (_, content) ->
+              match content with
+              | None -> ()
+              | Some (c, where) ->
+                  let lim = min ps (size - (k * ps)) in
+                  let len = min (Bytes.length c) lim in
+                  let off =
+                    match where with
+                    | `Start -> 0
+                    | `End -> lim - len
+                    | `At -> at mod (lim - len + 1)
+                  in
+                  Bytes.blit c 0 by ((k * ps) + off) len)
+            pages;
+          let pm = nonzero_pages by in
+          List.iteri
+            (fun k (extra, _) -> if extra then Bytes.set pm k '\001')
+            pages;
+          (by, pm))
+        (triple (list_size (int_range 1 5) page) (int_bound ps) nat))
+
 let same_bytes_tests =
   [ q "bytes_rle = bytewise encoder" ~count:2000 arb_rle_bytes same_rle;
     q "bytes_rle = bytewise encoder (sparse)" arb_sparse_bytes same_rle;
+    q "bytes_rle = bytewise encoder (page map)" arb_paged_image
+      (fun (by, pages) -> same_rle ~pages by);
     Alcotest.test_case "bytes_rle = bytewise encoder (every offset)" `Quick
       (fun () ->
         List.iter
@@ -542,6 +605,196 @@ let corrupted_checkpoint_test =
       | _ -> Alcotest.fail "corrupted checkpoint accepted"
       | exception Wire.Corrupt _ -> ())
 
+(* ---- written pages ------------------------------------------------------
+
+   A checkpoint scans only the pages the barrier saw a store to. The
+   property: under random stores every nonzero byte lies in a marked
+   page, and the image encodes the same with the map as without, before
+   and after a checkpoint restore. *)
+
+module State = Machine.State
+
+let pages_prog =
+  let b = Machine.Program.create ~name:"pages" ~mem_size:(8 * State.page_size) () in
+  ignore (Machine.Program.data_f64 b [| 1.5; 0.0; -2.0 |]);
+  Machine.Program.emit b Machine.Isa.Halt;
+  Machine.Program.finish b
+
+type mem_op = Store of int * int * int64 | Epoch (* a GC clears the cards *)
+
+let arb_mem_ops =
+  let mem = pages_prog.Machine.Program.mem_size in
+  let open QCheck.Gen in
+  let store =
+    int_range 0 3 >>= fun k ->
+    let size = 1 lsl k in
+    let addr =
+      oneof
+        [ (* straddling a page edge *)
+          map2 (fun p d -> (p * State.page_size) - d) (int_range 1 7)
+            (int_range 1 (max 1 (size - 1)));
+          int_bound (mem - size);
+          (* into the last, never otherwise touched, page *)
+          map (fun d -> mem - size - d) (int_bound 64) ]
+    in
+    let value = oneof [ return 0L; map Int64.of_int small_signed_int; ui64 ] in
+    map2 (fun a v -> Store (size, max 0 (min a (mem - size)), v)) addr value
+  in
+  QCheck.make
+    ~print:(fun ops ->
+      String.concat "; "
+        (List.map
+           (function
+             | Store (n, a, v) -> Printf.sprintf "st%d %d %Ld" n a v
+             | Epoch -> "epoch")
+           ops))
+    (list_size (int_bound 40) (frequency [ (8, store); (1, return Epoch) ]))
+
+let apply_ops st ops =
+  List.iter
+    (function
+      | Store (n, a, v) -> State.store_size st n a v
+      | Epoch -> State.clear_dirty st)
+    ops
+
+let pages_cover st =
+  match State.written_pages st with
+  | None -> false
+  | Some pm ->
+      let ok = ref true in
+      Bytes.iteri
+        (fun i c ->
+          if c <> '\000' && Bytes.get pm (i lsr State.page_shift) = '\000' then
+            ok := false)
+        st.State.mem;
+      !ok && encoded (Wire.bytes_rle ~pages:pm) st.State.mem
+             = encoded (fun b -> Wire.bytes_rle b) st.State.mem
+
+let restored ?track_writes st =
+  let b = Buffer.create 256 in
+  Replay.Snapshot.encode_state b st;
+  let st' = State.create ?track_writes pages_prog in
+  Replay.Snapshot.restore_state (Buffer.contents b) (ref 0) st';
+  st'
+
+let pages_tests =
+  [ q "store barrier marks every written page" ~count:300
+      (QCheck.pair arb_mem_ops arb_mem_ops)
+      (fun (ops, more) ->
+        let st = State.create ~track_writes:true pages_prog in
+        apply_ops st ops;
+        let st' = restored st in
+        let same = Bytes.equal st'.State.mem st.State.mem in
+        apply_ops st' more;
+        pages_cover st && same && pages_cover st'
+        && (* restore rewrites memory, so the map is exact after it even
+              in a machine created without tracking *)
+        pages_cover (restored st));
+    q "untracked memory is scanned whole" ~count:100 arb_mem_ops (fun ops ->
+        let st = State.create pages_prog in
+        apply_ops st ops;
+        State.written_pages st = None
+        && State.written_pages (restored ~track_writes:true st) = None) ]
+
+(* ---- one analysis per binary --------------------------------------------
+
+   A session instance remembers the last binary it analysed. A hit needs
+   the same physical program with every instruction physically the one
+   analysed; with an artifact store and no facts the store supplies
+   them. *)
+
+let lorenz () = (Option.get (W.find "lorenz")).W.program W.Test
+
+let lorenz_meta =
+  { Replay.Log.workload = "lorenz"; scale = "test"; arith = "vanilla";
+    config = "c" }
+
+(* [insn] rebuilt: structurally equal, physically another value *)
+let rebuilt (insn : Machine.Isa.insn) : Machine.Isa.insn =
+  Marshal.from_string (Marshal.to_string insn []) 0
+
+let facts_tests =
+  [ Alcotest.test_case "the remembered entry hits only its own binary"
+      `Quick (fun () ->
+        let module S = Replay.Session.Make (Fpvm.Alt_vanilla) in
+        let prog = lorenz () in
+        let a = Fpvm.Vsa.analyze prog in
+        Alcotest.(check bool) "given facts are used" true (S.facts ~facts:a prog == a);
+        Alcotest.(check bool) "and remembered" true (S.facts prog == a);
+        Alcotest.(check bool) "a copy misses" false
+          (S.facts (Machine.Program.copy prog) == a);
+        ignore (S.facts ~facts:a prog);
+        let i =
+          let insns = prog.Machine.Program.insns in
+          let rec find i = if rebuilt insns.(i) != insns.(i) then i else find (i + 1) in
+          find 0
+        in
+        let orig = prog.Machine.Program.insns.(i) in
+        prog.Machine.Program.insns.(i) <- rebuilt orig;
+        Alcotest.(check bool) "an equal instruction rebuilt" true
+          (prog.Machine.Program.insns.(i) = orig);
+        let b = S.facts prog in
+        Alcotest.(check bool) "misses" false (b == a);
+        Alcotest.(check bool) "and is remembered" true (S.facts prog == b));
+    Alcotest.test_case "replay and restore reuse the recording's analysis"
+      `Quick (fun () ->
+        let module S = Replay.Session.Make (Fpvm.Alt_vanilla) in
+        let prog = lorenz () in
+        (* real facts with a marker no analysis produces, in a field the
+           engine only reports (the trap_checks_elided gauge) *)
+        let a = Fpvm.Vsa.analyze prog in
+        let marked =
+          { a with
+            Fpvm.Vsa.pipeline =
+              { a.Fpvm.Vsa.pipeline with
+                Analysis.Pipeline.trap_checks_elided = -7 } }
+        in
+        let rec_ =
+          S.record ~checkpoint_every:500 ~facts:marked ~meta:lorenz_meta
+            ~config:incr_cfg prog
+        in
+        let base = fingerprint rec_.Replay.Session.result in
+        let check what (r : Fpvm.Engine.result) =
+          Alcotest.(check bool) (what ^ " reproduces") true (fingerprint r = base);
+          Alcotest.(check int) (what ^ " ran on the recording's facts") (-7)
+            r.Fpvm.Engine.stats.Fpvm.Stats.trap_checks_elided
+        in
+        (match S.replay ~config:incr_cfg rec_.Replay.Session.log prog with
+        | Replay.Session.Match r -> check "replay" r
+        | Replay.Session.Diverged d ->
+            Alcotest.failf "replay diverged at %d" d.Replay.Session.at);
+        let _, blob = List.hd (List.rev rec_.Replay.Session.checkpoints) in
+        check "restore" (S.resume_from ~config:incr_cfg prog blob);
+        Alcotest.(check bool) "still remembered" true (S.facts prog == marked));
+    Alcotest.test_case "an artifact store still supplies and counts facts"
+      `Quick (fun () ->
+        let module S = Replay.Session.Make (Fpvm.Alt_vanilla) in
+        let prog = lorenz () in
+        let store = Fpvm.Artifact.create () in
+        let counts (r : Fpvm.Engine.result) =
+          (r.Fpvm.Engine.stats.Fpvm.Stats.cache_hits,
+           r.Fpvm.Engine.stats.Fpvm.Stats.cache_misses)
+        in
+        let rec_ =
+          S.record ~checkpoint_every:500 ~artifacts:store ~meta:lorenz_meta
+            ~config:incr_cfg prog
+        in
+        let rp =
+          match
+            S.replay ~artifacts:store ~config:incr_cfg rec_.Replay.Session.log prog
+          with
+          | Replay.Session.Match r -> r
+          | Replay.Session.Diverged d ->
+              Alcotest.failf "replay diverged at %d" d.Replay.Session.at
+        in
+        let _, blob = List.hd (List.rev rec_.Replay.Session.checkpoints) in
+        let rs = S.resume_from ~artifacts:store ~config:incr_cfg prog blob in
+        (* the recording misses the facts and every site, the replay
+           hits them all, and the restore counts its facts hit alone *)
+        Alcotest.(check (list (pair int int))) "hits, misses"
+          [ (0, 20); (20, 0); (1, 0) ]
+          (List.map counts [ rec_.Replay.Session.result; rp; rs ])) ]
+
 (* ---- byte-identity golden ----------------------------------------------
 
    The codec's output is a format: a log or checkpoint written today must
@@ -597,6 +850,10 @@ let golden_corpus () =
                   arith = Fleet.Port.to_string port; config = gc_name }
               in
               let r = d.Fleet.d_record ~checkpoint_every:300 ~meta ~config prog in
+              let decoded = Replay.Log.of_string r.Replay.Session.log_bytes in
+              if r.Replay.Session.log <> decoded then
+                Alcotest.failf "%s/%s/%s: log is not its bytes decoded" name
+                  (Fleet.Port.to_string port) gc_name;
               blob r.Replay.Session.log_bytes;
               List.iter
                 (fun (seq, b) ->
@@ -721,4 +978,6 @@ let () =
       ("event-log", event_log_tests);
       ("engine",
        engine_tests @ [ corrupted_checkpoint_test; claimed_length_test; golden_test ]);
+      ("pages", pages_tests);
+      ("facts", facts_tests);
       ("bisect", bisect_matches_linear_scan :: bisect_engine_tests) ]
