@@ -93,6 +93,17 @@ let inject_divergence (log_bytes : string) n =
 
 (* ---- run command ------------------------------------------------------ *)
 
+(* The binary a run or coach session executes: [workload] at [scale],
+   with a NaN seeded at the [inject_nan]-th eligible site when >= 0. *)
+let load_program workload scale inject_nan =
+  match W.find workload with
+  | None -> Error (Printf.sprintf "unknown workload %S (try --list)" workload)
+  | Some e -> (
+      try
+        let p = e.W.program (if scale = "s" then W.S else W.Test) in
+        Ok (e, if inject_nan >= 0 then Machine.Program.inject_nan p ~nth:inject_nan else p)
+      with Invalid_argument m -> Error m)
+
 (* Log/checkpoint I-O failures are user errors, not crashes. *)
 let guard f =
   match f () with
@@ -114,10 +125,6 @@ let run workload arith prec posit_bits approach machine deployment scale
   end
   else if trace_len < 1 then
     `Error (false, Printf.sprintf "--trace-len must be >= 1 (got %d)" trace_len)
-  else if prec < 2 then
-    `Error (false, Printf.sprintf "--prec must be >= 2 (got %d)" prec)
-  else if not (List.mem posit_bits [ 8; 16; 32 ]) then
-    `Error (false, Printf.sprintf "--posit must be 8, 16 or 32 (got %d)" posit_bits)
   else if gc_interval <= 0 then
     `Error (false, Printf.sprintf "--gc-interval must be > 0 (got %d)" gc_interval)
   else if jit_threshold < 1 then
@@ -134,22 +141,9 @@ let run workload arith prec posit_bits approach machine deployment scale
   else if record_file <> "" && replay_file <> "" then
     `Error (false, "--record and --replay are mutually exclusive")
   else begin
-    match W.find workload with
-    | None ->
-        `Error (false, Printf.sprintf "unknown workload %S (try --list)" workload)
-    | Some e -> (
-        let wscale = if scale = "s" then W.S else W.Test in
-        match
-          (try
-             Ok
-               (let p = e.W.program wscale in
-                if inject_nan >= 0 then
-                  Machine.Program.inject_nan p ~nth:inject_nan
-                else p)
-           with Invalid_argument m -> Error m)
-        with
-        | Error m -> `Error (false, m)
-        | Ok prog ->
+    match load_program workload scale inject_nan with
+    | Error m -> `Error (false, m)
+    | Ok (e, prog) ->
         if disasm then begin
           print_string (Machine.Program.disassemble prog);
           `Ok 0
@@ -202,11 +196,7 @@ let run workload arith prec posit_bits approach machine deployment scale
                   Fpvm.Engine.jit_threshold;
                   Fpvm.Engine.jit_max_trace_len }
               in
-              let driver =
-                Result.map Fleet.port_driver
-                  (Fleet.Port.of_flags ~arith ~prec ~posit:posit_bits)
-              in
-              match driver with
+              match Fleet.Port.of_flags ~arith ~prec ~posit:posit_bits with
               | Error m -> `Error (false, m)
               | Ok _ when arith = "native" && (record_file <> "" || replay_file <> "" || from_checkpoint <> "") ->
                   `Error (false, "--record/--replay/--from-checkpoint require an FPVM arithmetic, not native")
@@ -218,7 +208,8 @@ let run workload arith prec posit_bits approach machine deployment scale
                     ( false,
                       "--trace-out/--profile/--shadow-check/--flows require \
                        an FPVM arithmetic, not native" )
-              | Ok d ->
+              | Ok port ->
+                  let d = Fleet.port_driver port in
                   (* One shared analysis per run: the driver reuses it to
                      patch sinks (when running, recording, replaying or
                      restoring alike), the engine consumes the FP tier for
@@ -279,10 +270,8 @@ let run workload arith prec posit_bits approach machine deployment scale
                     { Replay.Log.workload = e.W.name;
                       scale;
                       arith =
-                        (match arith with
-                        | "mpfr" | "slash" -> Printf.sprintf "%s:%d" arith prec
-                        | "posit" -> Printf.sprintf "posit:%d" posit_bits
-                        | a -> a);
+                        (if arith = "native" then arith
+                         else Fleet.Port.to_string port);
                       config =
                         (config_fingerprint config machine
                         ^
@@ -454,7 +443,7 @@ let run workload arith prec posit_bits approach machine deployment scale
                   else
                     finish
                       (d.d_run ?facts ?instrument ?artifacts:cache_art ~config
-                         prog)))
+                         prog))
   end
 
 (* ---- bisect command --------------------------------------------------- *)
@@ -481,12 +470,11 @@ let bisect log_a log_b arch_only =
 
 (* ---- analyze command -------------------------------------------------- *)
 
-(* Static-analysis report: run the tiered pipeline and the legacy
-   flow-insensitive pass over workload binaries without executing them,
-   and emit per-workload precision data (sinks with their taint
-   provenance, proven-safe loads, old-vs-new deltas) as JSON. With
-   --check, also compare against a committed golden file and exit 6 on
-   any precision regression. *)
+(* Static-analysis report: run the tiered pipeline over workload
+   binaries without executing them, and emit per-workload precision
+   data (sinks with their taint provenance, proven-safe loads, FP
+   special-value verdicts) as JSON. With --check, also compare against
+   a committed golden file and exit 6 on any precision regression. *)
 
 module AP = Analysis.Pipeline
 
@@ -512,8 +500,8 @@ let verdict_json prog (v : Analysis.Fpa.verdict) srcs =
         ("risks", J.Arr (List.map (fun r -> J.Str r) v.Analysis.Fpa.v_risks));
         srcs ])
 
-let analyze_json (results : (W.entry * Machine.Program.t * Fpvm.Vsa.analysis * Analysis.Legacy.analysis) list) =
-  let workload (e, prog, (a : Fpvm.Vsa.analysis), (l : Analysis.Legacy.analysis)) =
+let analyze_json (results : (W.entry * Machine.Program.t * Fpvm.Vsa.analysis) list) =
+  let workload (e, prog, (a : Fpvm.Vsa.analysis)) =
     let p = a.Fpvm.Vsa.pipeline in
     let f = a.Fpvm.Vsa.fpa in
     let sink (s : AP.sink) =
@@ -538,15 +526,6 @@ let analyze_json (results : (W.entry * Machine.Program.t * Fpvm.Vsa.analysis * A
         ("total_int_loads", J.Int p.AP.total_int_loads);
         ("proven_safe_loads", J.Int p.AP.proven_safe_loads);
         ("trap_checks_elided", J.Int p.AP.trap_checks_elided);
-        ("legacy",
-         J.Obj
-           (J.ints
-              [ ("sinks", List.length l.Analysis.Legacy.sinks);
-                ("proven_safe_loads", l.Analysis.Legacy.proven_safe_loads) ]));
-        ("delta_proven_safe",
-         J.Int (p.AP.proven_safe_loads - l.Analysis.Legacy.proven_safe_loads));
-        ("delta_sinks",
-         J.Int (List.length l.Analysis.Legacy.sinks - List.length p.AP.sinks));
         ("sinks", J.Arr (List.map sink p.AP.sinks));
         ("fp",
          J.Obj
@@ -589,12 +568,12 @@ let check_golden results file =
   List.iter
     (fun (name, gsinks, gtotal, gproven, gfp_sites, gfp_sub, gfp_born) ->
       match
-        List.find_opt (fun (e, _, _, _) -> e.W.name = name) results
+        List.find_opt (fun (e, _, _) -> e.W.name = name) results
       with
       | None ->
           incr failures;
           Printf.eprintf "FAIL %-12s missing from analysis results\n" name
-      | Some (_, _, a, _) ->
+      | Some (_, _, a) ->
           let p = a.Fpvm.Vsa.pipeline in
           let f = a.Fpvm.Vsa.fpa in
           let nsinks = List.length p.AP.sinks in
@@ -652,7 +631,7 @@ let analyze only check =
         List.map
           (fun (e : W.entry) ->
             let prog = e.W.program W.Test in
-            (e, prog, Fpvm.Vsa.analyze prog, Analysis.Legacy.analyze prog))
+            (e, prog, Fpvm.Vsa.analyze prog))
           entries
       in
       print_endline (J.to_string (analyze_json results));
@@ -682,7 +661,7 @@ let lint_hint name =
      alt.log"
     name name
 
-let lint only json check =
+let lint only json =
   let entries =
     match only with
     | "" -> Ok W.all
@@ -757,71 +736,7 @@ let lint only json check =
             if warns <> [] then
               Printf.printf "  hint: %s\n" (lint_hint e.W.name))
           results;
-      if check = "" then `Ok 0
-      else
-        guard (fun () ->
-            (* Golden ratchet: "name|sites|sub_free|born_free" per
-               workload; exit 8 if any proven count decreases. *)
-            let lines = ref [] in
-            let ic = open_in check in
-            (try
-               while true do
-                 let line = String.trim (input_line ic) in
-                 if line <> "" && line.[0] <> '#' then
-                   match String.split_on_char '|' line with
-                   | [ name; sites; sub; born ] ->
-                       lines :=
-                         (name, int_of_string sites, int_of_string sub,
-                          int_of_string born)
-                         :: !lines
-                   | _ ->
-                       failwith
-                         (Printf.sprintf "%s: malformed golden line %S" check
-                            line)
-               done
-             with End_of_file -> ());
-            close_in ic;
-            let failures = ref 0 in
-            List.iter
-              (fun (name, gsites, gsub, gborn) ->
-                match
-                  List.find_opt (fun (e, _, _) -> e.W.name = name) results
-                with
-                | None ->
-                    incr failures;
-                    Printf.eprintf "FAIL %-12s missing from lint results\n"
-                      name
-                | Some (_, _, f) ->
-                    if
-                      f.Analysis.Fpa.sub_free < gsub
-                      || f.Analysis.Fpa.born_free < gborn
-                    then begin
-                      incr failures;
-                      Printf.eprintf
-                        "FAIL %-12s sub_free %d (golden %d), born_free %d \
-                         (golden %d)\n"
-                        name f.Analysis.Fpa.sub_free gsub
-                        f.Analysis.Fpa.born_free gborn
-                    end
-                    else if f.Analysis.Fpa.sites <> gsites then begin
-                      incr failures;
-                      Printf.eprintf
-                        "FAIL %-12s sites %d != golden %d (workload changed? \
-                         refresh the golden file)\n"
-                        name f.Analysis.Fpa.sites gsites
-                    end
-                    else
-                      Printf.eprintf "ok   %-12s fp %d+%d/%d\n" name
-                        f.Analysis.Fpa.sub_free f.Analysis.Fpa.born_free
-                        f.Analysis.Fpa.sites)
-              (List.rev !lines);
-            if !failures > 0 then begin
-              Printf.eprintf "lint proven-site counts regressed on %d \
-                              workload(s) vs %s\n"
-                !failures check;
-              `Ok 8
-            end
-            else `Ok 0)
+      `Ok 0
 
 (* ---- coach command ---------------------------------------------------- *)
 
@@ -860,179 +775,158 @@ let coach workload arith prec posit_bits scale full_gc ground_truth
   let arith = String.lowercase_ascii arith in
   if arith = "native" then
     `Error (false, "coach requires an FPVM arithmetic, not native")
-  else if prec < 2 then
-    `Error (false, Printf.sprintf "--prec must be >= 2 (got %d)" prec)
-  else if not (List.mem posit_bits [ 8; 16; 32 ]) then
-    `Error (false, Printf.sprintf "--posit must be 8, 16 or 32 (got %d)" posit_bits)
   else if not (List.mem ground_truth [ ""; "interval" ]) then
     `Error
       ( false,
         Printf.sprintf "unknown --ground-truth %S (only: interval)"
           ground_truth )
   else
-    match W.find workload with
-    | None ->
-        `Error (false, Printf.sprintf "unknown workload %S (try --list)" workload)
-    | Some e -> (
-        match Fleet.Port.of_flags ~arith ~prec ~posit:posit_bits with
-        | Error m -> `Error (false, m)
-        | Ok port -> (
-            let d = Fleet.port_driver port in
-            let wscale = if scale = "s" then W.S else W.Test in
-            match
-              (try
-                 Ok
-                   (let p = e.W.program wscale in
-                    if inject_nan >= 0 then
-                      Machine.Program.inject_nan p ~nth:inject_nan
-                    else p)
-               with Invalid_argument m -> Error m)
-            with
-            | Error m -> `Error (false, m)
-            | Ok prog ->
-            let config =
-              { Fpvm.Engine.default_config with
-                Fpvm.Engine.incremental_gc = not full_gc }
-            in
-            let facts = Fpvm.Vsa.analyze prog in
-            let fpa = facts.Fpvm.Vsa.fpa in
-            let risk_of = Hashtbl.create 64 in
-            Array.iter
-              (fun (v : Analysis.Fpa.verdict) ->
-                Hashtbl.replace risk_of v.Analysis.Fpa.v_index
-                  (v.Analysis.Fpa.v_risks, v.Analysis.Fpa.v_srcs))
-              fpa.Analysis.Fpa.verdicts;
-            let itext i =
-              if i >= 0 && i < Array.length prog.Machine.Program.insns then
-                insn_text prog i
-              else "?"
-            in
-            let meta =
-              { Replay.Log.workload = e.W.name;
-                scale;
-                arith =
-                  (match arith with
-                  | "mpfr" | "slash" -> Printf.sprintf "%s:%d" arith prec
-                  | "posit" -> Printf.sprintf "posit:%d" posit_bits
-                  | a -> a);
-                config =
-                  (config_fingerprint config "r815"
-                  ^
-                  if inject_nan >= 0 then
-                    Printf.sprintf ";injnan=%d" inject_nan
-                  else "") }
-            in
-            guard (fun () ->
-                let tel = Telemetry.create ~flows:true ?flow_capacity () in
-                let rec_ =
-                  d.d_record ~facts
-                    ~instrument:(fun sink -> Telemetry.attach tel sink)
-                    ~checkpoint_every:0 ~meta ~config prog
-                in
-                let r = rec_.Replay.Session.result in
-                Telemetry.finalize tel r.Fpvm.Engine.stats;
-                let fr =
-                  match tel.Telemetry.flows with
-                  | Some fr -> fr
-                  | None -> assert false
-                in
-                (* Ground truth: the same binary on the rigorous interval
-                   port (its own deterministic run; an unbounded enclosure
-                   demotes to Inf/NaN, so it surfaces as a birth). *)
-                let truth =
-                  if ground_truth = "" then None
-                  else
-                    match
-                      Fleet.Port.of_flags ~arith:"interval" ~prec
-                        ~posit:posit_bits
-                    with
-                    | Error m -> failwith m
-                    | Ok iport ->
-                        let tel2 = Telemetry.create ~flows:true () in
-                        let d2 = Fleet.port_driver iport in
-                        let r2 =
-                          d2.d_run ~facts
-                            ~instrument:(fun sink ->
-                              Telemetry.attach tel2 sink)
-                            ~config prog
-                        in
-                        ignore r2;
-                        let fr2 =
-                          match tel2.Telemetry.flows with
-                          | Some f -> f
-                          | None -> assert false
-                        in
-                        let sites = FR.birth_sites fr2 in
-                        FR.label_truth fr (fun site ->
-                            Hashtbl.mem sites site);
-                        Some (FR.truth_counts fr)
-                in
-                let opn, comp, drop = FR.gauges fr in
-                Printf.printf
-                  "coach: %s under %s — %d flow(s): %d completed, %d open, \
-                   %d dropped\n"
-                  e.W.name meta.Replay.Log.arith (FR.n_flows fr) comp opn drop;
-                (match truth with
-                | Some (real, spur) ->
-                    Printf.printf
-                      "ground truth (interval port): %d real / %d spurious\n"
-                      real spur
-                | None -> ());
-                let surv = FR.all_flows fr in
-                if surv = [] then
-                  print_string "no NaN/Inf flows observed; nothing to coach\n";
-                let flags =
-                  coach_flags ~wname:e.W.name ~arith ~prec ~posit_bits ~scale
-                    ~full_gc ~inject_nan
-                in
-                List.iter
-                  (fun (f : FR.flow) ->
-                    let bb = Buffer.create 256 in
-                    FR.pp_flow_line bb f;
-                    print_string (Buffer.contents bb);
-                    Printf.printf "  birth [%4d] %s\n" f.FR.fl_birth_site
-                      (itext f.FR.fl_birth_site);
-                    (match Hashtbl.find_opt risk_of f.FR.fl_birth_site with
-                    | Some (risks, srcs) ->
-                        if risks <> [] then
-                          Printf.printf "    risks: %s\n"
-                            (String.concat ", " risks);
-                        if srcs <> [] then
-                          Printf.printf "    from:  %s\n"
-                            (String.concat "; "
-                               (List.map
-                                  (fun q ->
-                                    Printf.sprintf "[%d] %s" q (itext q))
-                                  srcs))
-                    | None -> ());
-                    if f.FR.fl_kill_site >= 0 then
-                      Printf.printf "  kill  [%4d] %s (%s)\n"
-                        f.FR.fl_kill_site (itext f.FR.fl_kill_site)
-                        (FR.kill_kind_name f.FR.fl_kill_kind)
-                    else print_string "  kill  still open at exit\n";
-                    if f.FR.fl_dropped then
-                      print_string
-                        "  chain: per-link detail overwritten in the ring \
-                         (metadata above is exact; raise --flow-capacity \
-                         for the full chain)\n";
-                    (match f.FR.fl_real with
-                    | 1 ->
-                        print_string
-                          "  label: REAL — the interval port also excepts \
-                           at this birth site\n"
-                    | 0 ->
-                        print_string
-                          "  label: SPURIOUS — the interval enclosure stays \
-                           bounded here (precision artifact of the port \
-                           under test)\n"
-                    | _ -> ());
-                    Printf.printf
-                      "  bisect: fpvm_run %s --record base.log && fpvm_run \
-                       %s --record inj.log --inject-divergence %d && \
-                       fpvm_run bisect base.log inj.log\n"
-                      flags flags f.FR.fl_birth_event)
-                  surv;
-                `Ok 0)))
+    match
+      ( Fleet.Port.of_flags ~arith ~prec ~posit:posit_bits,
+        load_program workload scale inject_nan )
+    with
+    | Error m, _ | _, Error m -> `Error (false, m)
+    | Ok port, Ok (e, prog) ->
+      let d = Fleet.port_driver port in
+      let config =
+        { Fpvm.Engine.default_config with
+          Fpvm.Engine.incremental_gc = not full_gc }
+      in
+      let facts = Fpvm.Vsa.analyze prog in
+      let fpa = facts.Fpvm.Vsa.fpa in
+      let risk_of = Hashtbl.create 64 in
+      Array.iter
+        (fun (v : Analysis.Fpa.verdict) ->
+          Hashtbl.replace risk_of v.Analysis.Fpa.v_index
+            (v.Analysis.Fpa.v_risks, v.Analysis.Fpa.v_srcs))
+        fpa.Analysis.Fpa.verdicts;
+      let itext i =
+        if i >= 0 && i < Array.length prog.Machine.Program.insns then
+          insn_text prog i
+        else "?"
+      in
+      let meta =
+        { Replay.Log.workload = e.W.name;
+          scale;
+          arith = Fleet.Port.to_string port;
+          config =
+            (config_fingerprint config "r815"
+            ^
+            if inject_nan >= 0 then
+              Printf.sprintf ";injnan=%d" inject_nan
+            else "") }
+      in
+      guard (fun () ->
+          let tel = Telemetry.create ~flows:true ?flow_capacity () in
+          let rec_ =
+            d.d_record ~facts
+              ~instrument:(fun sink -> Telemetry.attach tel sink)
+              ~checkpoint_every:0 ~meta ~config prog
+          in
+          let r = rec_.Replay.Session.result in
+          Telemetry.finalize tel r.Fpvm.Engine.stats;
+          let fr =
+            match tel.Telemetry.flows with
+            | Some fr -> fr
+            | None -> assert false
+          in
+          (* Ground truth: the same binary on the rigorous interval
+             port (its own deterministic run; an unbounded enclosure
+             demotes to Inf/NaN, so it surfaces as a birth). *)
+          let truth =
+            if ground_truth = "" then None
+            else
+              match
+                Fleet.Port.of_flags ~arith:"interval" ~prec
+                  ~posit:posit_bits
+              with
+              | Error m -> failwith m
+              | Ok iport ->
+                  let tel2 = Telemetry.create ~flows:true () in
+                  let d2 = Fleet.port_driver iport in
+                  let r2 =
+                    d2.d_run ~facts
+                      ~instrument:(fun sink ->
+                        Telemetry.attach tel2 sink)
+                      ~config prog
+                  in
+                  ignore r2;
+                  let fr2 =
+                    match tel2.Telemetry.flows with
+                    | Some f -> f
+                    | None -> assert false
+                  in
+                  let sites = FR.birth_sites fr2 in
+                  FR.label_truth fr (fun site ->
+                      Hashtbl.mem sites site);
+                  Some (FR.truth_counts fr)
+          in
+          let opn, comp, drop = FR.gauges fr in
+          Printf.printf
+            "coach: %s under %s — %d flow(s): %d completed, %d open, \
+             %d dropped\n"
+            e.W.name meta.Replay.Log.arith (FR.n_flows fr) comp opn drop;
+          (match truth with
+          | Some (real, spur) ->
+              Printf.printf
+                "ground truth (interval port): %d real / %d spurious\n"
+                real spur
+          | None -> ());
+          let surv = FR.all_flows fr in
+          if surv = [] then
+            print_string "no NaN/Inf flows observed; nothing to coach\n";
+          let flags =
+            coach_flags ~wname:e.W.name ~arith ~prec ~posit_bits ~scale
+              ~full_gc ~inject_nan
+          in
+          List.iter
+            (fun (f : FR.flow) ->
+              let bb = Buffer.create 256 in
+              FR.pp_flow_line bb f;
+              print_string (Buffer.contents bb);
+              Printf.printf "  birth [%4d] %s\n" f.FR.fl_birth_site
+                (itext f.FR.fl_birth_site);
+              (match Hashtbl.find_opt risk_of f.FR.fl_birth_site with
+              | Some (risks, srcs) ->
+                  if risks <> [] then
+                    Printf.printf "    risks: %s\n"
+                      (String.concat ", " risks);
+                  if srcs <> [] then
+                    Printf.printf "    from:  %s\n"
+                      (String.concat "; "
+                         (List.map
+                            (fun q ->
+                              Printf.sprintf "[%d] %s" q (itext q))
+                            srcs))
+              | None -> ());
+              if f.FR.fl_kill_site >= 0 then
+                Printf.printf "  kill  [%4d] %s (%s)\n"
+                  f.FR.fl_kill_site (itext f.FR.fl_kill_site)
+                  (FR.kill_kind_name f.FR.fl_kill_kind)
+              else print_string "  kill  still open at exit\n";
+              if f.FR.fl_dropped then
+                print_string
+                  "  chain: per-link detail overwritten in the ring \
+                   (metadata above is exact; raise --flow-capacity \
+                   for the full chain)\n";
+              (match f.FR.fl_real with
+              | 1 ->
+                  print_string
+                    "  label: REAL — the interval port also excepts \
+                     at this birth site\n"
+              | 0 ->
+                  print_string
+                    "  label: SPURIOUS — the interval enclosure stays \
+                     bounded here (precision artifact of the port \
+                     under test)\n"
+              | _ -> ());
+              Printf.printf
+                "  bisect: fpvm_run %s --record base.log && fpvm_run \
+                 %s --record inj.log --inject-divergence %d && \
+                 fpvm_run bisect base.log inj.log\n"
+                flags flags f.FR.fl_birth_event)
+            surv;
+          `Ok 0)
 
 open Cmdliner
 
@@ -1111,9 +1005,9 @@ let cache_dir =
        & info [ "cache-dir" ]
            ~doc:"Directory for the persistent compilation-artifact cache \
                  (default: \\$XDG_CACHE_HOME/fpvm or ~/.cache/fpvm). A warm \
-                 run reuses the cold run's analysis facts and superblock \
-                 recordings; outputs and fingerprints are bit-identical \
-                 either way." ~docv:"DIR")
+                 run reuses the cold run's decoded sites, plan sites and \
+                 superblock recordings; outputs and fingerprints are \
+                 bit-identical either way." ~docv:"DIR")
 
 let no_cache =
   Arg.(value & flag
@@ -1252,8 +1146,9 @@ let analyze_cmd =
   let check =
     Arg.(value & opt string ""
          & info [ "check" ]
-             ~doc:"Compare sink/proven-safe counts against the golden file \
-                   $(docv); exit 6 on any precision regression." ~docv:"FILE")
+             ~doc:"Compare sink, proven-safe load and proven FP-site \
+                   counts against the golden file $(docv); exit 6 on any \
+                   precision regression." ~docv:"FILE")
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -1270,17 +1165,11 @@ let lint_cmd =
     Arg.(value & flag
          & info [ "json" ] ~doc:"Emit the lint report as JSON to stdout.")
   in
-  let check =
-    Arg.(value & opt string ""
-         & info [ "check" ]
-             ~doc:"Compare proven-site counts against the golden file \
-                   $(docv); exit 8 on any ratchet regression." ~docv:"FILE")
-  in
   Cmd.v
     (Cmd.info "lint"
        ~doc:"statically lint workloads for potential NaN/Inf/subnormal \
              births (per-site warnings with provenance, no execution)")
-    Term.(ret (const lint $ only $ json $ check))
+    Term.(ret (const lint $ only $ json))
 
 let coach_cmd =
   let ground_truth =

@@ -5,9 +5,8 @@
 
    The instruction array is expected to be free of instrumentation
    wrappers (see [Program.stripped_insns]); direct branch targets are
-   instruction indices, as produced by the assembler.  Returns are
-   modeled like the legacy pass: a [Ret] may flow to the fall-through of
-   any [Call] site (call-strings of length 0). *)
+   instruction indices, as produced by the assembler.  A [Ret] may flow
+   to the fall-through of any [Call] site (call-strings of length 0). *)
 
 type block = {
   id : int;

@@ -141,9 +141,6 @@ type st = {
 
 let top_rv = { si = Si.top; copy_of = None }
 
-let copy_st st =
-  { st with regs = Array.copy st.regs; xmm_clean = Array.copy st.xmm_clean }
-
 let rv_equal a b = Si.equal a.si b.si && a.copy_of = b.copy_of
 
 let cell_equal a b = Si.equal a.cv b.cv && a.cell_copy_of = b.cell_copy_of

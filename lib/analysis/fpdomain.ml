@@ -65,7 +65,6 @@ let is_bot v = v = { bot with srcs = v.srcs } && IntSet.is_empty v.srcs
 let has_normal v = v.pos || v.neg
 let finite v = v.zero || v.sub || has_normal v
 let may_inf v = v.pinf || v.ninf
-let may_special v = v.nan || may_inf v
 
 (* ---- normalization ------------------------------------------------------ *)
 
@@ -213,11 +212,6 @@ let finish b srcs =
     List.rev b.b_risks )
 
 let srcs2 a c = IntSet.union a.srcs c.srcs
-
-(* may the value be a nonzero finite of positive / negative sign?
-   (subnormal sign is untracked: counts for both) *)
-let can_pos_fin v = v.pos || v.sub
-let can_neg_fin v = v.neg || v.sub
 
 let fadd a c =
   let b = builder () in

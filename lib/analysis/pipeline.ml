@@ -27,7 +27,7 @@
    and Movq_xr sinks demote their source first.  The oracle validates
    exactly this inductive invariant at runtime.
 
-   Known gap (documented, matches the legacy pass): integer arithmetic
+   Known gap (documented): integer arithmetic
    performed *in place* on a tainted memory cell (Int_arith/Inc/Dec/Neg
    with a memory destination) keeps the taint — the result of arithmetic
    on a boxed pattern may still look boxed — but is not itself treated

@@ -3,16 +3,17 @@
     Level 1 — fleet-wide sharing: a mutex-guarded in-memory store that
     holds, per session key, the port-agnostic compilation artifacts a
     guest produces while warming up: decoded-site tables, binding-plan
-    recipe sites, JIT superblock recordings (the [(index, absorbed)]
-    paths checkpoint v3 already persists and re-lowers), and the VSA
-    analysis facts. N identical guests record each block once: the
-    first claim publishes (and the guest pays the compile charge as
-    usual), every later claim of the same [(head, digest, path)] is
-    answered [`Shared] and the engine moves the compile charge into the
-    fingerprint-excluded [Stats.cyc_compile_shared] bucket instead of
-    [cyc_jit]. Artifacts never shortcut the profiling ramp — warm and
-    cold runs execute and fingerprint identically; only the accounting
-    of the compile charge moves.
+    recipe sites and JIT superblock recordings (the [(index, absorbed)]
+    paths checkpoint v3 already persists and re-lowers). Analysis facts
+    are not artifacts: callers pass them to [Engine.prepare]. N
+    identical guests record each block once: the first claim publishes
+    (and the guest pays the compile charge as usual), every later claim
+    of the same [(head, digest, path)] is answered [`Shared] and the
+    engine moves the compile charge into the fingerprint-excluded
+    [Stats.cyc_compile_shared] bucket instead of [cyc_jit]. Artifacts
+    never shortcut the profiling ramp — warm and cold runs execute and
+    fingerprint identically; only the accounting of the compile charge
+    moves.
 
     Level 2 — persistent warm start: {!save}/{!load} serialize a key's
     artifacts through the {!Wire} codec into a versioned, checksummed
@@ -40,7 +41,6 @@ type entry = {
   en_jit : (int, recipe list ref) Hashtbl.t;  (* head -> recipes *)
   en_plans : (int, unit) Hashtbl.t;  (* sites with a published plan *)
   en_decode : (int, unit) Hashtbl.t;  (* decoded sites *)
-  mutable en_facts : Vsa.analysis option;
 }
 
 type t = {
@@ -84,7 +84,6 @@ let entry_for t key =
           en_jit = Hashtbl.create 7;
           en_plans = Hashtbl.create 7;
           en_decode = Hashtbl.create 7;
-          en_facts = None;
         }
       in
       Hashtbl.replace t.entries key e;
@@ -189,17 +188,6 @@ let publish_decode t ~key ~sites =
       let e = entry_for t key in
       List.iter (fun s -> Hashtbl.replace e.en_decode s ()) sites)
 
-let publish_facts t ~key (a : Vsa.analysis) =
-  with_lock t (fun () ->
-      let e = entry_for t key in
-      if e.en_facts = None then e.en_facts <- Some a)
-
-let find_facts t ~key =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.entries key with
-      | Some e -> e.en_facts
-      | None -> None)
-
 (** Trap-and-patch invalidation: drop every recording whose block
     touches [site], plus the site's plan/decode entries. The digest
     keying already makes stale claims impossible (the rewritten
@@ -265,16 +253,6 @@ let block_count t ~key =
       | None -> 0
       | Some e -> Hashtbl.fold (fun _ r n -> n + List.length !r) e.en_jit 0)
 
-let jit_heads t ~key =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.entries key with
-      | None -> []
-      | Some e ->
-          List.sort compare
-            (Hashtbl.fold
-               (fun h r acc -> if !r = [] then acc else h :: acc)
-               e.en_jit []))
-
 let plan_sites t ~key =
   with_lock t (fun () ->
       match Hashtbl.find_opt t.entries key with
@@ -298,7 +276,7 @@ let keys t =
 (* Persistent cache files (level 2)                                    *)
 
 let magic = "FPVMART1"
-let format_version = 1
+let format_version = 2
 
 let default_dir () =
   match Sys.getenv_opt "XDG_CACHE_HOME" with
@@ -325,7 +303,6 @@ let rec mkdir_p dir =
                       { varint:index bool:absorbed }* }*
      varint:nplans { varint:site }*
      varint:ndecode { varint:site }*
-     bool:has_facts [ str:marshalled-facts ]
      i64:fnv64-of-everything-above *)
 
 let serialize t ~key =
@@ -362,11 +339,6 @@ let serialize t ~key =
       List.iter (Wire.varint b) plan_sites;
       Wire.varint b (List.length decode_sites);
       List.iter (Wire.varint b) decode_sites;
-      (match e.en_facts with
-      | Some facts ->
-          Wire.bool_ b true;
-          Wire.str b (Marshal.to_string facts [])
-      | None -> Wire.bool_ b false);
       let sum = Wire.fnv64 Wire.fnv_basis (Buffer.contents b) in
       Wire.i64 b sum;
       Buffer.contents b)
@@ -392,7 +364,7 @@ let read_file file =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let merge_payload t ~key ~blocks ~plan_sites ~decode_sites ~facts =
+let merge_payload t ~key ~blocks ~plan_sites ~decode_sites =
   with_lock t (fun () ->
       let e = entry_for t key in
       let n = ref 0 in
@@ -419,9 +391,6 @@ let merge_payload t ~key ~blocks ~plan_sites ~decode_sites ~facts =
         blocks;
       List.iter (fun s -> Hashtbl.replace e.en_plans s ()) plan_sites;
       List.iter (fun s -> Hashtbl.replace e.en_decode s ()) decode_sites;
-      (match facts with
-      | Some f when e.en_facts = None -> e.en_facts <- Some f
-      | _ -> ());
       t.preloaded <- t.preloaded + !n;
       !n)
 
@@ -466,17 +435,7 @@ let load t ~dir ~key =
           in
           let plan_sites = read_sites () in
           let decode_sites = read_sites () in
-          let facts =
-            if Wire.r_bool body pos then
-              (* the blob is protected by the whole-file checksum and
-                 the version/key match above, so unmarshalling only
-                 ever sees bytes this exact build wrote *)
-              Some (Marshal.from_string (Wire.r_str body pos) 0 : Vsa.analysis)
-            else None
-          in
-          ignore
-            (merge_payload t ~key ~blocks:!blocks ~plan_sites ~decode_sites
-               ~facts);
+          ignore (merge_payload t ~key ~blocks:!blocks ~plan_sites ~decode_sites);
           true
         end
       end

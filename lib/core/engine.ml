@@ -1734,33 +1734,15 @@ module Make (A : Arith.S) = struct
         t.stats.Stats.fpa_sites_proven <- a.Vsa.fpa.Analysis.Fpa.proven
       end
     in
-    (* The static analysis is a pure function of the instruction array
-       and its results are index-based, so an [?facts] value computed
-       once on the pristine binary (the fleet's shared read-only fact
-       store) applies to this session's private copy verbatim. *)
-    let analyze () =
-      match facts with
-      | Some a -> a
-      | None -> (
-          (* the artifact store doubles as the facts store: a warm
-             session reuses the pristine binary's analysis (pure and
-             index-based, so bit-identical to recomputing) *)
-          match t.artifacts with
-          | Some (store, key) -> (
-              match Artifact.find_facts store ~key with
-              | Some a ->
-                  t.stats.Stats.cache_hits <- t.stats.Stats.cache_hits + 1;
-                  a
-              | None ->
-                  let a = Vsa.analyze prog in
-                  Artifact.publish_facts store ~key a;
-                  t.stats.Stats.cache_misses <- t.stats.Stats.cache_misses + 1;
-                  a)
-          | None -> Vsa.analyze prog)
-    in
-    (* Static analysis + patching (the hybrid's correctness traps). *)
+    (* Static analysis + patching (the hybrid's correctness traps). The
+       analysis is a pure function of the instruction array and its
+       results are index-based, so an [?facts] value computed once on
+       the pristine binary (the fleet's shared read-only fact store)
+       applies to this session's private copy verbatim. *)
     if uses_facts config then begin
-      let analysis = analyze () in
+      let analysis =
+        match facts with Some a -> a | None -> Vsa.analyze prog
+      in
       (* Static transform patches every FP instruction and every VSA
          sink with an inline software check; no hardware traps at all. *)
       if config.approach = Static_transform then

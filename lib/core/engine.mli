@@ -240,9 +240,9 @@ module Make (A : Arith.S) : sig
       recordings into the store as it compiles them, claims matching
       recordings published by earlier identical sessions (moving the
       compile charge into the fingerprint-excluded
-      [Stats.cyc_compile_shared] bucket), and reuses stored analysis
-      facts. Execution, output and the architectural fingerprint are
-      bit-identical with or without a store. *)
+      [Stats.cyc_compile_shared] bucket). Execution, output and the
+      architectural fingerprint are bit-identical with or without a
+      store. *)
 
   val refresh_trace_hints : session -> unit
   (** Recompute the trace-extension hints and no-escape facts from the

@@ -24,10 +24,6 @@ let box (index : int) : int64 =
   if index < 0 || index > max_index then invalid_arg "Nanbox.box: index";
   Int64.logor exp_mask (Int64.logor tag_bit (Int64.of_int index))
 
-let is_nan_bits (bits : int64) =
-  Int64.equal (Int64.logand bits exp_mask) exp_mask
-  && not (Int64.equal (Int64.logand bits 0x000FFFFFFFFFFFFFL) 0L)
-
 let is_boxed (bits : int64) =
   Int64.equal (Int64.logand bits exp_mask) exp_mask
   && Int64.equal (Int64.logand bits qnan_bit) 0L

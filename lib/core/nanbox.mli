@@ -27,9 +27,6 @@ val unbox : int64 -> int
 val is_boxed : int64 -> bool
 (** Is this bit pattern one of FPVM's NaN-boxes? *)
 
-val is_nan_bits : int64 -> bool
-(** Is this bit pattern any NaN at all (quiet or signaling)? *)
-
 val is_foreign_snan : int64 -> bool
 (** A signaling NaN that FPVM does not own: the program's "universal
     NaN" (paper, "Limitation: universal NaNs"). *)

@@ -2,28 +2,16 @@
 
    The actual work lives in lib/analysis: the precision-tiered pipeline
    (real CFG + strided-interval domain + flow-sensitive taint with
-   strong updates, Analysis.Pipeline) produces the sinks, and
-   Analysis.Legacy keeps the original flow-insensitive pass around as
-   the precision baseline.  This module adapts the pipeline's result to
-   the record shape the engine, tests and bench have always consumed,
-   and owns the e9patch-style patch application. *)
+   strong updates, Analysis.Pipeline) produces the sinks.  This module
+   adapts the pipeline's result to the record shape the engine, tests
+   and bench consume, and owns the e9patch-style patch application. *)
 
 module Isa = Machine.Isa
 module Program = Machine.Program
 
-type aloc = Analysis.Legacy.aloc =
-  | Global of int
-  | GlobalFrom of int
-  | Stack of int
-  | Heap of int
-  | Anywhere
-
-module AlocSet = Analysis.Legacy.AlocSet
-
 type analysis = {
   sinks : int list; (* instruction indices needing correctness traps *)
   sources : int list;
-  tainted : AlocSet.t;
   total_int_loads : int;
   proven_safe_loads : int;
   iterations : int;
@@ -39,16 +27,8 @@ let tier_version = 4
 
 let analyze (prog : Program.t) : analysis =
   let p = Analysis.Pipeline.analyze prog in
-  let tainted =
-    List.fold_left
-      (fun acc (lo, hi, _) ->
-        if hi - lo = 8 && lo land 7 = 0 then AlocSet.add (Global lo) acc
-        else AlocSet.add (GlobalFrom lo) acc)
-      AlocSet.empty p.Analysis.Pipeline.tainted
-  in
   { sinks = List.map (fun s -> s.Analysis.Pipeline.sink_index) p.Analysis.Pipeline.sinks;
     sources = p.Analysis.Pipeline.sources;
-    tainted;
     total_int_loads = p.Analysis.Pipeline.total_int_loads;
     proven_safe_loads = p.Analysis.Pipeline.proven_safe_loads;
     iterations = p.Analysis.Pipeline.iterations;

@@ -9,26 +9,11 @@
     idioms), gpr<-xmm bit moves, and xmm bitwise logic.
     {!apply_patches} rewrites each sink with an explicit correctness
     trap (the e9patch stand-in); the engine's trap handler then demotes
-    any NaN-boxed operand and single-steps the original instruction.
-
-    The original flow-insensitive pass survives as [Analysis.Legacy] and
-    is reported against as the precision baseline. *)
-
-type aloc = Analysis.Legacy.aloc =
-  | Global of int  (** static byte address in the data segment *)
-  | GlobalFrom of int
-      (** summary for an indexed access with unknown bound: every global
-          at or above the base *)
-  | Stack of int  (** rsp-relative slot *)
-  | Heap of int  (** allocation site (instruction index of the Alloc) *)
-  | Anywhere  (** unknown: aliases everything *)
-
-module AlocSet : Set.S with type elt = aloc
+    any NaN-boxed operand and single-steps the original instruction. *)
 
 type analysis = {
   sinks : int list;  (** instruction indices needing correctness traps *)
   sources : int list;  (** instructions that taint memory with FP data *)
-  tainted : AlocSet.t;  (** the FP-tainted abstract locations *)
   total_int_loads : int;
   proven_safe_loads : int;  (** loads the analysis discharged *)
   iterations : int;  (** block transfers until the abstract fixpoint *)

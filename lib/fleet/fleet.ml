@@ -61,7 +61,8 @@ module Port = struct
     | Interval -> "interval"
     | Slash b -> Printf.sprintf "slash:%d" b
 
-  (* Mirrors fpvm_run's flag validation: prec >= 2, posit in {8,16,32}. *)
+  (* The one validator of the arithmetic flags, for fpvm_run and fleet
+     manifests alike: a size is checked only by the port that uses it. *)
   let of_flags ~arith ~prec ~posit : (t, string) result =
     match String.lowercase_ascii arith with
     | "native" | "vanilla" -> Ok Vanilla
@@ -370,8 +371,14 @@ module Manifest = struct
       | "arith" ->
           p.p_arith <- v;
           Ok ()
-      | "prec" -> bounded "prec" 2 v (fun n -> p.p_prec <- n)
-      | "posit" -> bounded "posit" 8 v (fun n -> p.p_posit <- n)
+      | "prec" ->
+          let* n = parse_int ~line "prec" v in
+          p.p_prec <- n;
+          Ok ()
+      | "posit" ->
+          let* n = parse_int ~line "posit" v in
+          p.p_posit <- n;
+          Ok ()
       | "scale" -> (
           match String.lowercase_ascii v with
           | "test" ->
@@ -658,10 +665,10 @@ let serve ?(domains = 1) ?(batch = 8) ?(switch_cost = default_switch_cost)
     | None -> Array.make n 1
   in
   let facts = Facts.create () in
-  (* The shared artifact store: caller-provided (fpvm_serve's
-     persistent warm start preloads it) or fresh per fleet. Guests
-     publish and claim under the store's mutex; the spawn edge orders
-     any preloaded entries. *)
+  (* The shared artifact store: the caller's (which may hold entries
+     loaded from a cache file) or fresh per fleet. Guests publish and
+     claim under the store's mutex; the spawn edge orders any preloaded
+     entries. *)
   let artifacts =
     match artifacts with Some a -> a | None -> Fpvm.Artifact.create ()
   in

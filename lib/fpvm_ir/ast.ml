@@ -63,7 +63,6 @@ let ( *: ) a b = Fbin (FMul, a, b)
 let ( /: ) a b = Fbin (FDiv, a, b)
 let sqrt_ e = Fcall ("sqrt", [ e ])
 let sin_ e = Fcall ("sin", [ e ])
-let cos_ e = Fcall ("cos", [ e ])
 let i c = Iconst c
 let iv n = Ivar n
 

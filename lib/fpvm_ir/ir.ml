@@ -54,12 +54,3 @@ type func = {
   decls : Ast.decl list;
 }
 
-(* Is this IR instruction one of the FP kinds an FPVM compiler pass must
-   instrument? (The paper counts 13 such LLVM instructions; these are
-   ours.) *)
-let is_fp_inst = function
-  | FBin _ | FSqrt _ | FOfInt _ | IOfFloat _ | FCall _ -> true
-  | FConst _ | FMove _ | FNegI _ | FAbsI _ | FLoadVar _ | FStoreVar _
-  | FLoadArr _ | FStoreArr _ | IConst _ | IMove _ | IBin _ | ILoadVar _
-  | IStoreVar _ | ILoadArr _ | IStoreArr _ | IBitsOfF _ | Lbl _ | Jmp _
-  | CondBr _ | PrintF _ | PrintI _ | PrintS _ | SerializeF _ -> false

@@ -12,7 +12,6 @@ type t = { mutable bits : int }
 let default_bits = 0x1F80 (* all exceptions masked, RNE *)
 
 let create () = { bits = default_bits }
-let of_bits bits = { bits }
 let to_bits t = t.bits
 
 let flags t : Flags.t = t.bits land 0x3F

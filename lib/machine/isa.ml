@@ -25,9 +25,6 @@ let gpr_name = function
   | R8 -> "r8" | R9 -> "r9" | R10 -> "r10" | R11 -> "r11"
   | R12 -> "r12" | R13 -> "r13" | R14 -> "r14" | R15 -> "r15"
 
-let all_gprs =
-  [ RAX; RBX; RCX; RDX; RSI; RDI; RBP; RSP; R8; R9; R10; R11; R12; R13; R14; R15 ]
-
 (* x64 memory operand: base + index*scale + displacement. *)
 type mem_addr = {
   base : gpr option;

@@ -134,7 +134,6 @@ let mark_write t a n =
   end
 
 let dirty_cards t = t.dirty_cards
-let dirty_card_count t = t.dirty_count
 
 let clear_dirty t =
   List.iter (fun c -> Bytes.unsafe_set t.dirty_map c '\000') t.dirty_cards;

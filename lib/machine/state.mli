@@ -117,8 +117,6 @@ val card_size : int
 val dirty_cards : t -> int list
 (** Cards dirtied since the last {!clear_dirty}, deduplicated. *)
 
-val dirty_card_count : t -> int
-
 val clear_dirty : t -> unit
 (** Reset the dirty set (start of a GC epoch). *)
 

@@ -83,8 +83,6 @@ let contents (w : writer) : string =
   Buffer.add_buffer b w.ebuf;
   Codec.with_fnv_trailer ~from:(String.length magic) b
 
-let to_file (w : writer) path = Codec.write_file path (contents w)
-
 (* ---- reading --------------------------------------------------------- *)
 
 let of_string (s : string) : t =

@@ -277,15 +277,12 @@ module Make (A : Fpvm.Arith.S) = struct
             k.k_facts
         | _ -> remember prog (Fpvm.Vsa.analyze prog))
 
-  (* [E.prepare] with its facts from the remembered entry. With
-     [?artifacts] and no [?facts], the store supplies them and counts its
-     hits and misses. *)
+  (* [E.prepare] with its facts from the remembered entry. *)
   let prepare ?facts:given ?artifacts ~config prog : E.session =
     let facts =
-      match (given, artifacts) with
-      | Some a, _ -> Some (facts ~facts:a prog)
-      | None, Some _ -> None
-      | None, None ->
+      match given with
+      | Some a -> Some (facts ~facts:a prog)
+      | None ->
           if Fpvm.Engine.uses_facts config then Some (facts prog) else None
     in
     E.prepare ~config ?facts ?artifacts prog

@@ -125,9 +125,3 @@ let deployment_id = function
   | User_signal -> 0
   | Kernel_module -> 1
   | User_to_user -> 2
-
-let deployment_of_id = function
-  | 0 -> Some User_signal
-  | 1 -> Some Kernel_module
-  | 2 -> Some User_to_user
-  | _ -> None

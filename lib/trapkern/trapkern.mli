@@ -69,4 +69,3 @@ val ev_gc : int
 val ev_ext_call : int
 
 val deployment_id : deployment -> int
-val deployment_of_id : int -> deployment option

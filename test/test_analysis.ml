@@ -1,11 +1,11 @@
 (* Tests for the tiered static analysis (lib/analysis): the
    strided-interval domain, the CFG, flow-sensitive precision of the
    pipeline (strong updates, bounded array stores, branch refinement),
-   the legacy pass's conservatism, the sink-exemption idioms (self-xor
-   zeroing, clean BANDN, dead gpr<-xmm moves), idempotent patching, the
-   engine's soundness oracle / trace-hint invalidation, the taint map and
-   store invalidation against the code they replaced, and a digest that
-   pins every analysis fact bit for bit. *)
+   the sink-exemption idioms (self-xor zeroing, clean BANDN, dead
+   gpr<-xmm moves), idempotent patching, the engine's soundness oracle /
+   trace-hint invalidation, the taint map and store invalidation against
+   the code they replaced, and a digest that pins every analysis fact
+   bit for bit. *)
 
 open Machine
 module Si = Analysis.Si
@@ -118,8 +118,7 @@ let cfg_tests =
 (* FP stores through a bounded induction variable (arr[i], i in 0..3)
    followed by an integer load of an unrelated slot placed just past the
    array.  The strided-interval pass bounds the store range to
-   [arr, arr+32) and proves the load clean; the legacy pass only has a
-   GlobalFrom summary for the dynamic store and must flag it. *)
+   [arr, arr+32) and proves the load clean. *)
 let build_array_prog () =
   let b = Program.create ~name:"array" () in
   let arr = Program.data_f64 b [| 1.0; 2.0; 3.0; 4.0 |] in
@@ -176,12 +175,7 @@ let pipeline_tests =
         Alcotest.(check bool) "load proven safe" false
           (List.mem load_idx (sink_indices p));
         Alcotest.(check bool) "some load proven" true
-          (p.AP.proven_safe_loads >= 1);
-        (* the legacy pass cannot bound the dynamic store: its
-           GlobalFrom summary swallows the slot past the array *)
-        let l = Analysis.Legacy.analyze prog in
-        Alcotest.(check bool) "legacy flags it" true
-          (List.mem load_idx l.Analysis.Legacy.sinks));
+          (p.AP.proven_safe_loads >= 1));
     Alcotest.test_case "integer store strongly updates (kills) taint"
       `Quick (fun () ->
         let b = Program.create ~name:"strong" () in
@@ -694,16 +688,20 @@ let invalidation_tests =
    load counts, iterations, blocks, loop heads and bailout, and each Fpa
    verdict with its risks and provenance plus the tier's counts — is
    digested over the stock workloads at both scales and over generated
-   programs. The golden counts (analysis_golden.txt, lint_golden.txt)
-   would not notice a changed provenance list or iteration count; this
-   does, so a speed-up of the analysis must leave these digests alone. *)
+   programs. The golden counts (analysis_golden.txt) would not notice a
+   changed provenance list or iteration count; this does, so a speed-up
+   of the analysis must leave these digests alone. *)
 
-let aloc_name = function
-  | Fpvm.Vsa.Global a -> Printf.sprintf "G%d" a
-  | Fpvm.Vsa.GlobalFrom a -> Printf.sprintf "GF%d" a
-  | Fpvm.Vsa.Stack a -> Printf.sprintf "S%d" a
-  | Fpvm.Vsa.Heap a -> Printf.sprintf "H%d" a
-  | Fpvm.Vsa.Anywhere -> "*"
+(* The [tainted] line keeps the rendering the digests were pinned with:
+   each exit taint span by its low address, [G] for an aligned 8-byte
+   span and [GF] for any other, deduplicated, every [G] before every
+   [GF], each ascending. *)
+let tainted_names (p : AP.t) =
+  let aligned, other =
+    List.partition (fun (lo, hi, _) -> hi - lo = 8 && lo land 7 = 0) p.AP.tainted
+  in
+  let los spans = List.sort_uniq compare (List.map (fun (lo, _, _) -> lo) spans) in
+  List.map (Printf.sprintf "G%d") (los aligned) @ List.map (Printf.sprintf "GF%d") (los other)
 
 let kind_name = function
   | AP.K_int_load -> "int_load"
@@ -716,8 +714,7 @@ let render_facts buf label (a : Fpvm.Vsa.analysis) =
   pr "# %s\n" label;
   pr "sinks %s\nsources %s\ntainted %s\n" (ints a.Fpvm.Vsa.sinks)
     (ints a.Fpvm.Vsa.sources)
-    (String.concat ","
-       (List.map aloc_name (Fpvm.Vsa.AlocSet.elements a.Fpvm.Vsa.tainted)));
+    (String.concat "," (tainted_names p));
   pr "loads %d proven %d iterations %d\n" a.Fpvm.Vsa.total_int_loads
     a.Fpvm.Vsa.proven_safe_loads a.Fpvm.Vsa.iterations;
   List.iter

@@ -163,6 +163,22 @@ let disk_tests =
         Fpvm.Wire.i64 b (Fpvm.Wire.fnv64 Fpvm.Wire.fnv_basis body);
         write_file file (Buffer.contents b);
         check_rejected ~what:"version" d prog dir key cold);
+    Alcotest.test_case "a version-1 cache file is rejected before its facts are read"
+      `Quick (fun () ->
+        let d, prog, dir, key, cold = cold_save () in
+        (* version 1 ended in a facts flag and a marshalled blob. This
+           blob is an int: a run on it as facts would crash. The trailer
+           is valid, so only the version can reject the file. *)
+        let b = Buffer.create 64 in
+        Buffer.add_string b "FPVMART1";
+        Fpvm.Wire.u8 b 1;
+        Fpvm.Wire.str b key;
+        List.iter (Fpvm.Wire.varint b) [ 0; 0; 0 ];
+        Fpvm.Wire.bool_ b true;
+        Fpvm.Wire.str b (Marshal.to_string 42 []);
+        Fpvm.Wire.i64 b (Fpvm.Wire.fnv64 Fpvm.Wire.fnv_basis (Buffer.contents b));
+        write_file (Art.file_for ~dir ~key) (Buffer.contents b);
+        check_rejected ~what:"version 1" d prog dir key cold);
     Alcotest.test_case "stale key (different config) -> cold fallback" `Quick
       (fun () ->
         let d, prog, dir, key, cold = cold_save () in
