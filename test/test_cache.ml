@@ -447,9 +447,44 @@ let cap_tests =
           r64.Fpvm.Engine.serialized r8.Fpvm.Engine.serialized)
   ]
 
+(* ---- content digests ---------------------------------------------------
+
+   Session keys and cache files name a binary by [Art.content_digest], a
+   hash of every instruction's printed text plus the data image. The ten
+   stock binaries and their instrumented builds are pinned here, so a
+   change to how instructions are rendered for hashing cannot silently
+   re-key every cache. *)
+
+let content_goldens =
+  [ ("fbench", "74930e05173c92da", "dddbd191440bfc9f");
+    ("lorenz", "13728bfbfe4f0180", "70fe2447381d9a33");
+    ("three-body", "25eef7a586c10518", "e53916739b761153");
+    ("miniAero", "22ed347977ad9b72", "95f690c8bc3cb14a");
+    ("NAS IS", "3001b207664e2891", "e7113f723efb5ec7");
+    ("NAS EP", "18c6f36fdbb7ee86", "44732788d2943dbf");
+    ("NAS CG", "894d7758222026ea", "4110197bc3aaaea7");
+    ("NAS MG", "07cd02e12abab9ea", "dceee49085fbf354");
+    ("NAS LU", "760ca2874883275f", "21372a153fa88229");
+    ("Enzo(astro)", "c2553bbc4e22b193", "10e19475a4ceded9") ]
+
+let digest_tests =
+  [ Alcotest.test_case "content_digest of the stock binaries" `Quick (fun () ->
+        Alcotest.(check (list string)) "every stock workload is pinned"
+          (List.map (fun (e : W.entry) -> e.W.name) W.all)
+          (List.map (fun (n, _, _) -> n) content_goldens);
+        List.iter
+          (fun (name, plain, instr) ->
+            let e = Option.get (W.find name) in
+            let hex p = Printf.sprintf "%016Lx" (Art.content_digest p) in
+            Alcotest.(check string) name plain (hex (e.W.program W.Test));
+            Alcotest.(check string) (name ^ " instrumented") instr
+              (hex (e.W.instrumented W.Test)))
+          content_goldens) ]
+
 let () =
   Alcotest.run "cache"
     [ ("identity", identity_tests);
+      ("digest", digest_tests);
       ("disk", disk_tests);
       ("fleet", fleet_tests);
       ("compose", compose_tests);
