@@ -13,13 +13,10 @@
    code generator emits), so a compare on a freshly loaded temp can
    refine the *root* cell (e.g. the loop counter slot) at a branch. *)
 
-module IntMap = Map.Make (Int)
-module IntSet = Set.Make (Int)
-
 (* ---- taint spans --------------------------------------------------------- *)
 
 (* byte interval [lo, hi), srcs = contributing source instruction idxs *)
-type span = { lo : int; hi : int; srcs : IntSet.t }
+type span = { lo : int; hi : int; srcs : Ptree.Set.t }
 
 (* Invariant of every taint map the analysis builds: sorted by lo,
    pairwise disjoint, all non-empty, and coalesced (no two touching
@@ -28,13 +25,13 @@ type span = { lo : int; hi : int; srcs : IntSet.t }
    it. *)
 type taint = span list
 
-let span_equal a b = a.lo = b.lo && a.hi = b.hi && IntSet.equal a.srcs b.srcs
+let span_equal a b = a.lo = b.lo && a.hi = b.hi && Ptree.Set.equal a.srcs b.srcs
 
 let taint_equal a b =
   a == b || try List.for_all2 span_equal a b with Invalid_argument _ -> false
 
 (* [s] lies inside [t] with no new provenance: adding it changes nothing *)
-let covers t s = t.lo <= s.lo && s.hi <= t.hi && (s.srcs == t.srcs || IntSet.subset s.srcs t.srcs)
+let covers t s = t.lo <= s.lo && s.hi <= t.hi && Ptree.Set.subset s.srcs t.srcs
 
 (* Add [s] to the map [rev_before @ rest], where [rev_before] (reversed)
    holds exactly the spans ending at or before [s.lo].  Every span of
@@ -45,18 +42,18 @@ let covers t s = t.lo <= s.lo && s.hi <= t.hi && (s.srcs == t.srcs || IntSet.sub
 let add_at rev_before rest s =
   let rec absorb m = function
     | t :: after when t.lo < s.hi ->
-        absorb { lo = min m.lo t.lo; hi = max m.hi t.hi; srcs = IntSet.union m.srcs t.srcs } after
+        absorb { lo = min m.lo t.lo; hi = max m.hi t.hi; srcs = Ptree.Set.union m.srcs t.srcs } after
     | after -> (m, after)
   in
   let m, after = absorb s rest in
   let rev_before, m =
     match rev_before with
-    | l :: rev when l.hi = m.lo && IntSet.equal l.srcs m.srcs ->
+    | l :: rev when l.hi = m.lo && Ptree.Set.equal l.srcs m.srcs ->
         (rev, { lo = l.lo; hi = m.hi; srcs = l.srcs })
     | _ -> (rev_before, m)
   in
   match after with
-  | r :: after when m.hi = r.lo && IntSet.equal m.srcs r.srcs ->
+  | r :: after when m.hi = r.lo && Ptree.Set.equal m.srcs r.srcs ->
       (rev_before, { lo = m.lo; hi = r.hi; srcs = m.srcs } :: after)
   | _ -> (rev_before, m :: after)
 
@@ -94,10 +91,10 @@ let taint_kill spans ~lo ~hi =
 (* provenance of any taint overlapping [lo, hi); empty set = untainted *)
 let taint_query spans ~lo ~hi =
   let rec go acc = function
-    | s :: rest when s.lo < hi -> go (if s.hi <= lo then acc else IntSet.union acc s.srcs) rest
+    | s :: rest when s.lo < hi -> go (if s.hi <= lo then acc else Ptree.Set.union acc s.srcs) rest
     | _ -> acc
   in
-  go IntSet.empty spans
+  go Ptree.Set.empty spans
 
 (* The join adds every span of [b] to [a] in order, as one sweep over
    [a]: a span that one span of the accumulator already covers with a
@@ -134,64 +131,73 @@ type cmp_info = { ca : origin; cb : origin }
 type st = {
   regs : rv array; (* 16 *)
   xmm_clean : bool array; (* 16: whole register provably not NaN-boxed *)
-  cells : cell IntMap.t;
+  cells : cell Ptree.Map.t;
   taint : taint;
   cmp : cmp_info option;
 }
 
 let top_rv = { si = Si.top; copy_of = None }
 
-let rv_equal a b = Si.equal a.si b.si && a.copy_of = b.copy_of
+let rv_equal a b = a == b || (Si.equal a.si b.si && a.copy_of = b.copy_of)
 
-let cell_equal a b = Si.equal a.cv b.cv && a.cell_copy_of = b.cell_copy_of
+let cell_equal a b = a == b || (Si.equal a.cv b.cv && a.cell_copy_of = b.cell_copy_of)
 
 let equal a b =
-  (try Array.for_all2 rv_equal a.regs b.regs with Invalid_argument _ -> false)
-  && a.xmm_clean = b.xmm_clean
-  && IntMap.equal cell_equal a.cells b.cells
-  && taint_equal a.taint b.taint
-  && a.cmp = b.cmp
+  a == b
+  || (a.regs == b.regs || Array.for_all2 rv_equal a.regs b.regs)
+     && (a.xmm_clean == b.xmm_clean || a.xmm_clean = b.xmm_clean)
+     && Ptree.Map.equal cell_equal a.cells b.cells
+     && taint_equal a.taint b.taint
+     && (a.cmp == b.cmp || a.cmp = b.cmp)
+
+(* [Array.map2 f a b] for a slot-wise [f] that returns its left operand
+   itself when it has nothing to add: [a] comes back when no slot changed *)
+let map2_keep f a b =
+  let n = Array.length a in
+  let rec scan i =
+    if i = n then a
+    else
+      let x = f a.(i) b.(i) in
+      if x == a.(i) then scan (i + 1)
+      else begin
+        let c = Array.copy a in
+        c.(i) <- x;
+        for j = i + 1 to n - 1 do
+          c.(j) <- f a.(j) b.(j)
+        done;
+        c
+      end
+  in
+  if a == b then a else scan 0
 
 let join_copy a b = if a = b then a else None
 
-let join a b =
-  let regs =
-    Array.init 16 (fun i ->
-        { si = Si.join a.regs.(i).si b.regs.(i).si;
-          copy_of = join_copy a.regs.(i).copy_of b.regs.(i).copy_of })
+(* The join ([g] = [Si.join]) or widening ([g] = [Si.widen]; bounds that
+   grew go to ±∞) of two states.  A cell survives only if both states
+   bind it (absent = top).  Every part [b] adds nothing to is kept from
+   [a] as it is, and [a] itself comes back when nothing changed. *)
+let merge g a b =
+  let rv x y =
+    if x == y then x
+    else
+      let r = { si = g x.si y.si; copy_of = join_copy x.copy_of y.copy_of } in
+      if rv_equal r x then x else r
   in
-  let xmm_clean = Array.init 16 (fun i -> a.xmm_clean.(i) && b.xmm_clean.(i)) in
-  let cells =
-    IntMap.merge
-      (fun _ x y ->
-        match (x, y) with
-        | Some x, Some y ->
-            Some { cv = Si.join x.cv y.cv;
-                   cell_copy_of = join_copy x.cell_copy_of y.cell_copy_of }
-        | _ -> None (* absent = top: join is top *))
-      a.cells b.cells
+  let cell x y =
+    if x == y then x
+    else
+      let c = { cv = g x.cv y.cv; cell_copy_of = join_copy x.cell_copy_of y.cell_copy_of } in
+      if cell_equal c x then x else c
   in
-  { regs; xmm_clean; cells; taint = taint_join a.taint b.taint;
-    cmp = (if a.cmp = b.cmp then a.cmp else None) }
+  let regs = map2_keep rv a.regs b.regs in
+  let xmm_clean = map2_keep ( && ) a.xmm_clean b.xmm_clean in
+  let cells = Ptree.Map.inter cell a.cells b.cells in
+  let taint = taint_join a.taint b.taint in
+  let cmp = if a.cmp = b.cmp then a.cmp else None in
+  if regs == a.regs && xmm_clean == a.xmm_clean && cells == a.cells && taint == a.taint
+     && cmp == a.cmp
+  then a
+  else { regs; xmm_clean; cells; taint; cmp }
 
-(* widening point: bounds that grew go to ±∞ (Si.widen); cells must agree
-   in both states to survive *)
-let widen old nw =
-  let regs =
-    Array.init 16 (fun i ->
-        { si = Si.widen old.regs.(i).si nw.regs.(i).si;
-          copy_of = join_copy old.regs.(i).copy_of nw.regs.(i).copy_of })
-  in
-  let xmm_clean = Array.init 16 (fun i -> old.xmm_clean.(i) && nw.xmm_clean.(i)) in
-  let cells =
-    IntMap.merge
-      (fun _ x y ->
-        match (x, y) with
-        | Some x, Some y ->
-            Some { cv = Si.widen x.cv y.cv;
-                   cell_copy_of = join_copy x.cell_copy_of y.cell_copy_of }
-        | _ -> None)
-      old.cells nw.cells
-  in
-  { regs; xmm_clean; cells; taint = taint_join old.taint nw.taint;
-    cmp = (if old.cmp = nw.cmp then old.cmp else None) }
+let join = merge Si.join
+let widen = merge Si.widen

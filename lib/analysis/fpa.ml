@@ -29,8 +29,6 @@
    the program's raw image, plus cells written through resolvable
    addresses).  Imprecise stores drop every cell they may touch. *)
 
-module IntMap = Domain.IntMap
-module IntSet = Domain.IntSet
 module P = Pipeline
 module D = Fpdomain
 module Isa = Machine.Isa
@@ -57,7 +55,7 @@ type t = {
 
 type fpst = {
   fx : D.v array; (* 32 slots: xmm i lane l at 2i + l *)
-  fmem : D.v IntMap.t; (* 8-aligned cell -> value; absent = top *)
+  fmem : D.v Ptree.Map.t; (* 8-aligned cell -> value; absent = top *)
 }
 
 let fx_get f x lane = f.fx.((x * 2) + lane)
@@ -67,27 +65,19 @@ let fx_set f x lane v =
   fx.((x * 2) + lane) <- v;
   { f with fx }
 
-let cell_get f a = match IntMap.find_opt a f.fmem with Some v -> v | None -> D.top
+let cell_get f a = match Ptree.Map.find_opt a f.fmem with Some v -> v | None -> D.top
 
 let f_equal a b =
-  let ok = ref (a.fmem == b.fmem || IntMap.equal D.equal a.fmem b.fmem) in
-  for i = 0 to 31 do
-    if not (D.equal a.fx.(i) b.fx.(i)) then ok := false
-  done;
-  !ok
+  a == b
+  || Ptree.Map.equal D.equal a.fmem b.fmem
+     && (a.fx == b.fx || Array.for_all2 D.equal a.fx b.fx)
 
 (* [g] is a join or a widening, so [g x x = x]: physically equal values
-   are kept as they are *)
+   are kept as they are, and so is [a] when [b] adds nothing to it *)
 let f_merge g a b =
   let g x y = if x == y then x else g x y in
-  { fx = Array.init 32 (fun i -> g a.fx.(i) b.fx.(i));
-    fmem =
-      (if a.fmem == b.fmem then a.fmem
-       else
-         IntMap.merge
-           (fun _ x y ->
-             match (x, y) with Some x, Some y -> Some (g x y) | _ -> None)
-           a.fmem b.fmem) }
+  let fx = Domain.map2_keep g a.fx b.fx and fmem = Ptree.Map.inter g a.fmem b.fmem in
+  if fx == a.fx && fmem == a.fmem then a else { fx; fmem }
 
 let f_join = f_merge D.join
 let f_widen = f_merge D.widen
@@ -97,12 +87,7 @@ let f_widen = f_merge D.widen
 let drop_range f lo hi =
   if hi <= lo then f
   else begin
-    let fmem =
-      Seq.fold_left
-        (fun m (a, _) -> IntMap.remove a m)
-        f.fmem
-        (Seq.take_while (fun (a, _) -> a < hi) (IntMap.to_seq_from (lo - 7) f.fmem))
-    in
+    let fmem = Ptree.Map.remove_range (lo - 7) hi f.fmem in
     if fmem == f.fmem then f else { f with fmem }
   end
 
@@ -121,10 +106,10 @@ let initial_fmem (prog : Machine.Program.t) =
       let len = min (String.length s) (Bytes.length image - off) in
       if off >= 0 && len > 0 then Bytes.blit_string s 0 image off len)
     prog.Machine.Program.data_init;
-  let m = ref IntMap.empty in
+  let m = ref Ptree.Map.empty in
   let a = ref 0 in
   while !a + 8 <= data_size do
-    m := IntMap.add !a (D.classify_bits (Bytes.get_int64_le image !a)) !m;
+    m := Ptree.Map.add !a (D.classify_bits (Bytes.get_int64_le image !a)) !m;
     a := !a + 8
   done;
   !m
@@ -151,7 +136,7 @@ let store_fp ctx (ist : Domain.st) f (m : Isa.mem_addr) lane v =
   let a = P.resolve ctx.P.mem_size ist m 8 in
   match a.P.aexact with
   | Some c when P.is_cell ctx.P.mem_size (c + (8 * lane)) ->
-      { f with fmem = IntMap.add (c + (8 * lane)) v f.fmem }
+      { f with fmem = Ptree.Map.add (c + (8 * lane)) v f.fmem }
   | _ -> drop_acc f a
 
 let int_store ctx (ist : Domain.st) f (m : Isa.mem_addr) size =
@@ -349,7 +334,7 @@ let ftransfer ctx ?observe (ist : Domain.st) (f : fpst) idx (insn : Isa.insn) :
             when P.is_cell ctx.P.mem_size c && P.is_cell ctx.P.mem_size (c + 8)
             ->
               { f with
-                fmem = IntMap.add (c + 8) v1 (IntMap.add c v0 f.fmem) }
+                fmem = Ptree.Map.add (c + 8) v1 (Ptree.Map.add c v0 f.fmem) }
           | _ -> drop_acc f a
         end
       | _ -> f
@@ -395,7 +380,7 @@ let ftransfer ctx ?observe (ist : Domain.st) (f : fpst) idx (insn : Isa.insn) :
           match Si.bounds nsp with
           | Some (Some l, Some h) ->
               drop_range f (max 0 l) (min ctx.P.mem_size (h + 8))
-          | _ -> { f with fmem = IntMap.empty }
+          | _ -> { f with fmem = Ptree.Map.empty }
         end
     end
   | _ -> f
@@ -404,9 +389,15 @@ let ftransfer ctx ?observe (ist : Domain.st) (f : fpst) idx (insn : Isa.insn) :
 
 type pair = Domain.st * fpst
 
-let pair_equal (a, fa) (b, fb) = Domain.equal a b && f_equal fa fb
-let pair_join (a, fa) (b, fb) = (Domain.join a b, f_join fa fb)
-let pair_widen (a, fa) (b, fb) = (Domain.widen a b, f_widen fa fb)
+let pair_equal ((a, fa) as p) ((b, fb) as q) = p == q || (Domain.equal a b && f_equal fa fb)
+
+(* the left pair itself when neither half changed *)
+let pair_merge join f_merge ((a, fa) as p) (b, fb) =
+  let j = join a b and fj = f_merge fa fb in
+  if j == a && fj == fa then p else (j, fj)
+
+let pair_join = pair_merge Domain.join f_join
+let pair_widen = pair_merge Domain.widen f_widen
 
 let transfer_pair ctx ?observe ((ist, f) : pair) i insn : pair =
   let f' = ftransfer ctx ?observe ist f i insn in
@@ -470,7 +461,7 @@ let analyze (prog : Machine.Program.t) : t =
     let cfg = Cfg.build insns ~entry:prog.Machine.Program.entry in
     let ctx =
       { P.insns; mem_size; heap_base; cfg; reporting = false;
-        srcs_acc = IntSet.empty; sinks_acc = []; loads = 0; proven = 0;
+        srcs_acc = Ptree.Set.empty; sinks_acc = []; loads = 0; proven = 0;
         exempt_movq = 0; exempt_bit = 0 }
     in
     let fix =
@@ -487,10 +478,8 @@ let analyze (prog : Machine.Program.t) : t =
         inputs <> [] && List.for_all (fun (v : D.v) -> not v.D.sub) inputs
       in
       let v_srcs =
-        IntSet.elements
-          (List.fold_left
-             (fun acc (v : D.v) -> D.IntSet.fold IntSet.add v.D.srcs acc)
-             IntSet.empty inputs)
+        Ptree.Set.elements
+          (List.fold_left (fun acc (v : D.v) -> Ptree.Set.union acc v.D.srcs) Ptree.Set.empty inputs)
       in
       Hashtbl.replace seen idx
         { v_index = idx;

@@ -25,8 +25,6 @@
    for every risk.  It rides along joins (union) and transfers (union
    of operand provenance); the per-site writer adds its own index. *)
 
-module IntSet = Set.Make (Int)
-
 type v = {
   nan : bool; (* may be a NaN (any payload, incl. NaN-boxed sNaNs) *)
   pinf : bool; (* may be +infinity *)
@@ -37,7 +35,7 @@ type v = {
   neg : bool; (* may be a negative normal *)
   lo : int; (* min unbiased exponent of any normal it may be *)
   hi : int; (* max unbiased exponent; empty range: lo > hi *)
-  srcs : IntSet.t; (* instruction indices that may have produced it *)
+  srcs : Ptree.Set.t; (* instruction indices that may have produced it *)
 }
 
 let emin = -1022
@@ -54,13 +52,13 @@ let r_empty_hi = emin - 1
 let bot =
   { nan = false; pinf = false; ninf = false; zero = false; sub = false;
     pos = false; neg = false; lo = r_empty_lo; hi = r_empty_hi;
-    srcs = IntSet.empty }
+    srcs = Ptree.Set.empty }
 
 let top =
   { nan = true; pinf = true; ninf = true; zero = true; sub = true;
-    pos = true; neg = true; lo = emin; hi = emax; srcs = IntSet.empty }
+    pos = true; neg = true; lo = emin; hi = emax; srcs = Ptree.Set.empty }
 
-let is_bot v = v = { bot with srcs = v.srcs } && IntSet.is_empty v.srcs
+let is_bot v = v = { bot with srcs = v.srcs } && Ptree.Set.is_empty v.srcs
 
 let has_normal v = v.pos || v.neg
 let finite v = v.zero || v.sub || has_normal v
@@ -94,7 +92,7 @@ let mk ~nan ~pinf ~ninf ~zero ~sub ~pos ~neg ~lo ~hi ~srcs =
   in
   { nan; pinf; ninf; zero; sub; pos; neg; lo; hi; srcs }
 
-let with_src idx v = { v with srcs = IntSet.add idx v.srcs }
+let with_src idx v = { v with srcs = Ptree.Set.add idx v.srcs }
 
 (* ---- order, join, widening ---------------------------------------------- *)
 
@@ -107,18 +105,26 @@ let leq a b =
   imp a.nan b.nan && imp a.pinf b.pinf && imp a.ninf b.ninf
   && imp a.zero b.zero && imp a.sub b.sub && imp a.pos b.pos
   && imp a.neg b.neg && range_leq a b
-  && IntSet.subset a.srcs b.srcs
+  && Ptree.Set.subset a.srcs b.srcs
 
 let equal a b =
-  a.nan = b.nan && a.pinf = b.pinf && a.ninf = b.ninf && a.zero = b.zero
-  && a.sub = b.sub && a.pos = b.pos && a.neg = b.neg && a.lo = b.lo
-  && a.hi = b.hi && IntSet.equal a.srcs b.srcs
+  a == b
+  || a.nan = b.nan && a.pinf = b.pinf && a.ninf = b.ninf && a.zero = b.zero
+     && a.sub = b.sub && a.pos = b.pos && a.neg = b.neg && a.lo = b.lo
+     && a.hi = b.hi && Ptree.Set.equal a.srcs b.srcs
 
+(* [a] itself when the join adds nothing to it (the union returns
+   [a.srcs] itself when [b.srcs] is a subset) *)
 let join a b =
-  mk ~nan:(a.nan || b.nan) ~pinf:(a.pinf || b.pinf) ~ninf:(a.ninf || b.ninf)
-    ~zero:(a.zero || b.zero) ~sub:(a.sub || b.sub) ~pos:(a.pos || b.pos)
-    ~neg:(a.neg || b.neg) ~lo:(min a.lo b.lo) ~hi:(max a.hi b.hi)
-    ~srcs:(IntSet.union a.srcs b.srcs)
+  if a == b then a
+  else
+    let j =
+      mk ~nan:(a.nan || b.nan) ~pinf:(a.pinf || b.pinf) ~ninf:(a.ninf || b.ninf)
+        ~zero:(a.zero || b.zero) ~sub:(a.sub || b.sub) ~pos:(a.pos || b.pos)
+        ~neg:(a.neg || b.neg) ~lo:(min a.lo b.lo) ~hi:(max a.hi b.hi)
+        ~srcs:(Ptree.Set.union a.srcs b.srcs)
+    in
+    if equal j a then a else j
 
 (* magnitude buckets the widening accelerates exponent bounds onto:
    a growing bound jumps to the next ladder rung, so any widening
@@ -144,7 +150,8 @@ let widen a b =
   let j = join a b in
   let lo = if j.lo < a.lo then bucket_down j.lo else j.lo in
   let hi = if j.hi > a.hi then bucket_up j.hi else j.hi in
-  if j.lo > j.hi then j
+  (* [j] is an [mk] result (or equal to one), which [mk] maps to itself *)
+  if j.lo > j.hi || (lo = j.lo && hi = j.hi) then j
   else
     mk ~nan:j.nan ~pinf:j.pinf ~ninf:j.ninf ~zero:j.zero ~sub:j.sub
       ~pos:j.pos ~neg:j.neg ~lo ~hi ~srcs:j.srcs
@@ -211,7 +218,7 @@ let finish b srcs =
       ~pos:b.b_pos ~neg:b.b_neg ~lo:b.b_lo ~hi:b.b_hi ~srcs,
     List.rev b.b_risks )
 
-let srcs2 a c = IntSet.union a.srcs c.srcs
+let srcs2 a c = Ptree.Set.union a.srcs c.srcs
 
 let fadd a c =
   let b = builder () in

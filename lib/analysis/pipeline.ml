@@ -33,9 +33,6 @@
    on a boxed pattern may still look boxed — but is not itself treated
    as a sink class. *)
 
-module IntMap = Domain.IntMap
-module IntSet = Domain.IntSet
-
 type sink_kind = K_int_load | K_movq | K_fp_bit
 
 type sink = { sink_index : int; kind : sink_kind; srcs : int list }
@@ -98,10 +95,10 @@ let invalidate_range (st : Domain.st) lo hi : Domain.st =
     let meets = function Some c -> overlaps_cell c lo hi | None -> false in
     let reg_hit = Array.exists (fun (r : Domain.rv) -> meets r.Domain.copy_of) st.Domain.regs in
     let cell_hit =
-      (match IntMap.find_first_opt (fun a -> a + 8 > lo) st.Domain.cells with
+      (match Ptree.Map.min_geq (lo - 7) st.Domain.cells with
       | Some (a, _) -> a < hi
       | None -> false)
-      || IntMap.exists (fun _ (c : Domain.cell) -> meets c.Domain.cell_copy_of) st.Domain.cells
+      || Ptree.Map.exists (fun _ (c : Domain.cell) -> meets c.Domain.cell_copy_of) st.Domain.cells
     in
     let regs =
       if not reg_hit then st.Domain.regs
@@ -113,7 +110,7 @@ let invalidate_range (st : Domain.st) lo hi : Domain.st =
     let cells =
       if not cell_hit then st.Domain.cells
       else
-        IntMap.filter_map
+        Ptree.Map.filter_map
           (fun a (c : Domain.cell) ->
             if overlaps_cell a lo hi then None
             else if meets c.Domain.cell_copy_of then Some { c with Domain.cell_copy_of = None }
@@ -123,7 +120,7 @@ let invalidate_range (st : Domain.st) lo hi : Domain.st =
     if reg_hit || cell_hit then { st with Domain.regs; cells } else st
   end
 
-let untainted (st : Domain.st) lo hi = IntSet.is_empty (Domain.taint_query st.Domain.taint ~lo ~hi)
+let untainted (st : Domain.st) lo hi = Ptree.Set.is_empty (Domain.taint_query st.Domain.taint ~lo ~hi)
 
 (* ---- the transfer function ----------------------------------------------- *)
 
@@ -134,7 +131,7 @@ type ctx = {
   cfg : Cfg.t;
   (* report-pass accumulators (only written when reporting = true) *)
   mutable reporting : bool;
-  mutable srcs_acc : IntSet.t; (* static source sites seen *)
+  mutable srcs_acc : Ptree.Set.t; (* static source sites seen *)
   mutable sinks_acc : sink list;
   mutable loads : int;
   mutable proven : int;
@@ -156,7 +153,7 @@ let set_xmm_clean (st : Domain.st) x v =
   end
 
 let load_rv (st : Domain.st) a : Domain.rv =
-  match IntMap.find_opt a st.Domain.cells with
+  match Ptree.Map.find_opt a st.Domain.cells with
   | Some c ->
       { Domain.si = c.Domain.cv;
         copy_of = Some (match c.Domain.cell_copy_of with Some r -> r | None -> a) }
@@ -168,15 +165,15 @@ let store_clean_exact ctx (st : Domain.st) a (rv : Domain.rv) : Domain.st =
   let st = { st with Domain.taint = Domain.taint_kill st.Domain.taint ~lo:a ~hi:(a + 8) } in
   if is_cell ctx.mem_size a then begin
     let root = match rv.Domain.copy_of with Some rc when rc <> a -> Some rc | _ -> None in
-    { st with Domain.cells = IntMap.add a { Domain.cv = rv.Domain.si; cell_copy_of = root } st.Domain.cells }
+    { st with Domain.cells = Ptree.Map.add a { Domain.cv = rv.Domain.si; cell_copy_of = root } st.Domain.cells }
   end
   else st
 
 (* a dirty FP store: invalidate + taint the (bounded) range *)
 let store_dirty ctx idx (st : Domain.st) (a : acc) : Domain.st =
-  if ctx.reporting then ctx.srcs_acc <- IntSet.add idx ctx.srcs_acc;
+  if ctx.reporting then ctx.srcs_acc <- Ptree.Set.add idx ctx.srcs_acc;
   let st = invalidate_range st a.alo a.ahi in
-  { st with Domain.taint = Domain.taint_add st.Domain.taint ~lo:a.alo ~hi:a.ahi ~srcs:(IntSet.singleton idx) }
+  { st with Domain.taint = Domain.taint_add st.Domain.taint ~lo:a.alo ~hi:a.ahi ~srcs:(Ptree.Set.singleton idx) }
 
 let rv_of_operand ctx (st : Domain.st) size (o : Machine.Isa.operand) : Domain.rv =
   match o with
@@ -574,12 +571,12 @@ let refine_origin (st : Domain.st) (o : Domain.origin) si' : Domain.st option =
     let st =
       match o.Domain.ocell with
       | Some c -> begin
-          match IntMap.find_opt c st.Domain.cells with
+          match Ptree.Map.find_opt c st.Domain.cells with
           | Some cell when Si.equal cell.Domain.cv o.Domain.osi ->
-              { st with Domain.cells = IntMap.add c { cell with Domain.cv = m } st.Domain.cells }
+              { st with Domain.cells = Ptree.Map.add c { cell with Domain.cv = m } st.Domain.cells }
           | None ->
               { st with
-                Domain.cells = IntMap.add c { Domain.cv = m; cell_copy_of = None } st.Domain.cells }
+                Domain.cells = Ptree.Map.add c { Domain.cv = m; cell_copy_of = None } st.Domain.cells }
           | Some _ -> st
         end
       | None -> st
@@ -642,7 +639,7 @@ let entry_state mem_size =
     { Domain.si = Si.singleton (mem_size - 16); copy_of = None };
   { Domain.regs = regs;
     xmm_clean = Array.make 16 false; (* entry registers hold unknown caller bits *)
-    cells = IntMap.empty;
+    cells = Ptree.Map.empty;
     taint = [];
     cmp = None }
 
@@ -676,7 +673,7 @@ let analyze (prog : Machine.Program.t) : t =
   let cfg = Cfg.build insns ~entry:prog.Machine.Program.entry in
   let nb = Array.length cfg.Cfg.blocks in
   let ctx =
-    { insns; mem_size; heap_base; cfg; reporting = false; srcs_acc = IntSet.empty;
+    { insns; mem_size; heap_base; cfg; reporting = false; srcs_acc = Ptree.Set.empty;
       sinks_acc = []; loads = 0; proven = 0; exempt_movq = 0; exempt_bit = 0 }
   in
   if n = 0 then
@@ -705,10 +702,10 @@ let analyze (prog : Machine.Program.t) : t =
             | Some st ->
                 let a = resolve mem_size st m size in
                 let tq = Domain.taint_query st.Domain.taint ~lo:a.alo ~hi:a.ahi in
-                if IntSet.is_empty tq then ctx.proven <- ctx.proven + 1
+                if Ptree.Set.is_empty tq then ctx.proven <- ctx.proven + 1
                 else
                   ctx.sinks_acc <-
-                    { sink_index = i; kind = K_int_load; srcs = IntSet.elements tq } :: ctx.sinks_acc
+                    { sink_index = i; kind = K_int_load; srcs = Ptree.Set.elements tq } :: ctx.sinks_acc
           end
         | Machine.Isa.Movq_xr { dst; src } -> begin
             let dead =
@@ -742,9 +739,9 @@ let analyze (prog : Machine.Program.t) : t =
                         | Machine.Isa.Mem m ->
                             let a = resolve mem_size st m 16 in
                             Domain.taint_query st.Domain.taint ~lo:a.alo ~hi:a.ahi
-                        | _ -> IntSet.empty
+                        | _ -> Ptree.Set.empty
                       in
-                      IntSet.elements (IntSet.union (of_op dst) (of_op src))
+                      Ptree.Set.elements (Ptree.Set.union (of_op dst) (of_op src))
                 in
                 ctx.sinks_acc <- { sink_index = i; kind = K_fp_bit; srcs } :: ctx.sinks_acc
           end
@@ -783,13 +780,13 @@ let analyze (prog : Machine.Program.t) : t =
       List.sort (fun a b -> compare a.sink_index b.sink_index) ctx.sinks_acc
     in
     { sinks;
-      sources = IntSet.elements ctx.srcs_acc;
+      sources = Ptree.Set.elements ctx.srcs_acc;
       total_int_loads = ctx.loads;
       proven_safe_loads = ctx.proven;
       trap_checks_elided = ctx.proven + ctx.exempt_movq + ctx.exempt_bit;
       iterations = fix.Fixpoint.iterations;
       n_blocks = nb;
       n_loop_heads = cfg.Cfg.n_loop_heads;
-      tainted = List.map (fun (s : Domain.span) -> (s.Domain.lo, s.Domain.hi, IntSet.elements s.Domain.srcs)) exit_taint;
+      tainted = List.map (fun (s : Domain.span) -> (s.Domain.lo, s.Domain.hi, Ptree.Set.elements s.Domain.srcs)) exit_taint;
       bailed_out = fix.Fixpoint.bailed_out }
   end

@@ -92,14 +92,19 @@ let entry_for t key =
 (* ------------------------------------------------------------------ *)
 (* Keys and digests                                                    *)
 
-let digest_insn h insn = Wire.fnv64 h (Format.asprintf "%a" Isa.pp_insn insn)
+(* hash of the text [Isa.pp_insn] prints, written into the scratch [b] *)
+let digest_insn b h insn =
+  Buffer.clear b;
+  Isa.add_insn b insn;
+  Wire.fnv64 h (Buffer.contents b)
 
 let content_digest (p : Program.t) =
+  let b = Buffer.create 64 in
   let h = ref Wire.fnv_basis in
   Array.iteri
     (fun i insn ->
       h := Wire.fnv64_int !h i;
-      h := digest_insn !h insn)
+      h := digest_insn b !h insn)
     p.Program.insns;
   List.iter
     (fun (off, bytes) ->
@@ -116,12 +121,13 @@ let session_key ~port ~flags (p : Program.t) =
     flags
 
 let sites_digest (insns : Isa.insn array) (sites : int array) =
+  let b = Buffer.create 64 in
   let h = ref Wire.fnv_basis in
   Array.iter
     (fun idx ->
       h := Wire.fnv64_int !h idx;
       if idx >= 0 && idx < Array.length insns then
-        h := digest_insn !h insns.(idx))
+        h := digest_insn b !h insns.(idx))
     sites;
   !h
 

@@ -167,16 +167,31 @@ let is_fp_insn = function
   | Push _ | Pop _ | Jmp _ | Jcc _ | Call _ | Ret | Call_ext _ | Nop
   | Halt | Correctness_trap _ | Checked _ | Patched _ | Free_hint _ -> false
 
-let pp_operand fmt = function
-  | Reg r -> Format.pp_print_string fmt (gpr_name r)
-  | Xmm i -> Format.fprintf fmt "xmm%d" i
-  | Imm v -> Format.fprintf fmt "$%Ld" v
+(* One printer: [add_insn] appends an instruction's assembly text to a
+   buffer, [pp_insn] prints that text, and the artifact cache hashes it. *)
+let add_operand b = function
+  | Reg r -> Buffer.add_string b (gpr_name r)
+  | Xmm i ->
+      Buffer.add_string b "xmm";
+      Buffer.add_string b (string_of_int i)
+  | Imm v ->
+      Buffer.add_char b '$';
+      Buffer.add_string b (Int64.to_string v)
   | Mem m ->
-      Format.fprintf fmt "[%s%s%s%+d]"
-        (match m.base with Some b -> gpr_name b | None -> "")
-        (match m.index with Some i -> "+" ^ gpr_name i | None -> "")
-        (if m.scale > 1 then Printf.sprintf "*%d" m.scale else "")
-        m.disp
+      Buffer.add_char b '[';
+      Option.iter (fun r -> Buffer.add_string b (gpr_name r)) m.base;
+      Option.iter
+        (fun r ->
+          Buffer.add_char b '+';
+          Buffer.add_string b (gpr_name r))
+        m.index;
+      if m.scale > 1 then begin
+        Buffer.add_char b '*';
+        Buffer.add_string b (string_of_int m.scale)
+      end;
+      if m.disp >= 0 then Buffer.add_char b '+';
+      Buffer.add_string b (string_of_int m.disp);
+      Buffer.add_char b ']'
 
 let fp_op_name = function
   | FADD -> "add" | FSUB -> "sub" | FMUL -> "mul" | FDIV -> "div"
@@ -192,72 +207,111 @@ let ext_fn_name = function
   | Print_str _ -> "printf_str" | Write_f64 -> "write_f64"
   | Alloc -> "malloc" | Exit -> "exit"
 
-let rec pp_insn fmt = function
+let rec add_insn buf insn =
+  let str = Buffer.add_string buf in
+  (* " <dst>, <src>" after the mnemonic *)
+  let ops dst src =
+    Buffer.add_char buf ' ';
+    add_operand buf dst;
+    str ", ";
+    add_operand buf src
+  in
+  let two name dst src =
+    str name;
+    ops dst src
+  in
+  let one name o =
+    str name;
+    Buffer.add_char buf ' ';
+    add_operand buf o
+  in
+  let wrap i =
+    Buffer.add_char buf '{';
+    add_insn buf i;
+    Buffer.add_char buf '}'
+  in
+  match insn with
   | Fp_arith { op; w; packed; dst; src } ->
-      Format.fprintf fmt "%s%s%s %a, %a" (fp_op_name op)
-        (if packed then "p" else "s")
-        (match w with F64 -> "d" | F32 -> "s")
-        pp_operand dst pp_operand src
-  | Fp_cmp { signaling; a; b; _ } ->
-      Format.fprintf fmt "%scomisd %a, %a"
-        (if signaling then "" else "u")
-        pp_operand a pp_operand b
-  | Fp_cmppred { dst; src; _ } ->
-      Format.fprintf fmt "cmpsd %a, %a" pp_operand dst pp_operand src
-  | Fp_round { dst; src; _ } ->
-      Format.fprintf fmt "roundsd %a, %a" pp_operand dst pp_operand src
-  | Cvt_f2f { dst; src; _ } ->
-      Format.fprintf fmt "cvtf2f %a, %a" pp_operand dst pp_operand src
+      str (fp_op_name op);
+      str (if packed then "p" else "s");
+      str (match w with F64 -> "d" | F32 -> "s");
+      ops dst src
+  | Fp_cmp { signaling; a; b; _ } -> two (if signaling then "comisd" else "ucomisd") a b
+  | Fp_cmppred { dst; src; _ } -> two "cmpsd" dst src
+  | Fp_round { dst; src; _ } -> two "roundsd" dst src
+  | Cvt_f2f { dst; src; _ } -> two "cvtf2f" dst src
   | Cvt_f2i { truncate; dst; src; _ } ->
-      Format.fprintf fmt "cvt%ssd2si %a, %a"
-        (if truncate then "t" else "")
-        pp_operand dst pp_operand src
-  | Cvt_i2f { dst; src; _ } ->
-      Format.fprintf fmt "cvtsi2sd %a, %a" pp_operand dst pp_operand src
-  | Mov_f { dst; src; _ } ->
-      Format.fprintf fmt "movsd %a, %a" pp_operand dst pp_operand src
-  | Mov_x { dst; src } ->
-      Format.fprintf fmt "movapd %a, %a" pp_operand dst pp_operand src
+      two (if truncate then "cvttsd2si" else "cvtsd2si") dst src
+  | Cvt_i2f { dst; src; _ } -> two "cvtsi2sd" dst src
+  | Mov_f { dst; src; _ } -> two "movsd" dst src
+  | Mov_x { dst; src } -> two "movapd" dst src
   | Fp_bit { op; dst; src } ->
-      Format.fprintf fmt "%spd %a, %a"
-        (match op with BXOR -> "xor" | BAND -> "and" | BOR -> "or" | BANDN -> "andn")
-        pp_operand dst pp_operand src
+      two
+        (match op with BXOR -> "xorpd" | BAND -> "andpd" | BOR -> "orpd" | BANDN -> "andnpd")
+        dst src
   | Movq_xr { dst; src } ->
-      Format.fprintf fmt "movq %s, xmm%d" (gpr_name dst) src
+      str "movq ";
+      str (gpr_name dst);
+      str ", xmm";
+      str (string_of_int src)
   | Movq_rx { dst; src } ->
-      Format.fprintf fmt "movq xmm%d, %s" dst (gpr_name src)
+      str "movq xmm";
+      str (string_of_int dst);
+      str ", ";
+      str (gpr_name src)
   | Mov { size; dst; src } ->
-      Format.fprintf fmt "mov%d %a, %a" size pp_operand dst pp_operand src
-  | Lea { dst; src } ->
-      Format.fprintf fmt "lea %s, %a" (gpr_name dst) pp_operand (Mem src)
+      str "mov";
+      str (string_of_int size);
+      ops dst src
+  | Lea { dst; src } -> two "lea" (Reg dst) (Mem src)
   | Int_arith { op; dst; src } ->
-      Format.fprintf fmt "%s %a, %a"
+      two
         (match op with
         | ADD -> "add" | SUB -> "sub" | IMUL -> "imul" | AND -> "and"
         | OR -> "or" | XOR -> "xor" | SHL -> "shl" | SHR -> "shr" | SAR -> "sar")
-        pp_operand dst pp_operand src
-  | Cmp { a; b } -> Format.fprintf fmt "cmp %a, %a" pp_operand a pp_operand b
-  | Test { a; b } -> Format.fprintf fmt "test %a, %a" pp_operand a pp_operand b
-  | Inc o -> Format.fprintf fmt "inc %a" pp_operand o
-  | Dec o -> Format.fprintf fmt "dec %a" pp_operand o
-  | Neg o -> Format.fprintf fmt "neg %a" pp_operand o
-  | Push o -> Format.fprintf fmt "push %a" pp_operand o
-  | Pop o -> Format.fprintf fmt "pop %a" pp_operand o
-  | Jmp t -> Format.fprintf fmt "jmp %d" t
+        dst src
+  | Cmp { a; b } -> two "cmp" a b
+  | Test { a; b } -> two "test" a b
+  | Inc o -> one "inc" o
+  | Dec o -> one "dec" o
+  | Neg o -> one "neg" o
+  | Push o -> one "push" o
+  | Pop o -> one "pop" o
+  | Jmp t ->
+      str "jmp ";
+      str (string_of_int t)
   | Jcc (c, t) ->
-      Format.fprintf fmt "j%s %d"
+      str "j";
+      str
         (match c with
         | Jz -> "z" | Jnz -> "nz" | Jl -> "l" | Jle -> "le" | Jg -> "g"
         | Jge -> "ge" | Jb -> "b" | Jbe -> "be" | Ja -> "a" | Jae -> "ae"
-        | Js -> "s" | Jns -> "ns" | Jp -> "p" | Jnp -> "np")
-        t
-  | Call t -> Format.fprintf fmt "call %d" t
-  | Ret -> Format.pp_print_string fmt "ret"
-  | Call_ext f -> Format.fprintf fmt "call %s@plt" (ext_fn_name f)
-  | Nop -> Format.pp_print_string fmt "nop"
-  | Halt -> Format.pp_print_string fmt "hlt"
-  | Correctness_trap i -> Format.fprintf fmt "fpvm.trap{%a}" pp_insn i
-  | Checked i -> Format.fprintf fmt "fpvm.check{%a}" pp_insn i
+        | Js -> "s" | Jns -> "ns" | Jp -> "p" | Jnp -> "np");
+      Buffer.add_char buf ' ';
+      str (string_of_int t)
+  | Call t ->
+      str "call ";
+      str (string_of_int t)
+  | Ret -> str "ret"
+  | Call_ext f ->
+      str "call ";
+      str (ext_fn_name f);
+      str "@plt"
+  | Nop -> str "nop"
+  | Halt -> str "hlt"
+  | Correctness_trap i ->
+      str "fpvm.trap";
+      wrap i
+  | Checked i ->
+      str "fpvm.check";
+      wrap i
   | Patched { site_id; original } ->
-      Format.fprintf fmt "fpvm.patch#%d{%a}" site_id pp_insn original
-  | Free_hint o -> Format.fprintf fmt "fpvm.free %a" pp_operand o
+      str "fpvm.patch#";
+      str (string_of_int site_id);
+      wrap original
+  | Free_hint o -> one "fpvm.free" o
+
+let pp_insn fmt insn =
+  let b = Buffer.create 32 in
+  add_insn b insn;
+  Format.pp_print_string fmt (Buffer.contents b)

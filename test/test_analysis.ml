@@ -380,7 +380,8 @@ let oracle_tests =
    map, and every result must keep the map invariant. *)
 
 module D = Analysis.Domain
-module IS = D.IntSet
+module IS = Analysis.Ptree.Set
+module PM = Analysis.Ptree.Map
 
 let ints l = String.concat "," (List.map string_of_int l)
 
@@ -388,7 +389,7 @@ module Oracle = struct
   open D
 
   let rec coalesce = function
-    | a :: b :: rest when a.hi = b.lo && IntSet.equal a.srcs b.srcs ->
+    | a :: b :: rest when a.hi = b.lo && IS.equal a.srcs b.srcs ->
         coalesce ({ lo = a.lo; hi = b.hi; srcs = a.srcs } :: rest)
     | a :: rest -> a :: coalesce rest
     | [] -> []
@@ -400,7 +401,7 @@ module Oracle = struct
       let overlap, after = List.partition (fun s -> s.lo < hi) rest in
       let merged =
         List.fold_left
-          (fun acc s -> { lo = min acc.lo s.lo; hi = max acc.hi s.hi; srcs = IntSet.union acc.srcs s.srcs })
+          (fun acc s -> { lo = min acc.lo s.lo; hi = max acc.hi s.hi; srcs = IS.union acc.srcs s.srcs })
           { lo; hi; srcs } overlap
       in
       coalesce (before @ (merged :: after))
@@ -419,8 +420,8 @@ module Oracle = struct
 
   let taint_query spans ~lo ~hi =
     List.fold_left
-      (fun acc s -> if s.hi <= lo || s.lo >= hi then acc else IntSet.union acc s.srcs)
-      IntSet.empty spans
+      (fun acc s -> if s.hi <= lo || s.lo >= hi then acc else IS.union acc s.srcs)
+      IS.empty spans
 
   let taint_join a b = List.fold_left (fun acc s -> taint_add acc ~lo:s.lo ~hi:s.hi ~srcs:s.srcs) a b
 end
@@ -612,7 +613,7 @@ let old_invalidate_range (st : D.st) lo hi : D.st =
         st.D.regs
     in
     let cells =
-      D.IntMap.filter_map
+      PM.filter_map
         (fun a (c : D.cell) ->
           if AP.overlaps_cell a lo hi then None
           else
@@ -628,7 +629,7 @@ let old_drop_range (f : Fpa.fpst) lo hi =
   if hi <= lo then f
   else
     { f with
-      Fpa.fmem = D.IntMap.filter (fun a _ -> not (a + 8 > lo && a < hi)) f.Fpa.fmem }
+      Fpa.fmem = PM.filter_map (fun a v -> if a + 8 > lo && a < hi then None else Some v) f.Fpa.fmem }
 
 let gen_addr = QCheck.Gen.map (fun k -> 8 * k) (QCheck.Gen.int_bound 12)
 
@@ -649,7 +650,7 @@ let gen_int_state =
   in
   let regs = Array.map (fun l -> { D.si = Si.top; copy_of = l }) links in
   let st = AP.entry_state 4096 in
-  return { st with D.regs; cells = D.IntMap.of_seq (List.to_seq cells) }
+  return { st with D.regs; cells = PM.of_seq (List.to_seq cells) }
 
 let show_int_state (st : D.st) =
   let link = function None -> "-" | Some c -> string_of_int c in
@@ -658,12 +659,12 @@ let show_int_state (st : D.st) =
   ^ String.concat " "
       (List.map
          (fun (a, (c : D.cell)) -> Printf.sprintf "%d->%s" a (link c.D.cell_copy_of))
-         (D.IntMap.bindings st.D.cells))
+         (PM.bindings st.D.cells))
 
 let gen_fp_state =
   let open QCheck.Gen in
   let* cells = list_size (int_bound 10) (pair gen_addr (map FD.const (oneofl [ 0.0; 1.5; -2.0 ]))) in
-  return { Fpa.fx = Array.make 32 FD.top; fmem = D.IntMap.of_seq (List.to_seq cells) }
+  return { Fpa.fx = Array.make 32 FD.top; fmem = PM.of_seq (List.to_seq cells) }
 
 let invalidation_tests =
   [ oracle_prop "invalidate_range = rebuild of every register and cell"
@@ -675,10 +676,217 @@ let invalidation_tests =
       (QCheck.make
          ~print:(fun (f, (lo, hi)) ->
            Printf.sprintf "%s / [%d,%d)"
-             (ints (List.map fst (D.IntMap.bindings f.Fpa.fmem)))
+             (ints (List.map fst (PM.bindings f.Fpa.fmem)))
              lo hi)
          (QCheck.Gen.pair gen_fp_state gen_range))
       (fun (f, (lo, hi)) -> Fpa.f_equal (Fpa.drop_range f lo hi) (old_drop_range f lo hi)) ]
+
+(* ---- Patricia trees against Stdlib Map and Set ----
+
+   [Analysis.Ptree] holds the analysis's cell maps and provenance sets.
+   Every operation is checked against [Map.Make (Int)] / [Set.Make
+   (Int)], with keys near 0, in the 8-aligned cell range and up to
+   [max_int], so branching bits from the lowest to the highest occur.
+   Range bounds sit on, next to and between keys, and may be negative.
+   The sharing laws that make joins cheap are checked separately. *)
+
+module SM = Map.Make (Int)
+module SS = Set.Make (Int)
+
+let gen_key =
+  let open QCheck.Gen in
+  frequency
+    [ (3, int_bound 20);
+      (3, map (fun k -> 8 * k) (int_bound 64));
+      (1, int_range (max_int - 4) max_int);
+      (1, int_bound max_int) ]
+
+let gen_keys = QCheck.Gen.(list_size (int_bound 24) gen_key)
+
+let gen_bindings = QCheck.Gen.(list_size (int_bound 24) (pair gen_key (int_bound 5)))
+
+let pm_of l = PM.of_seq (List.to_seq l)
+let sm_of l = SM.of_seq (List.to_seq l)
+let same_map m o = PM.bindings m = SM.bindings o
+
+(* a bound on, next to or between the keys of [l], or anywhere *)
+let gen_bound l =
+  let open QCheck.Gen in
+  let near = match l with [] -> [ 0 ] | _ -> List.map fst l in
+  let* k = oneofl near in
+  oneof [ oneofl [ k - 1; k; k + 1; k - 7 ]; int_range (-16) 600; return 0; return (-3) ]
+
+let arb_map_bounds =
+  QCheck.make
+    ~print:QCheck.Print.(triple (list (pair int int)) int int)
+    QCheck.Gen.(
+      let* l = gen_bindings in
+      let* lo = gen_bound l and* hi = gen_bound l in
+      return (l, lo, hi))
+
+(* the second map: unrelated, or the first with a few keys added,
+   removed or rebound, so that the two share subtrees *)
+let gen_map_pair =
+  let open QCheck.Gen in
+  let* a = gen_bindings in
+  let* b =
+    oneof
+      [ gen_bindings;
+        (let* drop = int_bound 3 and* extra = list_size (int_bound 3) (pair gen_key (int_bound 5)) in
+         return (List.filteri (fun i _ -> i mod 4 <> drop) a @ extra)) ]
+  in
+  return (a, b)
+
+let arb_map_pair =
+  QCheck.make ~print:QCheck.Print.(pair (list (pair int int)) (list (pair int int))) gen_map_pair
+
+(* [t] unrelated, nested in [s], around [s], overlapping it or disjoint
+   from it *)
+let gen_set_pair =
+  let open QCheck.Gen in
+  let* s = gen_keys in
+  let* t =
+    oneof
+      [ gen_keys;
+        return (List.filteri (fun i _ -> i mod 2 = 0) s);
+        map (fun extra -> s @ extra) gen_keys;
+        map (fun extra -> List.filteri (fun i _ -> i mod 3 = 0) s @ extra) gen_keys;
+        return (List.map (fun k -> (k land 0xFFFF) + 0x10000) s) ]
+  in
+  oneofl [ (s, t); (t, s) ]
+
+let arb_set_pair = QCheck.make ~print:QCheck.Print.(pair (list int) (list int)) gen_set_pair
+
+(* not commutative, and [f x x = x] as [inter] requires *)
+let skew x y = (2 * x) - y
+
+let raises_negative f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+let ptree_tests =
+  [ oracle_prop "map: of_seq, bindings ascending, find_opt, add, remove" arb_map_bounds
+      (fun (l, k, _) ->
+        let m = pm_of l and o = sm_of l in
+        same_map m o
+        && PM.find_opt k m = SM.find_opt k o
+        && List.for_all (fun (k, _) -> PM.find_opt k m = SM.find_opt k o) l
+        && (k < 0 || same_map (PM.add k 9 m) (SM.add k 9 o))
+        && same_map (PM.remove k m) (SM.remove k o)
+        && PM.fold (fun k v acc -> (k, v) :: acc) m [] = SM.fold (fun k v acc -> (k, v) :: acc) o []);
+    oracle_prop "map: remove_range and min_geq at range edges" arb_map_bounds (fun (l, lo, hi) ->
+        let m = pm_of l and o = sm_of l in
+        same_map (PM.remove_range lo hi m) (SM.filter (fun k _ -> k < lo || k >= hi) o)
+        && PM.min_geq lo m = SM.find_first_opt (fun k -> k >= lo) o);
+    oracle_prop "map: exists, filter_map" arb_map_bounds (fun (l, lo, hi) ->
+        let m = pm_of l and o = sm_of l in
+        let p k v = k >= lo && k < hi && v > 1 in
+        let f k v = if k mod 3 = 0 then None else if v = 2 then Some 7 else Some v in
+        PM.exists p m = SM.exists p o && same_map (PM.filter_map f m) (SM.filter_map f o));
+    oracle_prop "map: inter with a non-commutative f, equal" arb_map_pair (fun (a, b) ->
+        let ma = pm_of a and mb = pm_of b and oa = sm_of a and ob = sm_of b in
+        let both f _ x y = match (x, y) with Some x, Some y -> Some (f x y) | _ -> None in
+        same_map (PM.inter skew ma mb) (SM.merge (both skew) oa ob)
+        && same_map (PM.inter skew mb ma) (SM.merge (both skew) ob oa)
+        && PM.equal ( = ) ma mb = SM.equal ( = ) oa ob
+        && ma = mb = SM.equal ( = ) oa ob);
+    oracle_prop "set: of_list, elements ascending, add, mem, fold, extrema" arb_set_pair
+      (fun (s, t) ->
+        let ps = IS.of_list s and os = SS.of_list s in
+        IS.elements ps = SS.elements os
+        && IS.is_empty ps = SS.is_empty os
+        && List.for_all (fun k -> IS.mem k ps = SS.mem k os) (t @ s)
+        && IS.elements (List.fold_left (fun p k -> IS.add k p) ps t)
+           = SS.elements (List.fold_left (fun o k -> SS.add k o) os t)
+        && IS.fold (fun k acc -> k :: acc) ps [] = SS.fold (fun k acc -> k :: acc) os []
+        && (s = [] || (IS.min_elt ps = SS.min_elt os && IS.max_elt ps = SS.max_elt os))
+        && List.for_all (fun k -> IS.elements (IS.singleton k) = [ k ]) t);
+    oracle_prop "set: union, subset, equal on nested, overlapping and disjoint sets" arb_set_pair
+      (fun (s, t) ->
+        let ps = IS.of_list s and pt = IS.of_list t and os = SS.of_list s and ot = SS.of_list t in
+        IS.elements (IS.union ps pt) = SS.elements (SS.union os ot)
+        && IS.subset ps pt = SS.subset os ot
+        && IS.subset pt ps = SS.subset ot os
+        && IS.equal ps pt = SS.equal os ot
+        && ps = pt = SS.equal os ot);
+    Alcotest.test_case "a negative key raises" `Quick (fun () ->
+        List.iter
+          (fun (what, f) -> Alcotest.(check bool) what true (raises_negative f))
+          [ ("Set.add", fun () -> ignore (IS.add (-1) IS.empty));
+            ("Set.singleton", fun () -> ignore (IS.singleton min_int));
+            ("Set.of_list", fun () -> ignore (IS.of_list [ 3; -8 ]));
+            ("Map.add", fun () -> ignore (PM.add (-1) () PM.empty));
+            ("Map.of_seq", fun () -> ignore (pm_of [ (0, ()); (-5, ()) ])) ]) ]
+
+(* A state joined with itself, or with a state that adds nothing to it,
+   comes back as the very same value: that is what lets the fixpoint's
+   [equal old joined] stop at one pointer comparison. *)
+let sub_int_state (st : D.st) =
+  let open QCheck.Gen in
+  (* more cells (absent = top), narrower top registers, more clean xmm
+     registers and covered taint: each only sharpens [st] *)
+  let* extra = list_size (int_bound 4) (pair (map (fun k -> 8 * k) (int_range 13 40)) (int_bound 3)) in
+  let* narrow = array_repeat 16 (opt (int_bound 9)) in
+  let* clean = array_repeat 16 bool in
+  let cells =
+    List.fold_left
+      (fun m (a, v) -> PM.add a { D.cv = Si.singleton v; cell_copy_of = None } m)
+      st.D.cells extra
+  in
+  let regs =
+    Array.mapi
+      (fun i (r : D.rv) ->
+        match narrow.(i) with
+        | Some v when Si.equal r.D.si Si.top -> { r with D.si = Si.singleton v }
+        | _ -> r)
+      st.D.regs
+  in
+  let xmm_clean = Array.mapi (fun i c -> c || clean.(i)) st.D.xmm_clean in
+  return { st with D.regs; cells; xmm_clean }
+
+let arb_int_sub =
+  QCheck.make
+    ~print:(fun (a, b) -> show_int_state a ^ " / " ^ show_int_state b)
+    QCheck.Gen.(
+      let* a = gen_int_state in
+      let* m, covered = gen_covered in
+      let a = { a with D.taint = m } in
+      let* b = sub_int_state a in
+      return (a, { b with D.taint = covered }))
+
+let arb_fp_sub =
+  QCheck.make
+    ~print:(fun (f, g) ->
+      ints (List.map fst (PM.bindings f.Fpa.fmem)) ^ " / " ^ ints (List.map fst (PM.bindings g.Fpa.fmem)))
+    QCheck.Gen.(
+      let* f = gen_fp_state in
+      let* extra = list_size (int_bound 4) (pair (map (fun k -> 8 * k) (int_range 13 40)) (return (FD.const 2.5))) in
+      let* lanes = array_repeat 32 (opt (oneofl [ 0.0; -1.0; 1e300 ])) in
+      let fx = Array.mapi (fun i v -> match lanes.(i) with Some c -> FD.const c | None -> v) f.Fpa.fx in
+      let fmem = List.fold_left (fun m (a, v) -> PM.add a v m) f.Fpa.fmem extra in
+      return (f, { Fpa.fx; fmem }))
+
+let sharing_tests =
+  [ oracle_prop "inter f m m == m, union s s == s, union s t == s for t in s" arb_set_pair
+      (fun (s, t) ->
+        let m = pm_of (List.map (fun k -> (k, k land 7)) s) and ps = IS.of_list s in
+        let sub = IS.of_list (List.filter (fun k -> List.mem k s) t) in
+        PM.inter skew m m == m
+        && IS.union ps ps == ps
+        && IS.union ps sub == ps
+        && IS.union ps IS.empty == ps);
+    oracle_prop "untouched maps come back as they are" arb_map_bounds (fun (l, lo, hi) ->
+        let m = pm_of l in
+        let outside = PM.filter_map (fun k v -> if k >= lo && k < hi then None else Some v) m in
+        PM.remove_range lo hi outside == outside
+        && PM.filter_map (fun _ v -> Some v) m == m
+        && List.for_all (fun (k, _) -> PM.add k (Option.get (PM.find_opt k m)) m == m) l);
+    oracle_prop "Domain.join a a == a, Fpa.f_join f f == f" (QCheck.pair arb_int_sub arb_fp_sub)
+      (fun ((a, _), (f, _)) ->
+        D.join a a == a && D.widen a a == a && Fpa.f_join f f == f && Fpa.f_widen f f == f);
+    oracle_prop "joining a sub-state returns the left state" arb_int_sub (fun (a, b) ->
+        D.join a b == a && D.widen a b == a);
+    oracle_prop "joining an FP sub-state returns the left state" arb_fp_sub (fun (f, g) ->
+        Fpa.f_join f g == f && Fpa.f_widen f g == f) ]
 
 (* ---- facts digest ----
 
@@ -781,5 +989,7 @@ let () =
       ("oracle", oracle_tests);
       ("taint map", taint_tests);
       ("invalidation", invalidation_tests);
+      ("patricia trees", ptree_tests);
+      ("sharing", sharing_tests);
       ("facts digest", digest_tests)
     ]

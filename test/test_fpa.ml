@@ -45,7 +45,7 @@ let gen_v =
     let* span = int_range 0 64 in
     return
       (D.mk ~nan ~pinf ~ninf ~zero ~sub ~pos ~neg ~lo ~hi:(lo + span)
-         ~srcs:D.IntSet.empty))
+         ~srcs:Analysis.Ptree.Set.empty))
 
 let print_v (v : D.v) =
   Printf.sprintf
@@ -93,7 +93,12 @@ let lattice_tests =
         D.leq a (D.join a b) && D.leq b (D.join a b));
     q "leq reflexive" arb_v (fun a -> D.leq a a);
     q "widen covers join" arb_vv (fun (a, b) ->
-        D.leq (D.join a b) (D.widen a b)) ]
+        D.leq (D.join a b) (D.widen a b));
+    q "join and widen return an upper bound itself" arb_vv (fun (b, c) ->
+        let b = { b with D.srcs = Analysis.Ptree.Set.of_list [ 1; 5 ] }
+        and c = { c with D.srcs = Analysis.Ptree.Set.of_list [ 5; 9 ] } in
+        let a = D.join b c in
+        D.join a b == a && D.widen a b == a && D.join a a == a) ]
 
 (* ---- transfer monotonicity --------------------------------------------- *)
 

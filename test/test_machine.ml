@@ -258,6 +258,152 @@ let cycle_tests =
            with Not_found -> false))
   ]
 
+(* ---- the instruction printer ----
+
+   [Isa.add_insn] writes an instruction's text into a buffer, and both
+   [Isa.pp_insn] and the artifact cache's content digests use it. It
+   replaced a [Format] printer; that printer is kept here as the oracle,
+   and the two must agree on every instruction of the stock programs at
+   both scales, their instrumented builds, every such instruction wrapped
+   in each instrumentation form, a few operand edge cases and 200
+   generated programs. *)
+
+module Old_printer = struct
+  open Isa
+
+  let pp_operand fmt = function
+    | Reg r -> Format.pp_print_string fmt (gpr_name r)
+    | Xmm i -> Format.fprintf fmt "xmm%d" i
+    | Imm v -> Format.fprintf fmt "$%Ld" v
+    | Mem m ->
+        Format.fprintf fmt "[%s%s%s%+d]"
+          (match m.base with Some b -> gpr_name b | None -> "")
+          (match m.index with Some i -> "+" ^ gpr_name i | None -> "")
+          (if m.scale > 1 then Printf.sprintf "*%d" m.scale else "")
+          m.disp
+
+  let rec pp_insn fmt = function
+    | Fp_arith { op; w; packed; dst; src } ->
+        Format.fprintf fmt "%s%s%s %a, %a" (fp_op_name op)
+          (if packed then "p" else "s")
+          (match w with F64 -> "d" | F32 -> "s")
+          pp_operand dst pp_operand src
+    | Fp_cmp { signaling; a; b; _ } ->
+        Format.fprintf fmt "%scomisd %a, %a"
+          (if signaling then "" else "u")
+          pp_operand a pp_operand b
+    | Fp_cmppred { dst; src; _ } ->
+        Format.fprintf fmt "cmpsd %a, %a" pp_operand dst pp_operand src
+    | Fp_round { dst; src; _ } ->
+        Format.fprintf fmt "roundsd %a, %a" pp_operand dst pp_operand src
+    | Cvt_f2f { dst; src; _ } ->
+        Format.fprintf fmt "cvtf2f %a, %a" pp_operand dst pp_operand src
+    | Cvt_f2i { truncate; dst; src; _ } ->
+        Format.fprintf fmt "cvt%ssd2si %a, %a"
+          (if truncate then "t" else "")
+          pp_operand dst pp_operand src
+    | Cvt_i2f { dst; src; _ } ->
+        Format.fprintf fmt "cvtsi2sd %a, %a" pp_operand dst pp_operand src
+    | Mov_f { dst; src; _ } ->
+        Format.fprintf fmt "movsd %a, %a" pp_operand dst pp_operand src
+    | Mov_x { dst; src } ->
+        Format.fprintf fmt "movapd %a, %a" pp_operand dst pp_operand src
+    | Fp_bit { op; dst; src } ->
+        Format.fprintf fmt "%spd %a, %a"
+          (match op with BXOR -> "xor" | BAND -> "and" | BOR -> "or" | BANDN -> "andn")
+          pp_operand dst pp_operand src
+    | Movq_xr { dst; src } ->
+        Format.fprintf fmt "movq %s, xmm%d" (gpr_name dst) src
+    | Movq_rx { dst; src } ->
+        Format.fprintf fmt "movq xmm%d, %s" dst (gpr_name src)
+    | Mov { size; dst; src } ->
+        Format.fprintf fmt "mov%d %a, %a" size pp_operand dst pp_operand src
+    | Lea { dst; src } ->
+        Format.fprintf fmt "lea %s, %a" (gpr_name dst) pp_operand (Mem src)
+    | Int_arith { op; dst; src } ->
+        Format.fprintf fmt "%s %a, %a"
+          (match op with
+          | ADD -> "add" | SUB -> "sub" | IMUL -> "imul" | AND -> "and"
+          | OR -> "or" | XOR -> "xor" | SHL -> "shl" | SHR -> "shr" | SAR -> "sar")
+          pp_operand dst pp_operand src
+    | Cmp { a; b } -> Format.fprintf fmt "cmp %a, %a" pp_operand a pp_operand b
+    | Test { a; b } -> Format.fprintf fmt "test %a, %a" pp_operand a pp_operand b
+    | Inc o -> Format.fprintf fmt "inc %a" pp_operand o
+    | Dec o -> Format.fprintf fmt "dec %a" pp_operand o
+    | Neg o -> Format.fprintf fmt "neg %a" pp_operand o
+    | Push o -> Format.fprintf fmt "push %a" pp_operand o
+    | Pop o -> Format.fprintf fmt "pop %a" pp_operand o
+    | Jmp t -> Format.fprintf fmt "jmp %d" t
+    | Jcc (c, t) ->
+        Format.fprintf fmt "j%s %d"
+          (match c with
+          | Jz -> "z" | Jnz -> "nz" | Jl -> "l" | Jle -> "le" | Jg -> "g"
+          | Jge -> "ge" | Jb -> "b" | Jbe -> "be" | Ja -> "a" | Jae -> "ae"
+          | Js -> "s" | Jns -> "ns" | Jp -> "p" | Jnp -> "np")
+          t
+    | Call t -> Format.fprintf fmt "call %d" t
+    | Ret -> Format.pp_print_string fmt "ret"
+    | Call_ext f -> Format.fprintf fmt "call %s@plt" (ext_fn_name f)
+    | Nop -> Format.pp_print_string fmt "nop"
+    | Halt -> Format.pp_print_string fmt "hlt"
+    | Correctness_trap i -> Format.fprintf fmt "fpvm.trap{%a}" pp_insn i
+    | Checked i -> Format.fprintf fmt "fpvm.check{%a}" pp_insn i
+    | Patched { site_id; original } ->
+        Format.fprintf fmt "fpvm.patch#%d{%a}" site_id pp_insn original
+    | Free_hint o -> Format.fprintf fmt "fpvm.free %a" pp_operand o
+end
+
+let printer_inputs () =
+  let stock =
+    List.concat_map
+      (fun (e : Workloads.entry) ->
+        List.concat_map
+          (fun scale -> [ e.Workloads.program scale; e.Workloads.instrumented scale ])
+          [ Workloads.Test; Workloads.S ])
+      Workloads.all
+  in
+  let generated =
+    List.map Fpvm_ir.Codegen.compile_program
+      (QCheck.Gen.generate ~rand:(Random.State.make [| 0xFAC75 |]) ~n:200
+         Random_program.gen_program)
+  in
+  let insns =
+    List.concat_map (fun (p : Program.t) -> Array.to_list p.Program.insns) (stock @ generated)
+  in
+  let edge =
+    let m ?base ?index ?scale disp = Isa.Mem (Isa.addr ?base ?index ?scale disp) in
+    [ Isa.Mov { size = 8; dst = m 0; src = imm Int64.min_int };
+      Isa.Mov { size = 4; dst = m ~index:Isa.R15 ~scale:8 (-8); src = imm Int64.max_int };
+      Isa.Lea { dst = Isa.RSP; src = Isa.addr ~base:Isa.RBP ~index:Isa.RAX ~scale:2 max_int };
+      Isa.Free_hint (m ~base:Isa.R9 min_int);
+      Isa.Call_ext (Isa.Print_str "x y");
+      Isa.Jcc (Isa.Jnp, -1) ]
+  in
+  let base = insns @ edge in
+  base
+  @ List.concat
+      (List.mapi
+         (fun i insn ->
+           [ Isa.Correctness_trap insn; Isa.Checked insn;
+             Isa.Patched { site_id = i; original = insn } ])
+         base)
+
+let printer_tests =
+  [ Alcotest.test_case "add_insn = the Format printer it replaced" `Quick (fun () ->
+        let inputs = printer_inputs () in
+        let bad =
+          List.filter
+            (fun i ->
+              Format.asprintf "%a" Old_printer.pp_insn i
+              <> Format.asprintf "%a" Isa.pp_insn i)
+            inputs
+        in
+        Alcotest.(check (list string)) "instructions printed differently" []
+          (List.map (Format.asprintf "%a" Old_printer.pp_insn) bad);
+        Alcotest.(check bool) "stock, instrumented and generated programs gathered" true
+          (List.length inputs > 10_000)) ]
+
 let () =
   Alcotest.run "machine"
-    [ ("programs", simple_tests); ("faults", fault_tests); ("cycles", cycle_tests) ]
+    [ ("programs", simple_tests); ("faults", fault_tests); ("cycles", cycle_tests);
+      ("printer", printer_tests) ]
