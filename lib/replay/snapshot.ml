@@ -62,7 +62,7 @@ let encode_state b (st : State.t) =
   for i = 0 to 31 do
     Codec.i64 b st.State.xmm.(i)
   done;
-  Codec.bytes_rle ?pages:(State.written_pages st) b st.State.mem;
+  Codec.bytes_rle b st;
   Codec.varint b st.State.dirty_count;
   List.iter (fun c -> Codec.varint b c) st.State.dirty_cards;
   Codec.str b (Buffer.contents st.State.out);
@@ -89,10 +89,9 @@ let restore_state s pos (st : State.t) =
   for i = 0 to 31 do
     st.State.xmm.(i) <- Codec.r_i64 s pos
   done;
-  (* straight over the fresh machine's memory, whose size it must claim;
-     every page a literal run lands in is marked, so the page map covers
-     the restored image *)
-  Codec.r_bytes_rle_into ~pages:st.State.page_map s pos st.State.mem;
+  (* straight into the fresh machine's pages; the image must claim its
+     memory size *)
+  Codec.r_bytes_rle_into s pos st;
   let ncards = Codec.r_count s pos in
   let cards = List.init ncards (fun _ -> Codec.r_varint s pos) in
   Bytes.fill st.State.dirty_map 0 (Bytes.length st.State.dirty_map) '\000';
@@ -100,11 +99,7 @@ let restore_state s pos (st : State.t) =
     (fun c ->
       if c < 0 || c >= Bytes.length st.State.dirty_map then
         Codec.corrupt "dirty card %d out of range" c;
-      Bytes.set st.State.dirty_map c '\001';
-      (* a store to an already-dirty card skips the barrier's page mark *)
-      let a = c * State.card_size in
-      if a < Bytes.length st.State.mem then
-        State.mark_pages st.State.page_map a 1)
+      Bytes.set st.State.dirty_map c '\001')
     cards;
   st.State.dirty_cards <- cards;
   st.State.dirty_count <- ncards;
