@@ -4,10 +4,11 @@
    (bit reinterpretation, xorpd sign games), and pseudo-instructions for
    external calls (libm, libc I/O, allocation).
 
-   Addresses are byte addresses into a flat little-endian memory; code
-   lives outside memory (Harvard style) but every instruction has a
-   synthetic byte length so that code addresses, patch-size constraints,
-   and "is this instruction >= 5 bytes" questions behave like x64. *)
+   Addresses are byte addresses into one flat little-endian address
+   space, which [State] stores as pages written on demand; code lives
+   outside memory (Harvard style) but every instruction has a synthetic
+   byte length so that code addresses, patch-size constraints, and "is
+   this instruction >= 5 bytes" questions behave like x64. *)
 
 type gpr =
   | RAX | RBX | RCX | RDX | RSI | RDI | RBP | RSP
