@@ -58,11 +58,10 @@ let measure_ns (pairs : (string * (unit -> unit)) list) : (string * float) list 
 let cfg ?(approach = Fpvm.Engine.Trap_and_emulate) ?(cost = CM.r815)
     ?(deployment = Trapkern.User_signal) ?(gc_interval = 20000)
     ?(incremental_gc = true) ?(full_scan_every = 8) ?(max_trace_len = 64)
-    ?(decode_cache = true) ?(use_plans = true) ?(use_jit = true)
-    ?(jit_threshold = 8) ?(jit_max_trace_len = 64) ?(use_fpa = true)
-    ?(oracle = false) () =
-  { Fpvm.Engine.approach; deployment; use_vsa = true; use_fpa; oracle;
-    gc_interval; incremental_gc; full_scan_every; decode_cache;
+    ?(use_plans = true) ?(use_jit = true) ?(jit_threshold = 8)
+    ?(jit_max_trace_len = 64) ?(use_fpa = true) ?(oracle = false) () =
+  { Fpvm.Engine.approach; deployment; use_fpa; oracle;
+    gc_interval; incremental_gc; full_scan_every;
     always_emulate = false; max_trace_len; use_plans; use_jit; jit_threshold;
     jit_max_trace_len; cost; max_insns = 400_000_000 }
 
@@ -157,17 +156,14 @@ let patch_poc () =
 
 (* ---- Figure 9 -------------------------------------------------------------- *)
 
-let fig9 ?(decode_cache = true) () =
-  hr
-    (if decode_cache then
-       "Figure 9: avg cost of virtualizing an FP instruction (cycles, MPFR-200)"
-     else "Figure 9 ablation: decode cache disabled");
+let fig9 () =
+  hr "Figure 9: avg cost of virtualizing an FP instruction (cycles, MPFR-200)";
   printf "%-12s %8s | %7s %7s %7s %7s %7s %7s %7s %7s\n" "code" "total" "hw"
     "kernel" "deliver" "decode" "bind" "emulate" "gc" "corr";
   List.iter
     (fun name ->
       let e = get name in
-      let r = E_mpfr.run ~config:(cfg ~decode_cache ()) (e.W.program W.Test) in
+      let r = E_mpfr.run ~config:(cfg ()) (e.W.program W.Test) in
       let b = Fpvm.Stats.breakdown r.Fpvm.Engine.stats in
       printf "%-12s %8.0f | %7.0f %7.0f %7.0f %7.0f %7.0f %7.0f %7.0f %7.0f\n"
         e.W.name b.Fpvm.Stats.avg_total b.Fpvm.Stats.avg_hw
@@ -2218,8 +2214,7 @@ let bench_flows () =
 let experiments =
   [ ("fig3", fig3);
     ("patchpoc", patch_poc);
-    ("fig9", fun () -> fig9 ());
-    ("fig9-nocache", fun () -> fig9 ~decode_cache:false ());
+    ("fig9", fig9);
     ("fig10", fig10);
     ("fig11", fun () -> fig11 ());
     ("libm200", libm200);

@@ -87,11 +87,9 @@ type cache = {
   table : (int, decoded) Hashtbl.t;
   mutable hits : int;
   mutable misses : int;
-  mutable enabled : bool;
 }
 
-let create_cache ?(enabled = true) () =
-  { table = Hashtbl.create 256; hits = 0; misses = 0; enabled }
+let create_cache () = { table = Hashtbl.create 256; hits = 0; misses = 0 }
 
 exception Undecodable of int
 
@@ -102,7 +100,7 @@ exception Undecodable of int
    hook (the soundness oracle) interleaved between decode and the
    charge can never skew the accounting. *)
 let decode cache idx insn : decoded * bool =
-  match if cache.enabled then Hashtbl.find_opt cache.table idx else None with
+  match Hashtbl.find_opt cache.table idx with
   | Some d ->
       cache.hits <- cache.hits + 1;
       (d, true)
@@ -110,7 +108,7 @@ let decode cache idx insn : decoded * bool =
       cache.misses <- cache.misses + 1;
       match decode_insn insn with
       | Some d ->
-          if cache.enabled then Hashtbl.replace cache.table idx d;
+          Hashtbl.replace cache.table idx d;
           (d, false)
       | None -> raise (Undecodable idx)
     end

@@ -49,10 +49,9 @@ type cache = {
   table : (int, decoded) Hashtbl.t;
   mutable hits : int;
   mutable misses : int;
-  mutable enabled : bool;
 }
 
-val create_cache : ?enabled:bool -> unit -> cache
+val create_cache : unit -> cache
 
 exception Undecodable of int
 

@@ -17,7 +17,6 @@ type approach = Trap_and_emulate | Trap_and_patch | Static_transform
 type config = {
   approach : approach;
   deployment : Trapkern.deployment;
-  use_vsa : bool; (* run static analysis and insert correctness traps *)
   use_fpa : bool;
       (* consume the FP special-value tier (Analysis.Fpa): fuse JIT
          steps at proven-subnormal-free sites without the runtime raw
@@ -39,7 +38,6 @@ type config = {
   full_scan_every : int;
       (* every Nth GC pass is a full conservative scan (the incremental
          scheme's safety net; also reclaims old garbage); <= 0 never *)
-  decode_cache : bool;
   always_emulate : bool;
       (* the paper's footnote-2 variant: never run FP on the hardware,
          emulate every FP instruction with the alternative system (only
@@ -80,13 +78,11 @@ type config = {
 let default_config =
   { approach = Trap_and_emulate;
     deployment = Trapkern.User_signal;
-    use_vsa = true;
     use_fpa = true;
     oracle = false;
     gc_interval = 20_000;
     incremental_gc = true;
     full_scan_every = 8;
-    decode_cache = true;
     always_emulate = false;
     max_trace_len = 64;
     use_plans = true;
@@ -99,21 +95,16 @@ let default_config =
 (* The codegen-relevant slice of the config, canonically formatted —
    the flags component of the artifact-cache session key
    (Artifact.session_key). GC knobs, the delivery deployment, the
-   oracle and max_insns are excluded: they never shape decoded sites,
-   plans or recorded paths, so artifacts are shared across them. *)
+   oracle and max_insns are excluded: they never shape recorded paths,
+   so recordings are shared across them. *)
 let config_flags (c : config) =
-  Printf.sprintf
-    "%s,vsa=%b,fpa=%b,plans=%b,jit=%b,thr=%d,mtl=%d,jmtl=%d,ae=%b,dc=%b,cost=%s"
+  Printf.sprintf "%s,fpa=%b,plans=%b,jit=%b,thr=%d,mtl=%d,jmtl=%d,ae=%b,cost=%s"
     (match c.approach with
     | Trap_and_emulate -> "tae"
     | Trap_and_patch -> "tap"
     | Static_transform -> "st")
-    c.use_vsa c.use_fpa c.use_plans c.use_jit c.jit_threshold c.max_trace_len
-    c.jit_max_trace_len c.always_emulate c.decode_cache c.cost.CM.name
-
-(* [prepare]'s analysis rule: static transform patches from the facts
-   in any case, the other approaches only with VSA on. *)
-let uses_facts (c : config) = c.use_vsa || c.approach = Static_transform
+    c.use_fpa c.use_plans c.use_jit c.jit_threshold c.max_trace_len
+    c.jit_max_trace_len c.always_emulate c.cost.CM.name
 
 type result = {
   output : string;
@@ -206,7 +197,7 @@ module Make (A : Arith.S) = struct
     mutable fpa_sub_free : bool array;
         (* per-index FP-tier proofs (Analysis.Fpa): no raw input lane at
            this site can hold a subnormal — the JIT may fuse without the
-           runtime subnormal scan; [||] when use_fpa/use_vsa is off *)
+           runtime subnormal scan; [||] when use_fpa is off *)
     mutable fpa_born_free : bool array;
         (* per-index proof that no NaN/Inf can be born at this site *)
     mutable artifacts : (Artifact.t * string) option;
@@ -219,7 +210,7 @@ module Make (A : Arith.S) = struct
     { config;
       stats = Stats.create ();
       arena = Arena.create ();
-      cache = Decoder.create_cache ~enabled:config.decode_cache ();
+      cache = Decoder.create_cache ();
       plans = Plan.create ();
       probe = Probe.sink ();
       since_gc = 0;
@@ -928,15 +919,6 @@ module Make (A : Arith.S) = struct
            let d = interpret () in
            let p = compile t idx d in
            Plan.store t.plans idx insn p;
-           (* plan recipes ride in the artifact store for gauge
-              accounting only: plan gauges are part of the architectural
-              fingerprint, so their charges stay on-guest either way *)
-           (match t.artifacts with
-           | None -> ()
-           | Some (store, key) ->
-               if Artifact.claim_plan store ~key ~site:idx then
-                 s.Stats.cache_hits <- s.Stats.cache_hits + 1
-               else s.Stats.cache_misses <- s.Stats.cache_misses + 1);
            s.Stats.plan_misses <- s.Stats.plan_misses + 1;
            State.add_cycles st cost.CM.plan_compile;
            s.Stats.cyc_plan <- s.Stats.cyc_plan + cost.CM.plan_compile;
@@ -1411,17 +1393,12 @@ module Make (A : Arith.S) = struct
                         ~cycles:c
                     with
                     | `Shared ->
-                        t.stats.Stats.cache_hits <-
-                          t.stats.Stats.cache_hits + 1;
                         t.stats.Stats.blocks_shared <-
                           t.stats.Stats.blocks_shared + 1;
                         t.stats.Stats.cyc_compile_shared <-
                           t.stats.Stats.cyc_compile_shared + c;
                         true
-                    | `Published ->
-                        t.stats.Stats.cache_misses <-
-                          t.stats.Stats.cache_misses + 1;
-                        false)
+                    | `Published -> false)
               in
               if not shared then begin
                 State.add_cycles st c;
@@ -1723,36 +1700,28 @@ module Make (A : Arith.S) = struct
         in
         t.artifacts <- Some (store, key)
     | None -> ());
-    let record_analysis (a : Vsa.analysis) =
-      t.stats.Stats.patched_sites <- List.length a.Vsa.sinks;
-      t.stats.Stats.trap_checks_elided <-
-        a.Vsa.pipeline.Analysis.Pipeline.trap_checks_elided;
-      if config.use_fpa then begin
-        let n = Array.length prog.Program.insns in
-        t.fpa_sub_free <- Analysis.Fpa.sub_free_array a.Vsa.fpa n;
-        t.fpa_born_free <- Analysis.Fpa.born_free_array a.Vsa.fpa n;
-        t.stats.Stats.fpa_sites_proven <- a.Vsa.fpa.Analysis.Fpa.proven
-      end
-    in
     (* Static analysis + patching (the hybrid's correctness traps). The
        analysis is a pure function of the instruction array and its
        results are index-based, so an [?facts] value computed once on
        the pristine binary (the fleet's shared read-only fact store)
        applies to this session's private copy verbatim. *)
-    if uses_facts config then begin
-      let analysis =
-        match facts with Some a -> a | None -> Vsa.analyze prog
-      in
-      (* Static transform patches every FP instruction and every VSA
-         sink with an inline software check; no hardware traps at all. *)
-      if config.approach = Static_transform then
-        Array.iteri
-          (fun i insn ->
-            if Isa.is_fp_insn insn then
-              prog.Program.insns.(i) <- Isa.Checked insn)
-          prog.Program.insns;
-      Vsa.apply_patches prog analysis;
-      record_analysis analysis
+    let a = match facts with Some a -> a | None -> Vsa.analyze prog in
+    (* Static transform patches every FP instruction and every VSA
+       sink with an inline software check; no hardware traps at all. *)
+    if config.approach = Static_transform then
+      Array.iteri
+        (fun i insn ->
+          if Isa.is_fp_insn insn then prog.Program.insns.(i) <- Isa.Checked insn)
+        prog.Program.insns;
+    Vsa.apply_patches prog a;
+    t.stats.Stats.patched_sites <- List.length a.Vsa.sinks;
+    t.stats.Stats.trap_checks_elided <-
+      a.Vsa.pipeline.Analysis.Pipeline.trap_checks_elided;
+    if config.use_fpa then begin
+      let n = Array.length prog.Program.insns in
+      t.fpa_sub_free <- Analysis.Fpa.sub_free_array a.Vsa.fpa n;
+      t.fpa_born_free <- Analysis.Fpa.born_free_array a.Vsa.fpa n;
+      t.stats.Stats.fpa_sites_proven <- a.Vsa.fpa.Analysis.Fpa.proven
     end;
     (* Static trace-extension hints, over the program as patched: the
        pipeline's traceability partition is identical to the engine's,
@@ -2090,16 +2059,6 @@ module Make (A : Arith.S) = struct
       + corr_share kern.Trapkern.user_cycles;
     t.stats.Stats.decode_hits <- t.cache.Decoder.hits;
     t.stats.Stats.decode_misses <- t.cache.Decoder.misses;
-    (* publish the session's decoded-site table — completeness for the
-       persistent cache (decode is a per-site hash fill, so warm starts
-       gain accounting visibility, never behavior) *)
-    (match t.artifacts with
-    | None -> ()
-    | Some (store, key) ->
-        let sites =
-          Hashtbl.fold (fun s _ acc -> s :: acc) t.cache.Decoder.table []
-        in
-        Artifact.publish_decode store ~key ~sites);
     { output = State.output st;
       serialized = State.serialized_output st;
       stats = t.stats;

@@ -138,14 +138,10 @@ type t = {
      cache moves compile charges off-guest but never perturbs the
      architectural counters (warm and cold runs fingerprint
      identically). *)
-  mutable cache_hits : int;
-      (* artifact-store claims served by an existing entry (a recipe
-         published by another guest, or preloaded from disk) *)
-  mutable cache_misses : int;
-      (* claims that found no matching entry and published one *)
   mutable blocks_shared : int;
-      (* superblocks compiled from a shared recipe (the jit subset of
-         cache_hits); their compile charge was elided off-guest *)
+      (* superblocks compiled from a shared recipe (one published by
+         another guest, or preloaded from disk); their compile charge
+         was elided off-guest *)
   mutable cyc_compile_shared : int;
       (* jit compile cycles elided because the artifact was already
          charged elsewhere (another guest, or a previous run via the
@@ -195,7 +191,7 @@ let create () =
     tel_events = 0; tel_dropped = 0;
     fpa_sites_proven = 0; fused_unguarded = 0; shadow_elided = 0;
     jit_fused_steps = 0; fpa_sub_violations = 0; fpa_nan_violations = 0;
-    cache_hits = 0; cache_misses = 0; blocks_shared = 0;
+    blocks_shared = 0;
     cyc_compile_shared = 0;
     flows_open = 0; flows_completed = 0; flows_dropped = 0;
     flows_real = 0; flows_spurious = 0 }
@@ -299,8 +295,6 @@ let metrics =
     m "jit_fused_steps" Gauge (fun t -> t.jit_fused_steps) (fun t v -> t.jit_fused_steps <- v);
     m "fpa_sub_violations" Gauge (fun t -> t.fpa_sub_violations) (fun t v -> t.fpa_sub_violations <- v);
     m "fpa_nan_violations" Gauge (fun t -> t.fpa_nan_violations) (fun t v -> t.fpa_nan_violations <- v);
-    m "cache_hits" Gauge (fun t -> t.cache_hits) (fun t v -> t.cache_hits <- v);
-    m "cache_misses" Gauge (fun t -> t.cache_misses) (fun t v -> t.cache_misses <- v);
     m "blocks_shared" Gauge (fun t -> t.blocks_shared) (fun t v -> t.blocks_shared <- v);
     m "cyc_compile_shared" Gauge (fun t -> t.cyc_compile_shared) (fun t v -> t.cyc_compile_shared <- v);
     m "flows_open" Gauge (fun t -> t.flows_open) (fun t v -> t.flows_open <- v);

@@ -100,6 +100,24 @@ module Port = struct
         (module (val m))
 end
 
+(* The config line of a replay log's meta, written by fpvm_run's [run]
+   and [coach]. Replay compares it byte for byte, so it is a format:
+   [vsa] and [cache] stay literals for the analysis and the decode
+   cache, which can no longer be turned off. *)
+let config_fingerprint (c : Fpvm.Engine.config) machine =
+  Printf.sprintf
+    "approach=%s;deploy=%d;vsa=true;fpa=%b;orc=%b;gc=%d;inc=%b;full=%d;cache=true;alw=%b;trace=%d;plans=%b;jit=%b;jthr=%d;jmtl=%d;mach=%s"
+    (match c.Fpvm.Engine.approach with
+    | Fpvm.Engine.Trap_and_emulate -> "emulate"
+    | Fpvm.Engine.Trap_and_patch -> "patch"
+    | Fpvm.Engine.Static_transform -> "static")
+    (Trapkern.deployment_id c.Fpvm.Engine.deployment)
+    c.Fpvm.Engine.use_fpa c.Fpvm.Engine.oracle c.Fpvm.Engine.gc_interval
+    c.Fpvm.Engine.incremental_gc c.Fpvm.Engine.full_scan_every
+    c.Fpvm.Engine.always_emulate c.Fpvm.Engine.max_trace_len
+    c.Fpvm.Engine.use_plans c.Fpvm.Engine.use_jit c.Fpvm.Engine.jit_threshold
+    c.Fpvm.Engine.jit_max_trace_len machine
+
 (* ---- the functor-erased driver ---------------------------------------- *)
 
 (* Engine/session types are functor-specific, but [Replay.Session.

@@ -279,13 +279,7 @@ module Make (A : Fpvm.Arith.S) = struct
 
   (* [E.prepare] with its facts from the remembered entry. *)
   let prepare ?facts:given ?artifacts ~config prog : E.session =
-    let facts =
-      match given with
-      | Some a -> Some (facts ~facts:a prog)
-      | None ->
-          if Fpvm.Engine.uses_facts config then Some (facts prog) else None
-    in
-    E.prepare ~config ?facts ?artifacts prog
+    E.prepare ~config ~facts:(facts ?facts:given prog) ?artifacts prog
 
   (* ---- checkpointing -------------------------------------------------- *)
 

@@ -218,9 +218,10 @@ let capture ~(meta : Log.meta) ~seq ~enc ~(st : State.t)
   Codec.varint b gc_count;
   Codec.varint b patch_sites;
   encode_stats b stats;
-  (* decode cache: enabled flag, counters, cached instruction indices
-     (the decoded entries are reproduced by re-decoding on restore) *)
-  Codec.bool_ b cache.Fpvm.Decoder.enabled;
+  (* decode cache: a flag byte (the cache can no longer be disabled, so
+     it is always true), counters, cached instruction indices (the
+     decoded entries are reproduced by re-decoding on restore) *)
+  Codec.bool_ b true;
   Codec.varint b cache.Fpvm.Decoder.hits;
   Codec.varint b cache.Fpvm.Decoder.misses;
   let cached =
@@ -324,7 +325,8 @@ let restore ~dec ~(st : State.t) ~(arena : 'v Fpvm.Arena.t)
   let r_gc_count = Codec.r_varint blob pos in
   let r_patch_sites = Codec.r_varint blob pos in
   restore_stats blob pos stats;
-  let cache_enabled = Codec.r_bool blob pos in
+  if not (Codec.r_bool blob pos) then
+    Codec.corrupt "checkpoint has the decode cache disabled";
   let hits = Codec.r_varint blob pos in
   let misses = Codec.r_varint blob pos in
   let ncached = Codec.r_count blob pos in
@@ -371,7 +373,6 @@ let restore ~dec ~(st : State.t) ~(arena : 'v Fpvm.Arena.t)
           prog.Machine.Program.insns.(i) <- Isa.Patched { site_id; original })
     patched;
   Hashtbl.reset cache.Fpvm.Decoder.table;
-  cache.Fpvm.Decoder.enabled <- cache_enabled;
   List.iter
     (fun i ->
       if i < 0 || i >= Array.length prog.Machine.Program.insns then

@@ -321,13 +321,12 @@ let oracle_tests =
           r.Fpvm.Engine.stats.Fpvm.Stats.oracle_boxed_loads);
     Alcotest.test_case "oracle catches an unprotected boxed load" `Quick
       (fun () ->
-        (* disable the analysis: the figure-6 reload runs unpatched and
+        (* facts with no sinks: the figure-6 reload runs unpatched and
            observes the NaN-boxed bits; the oracle must report it *)
         let prog = build_bits_prog () in
-        let cfg =
-          { Fpvm.Engine.default_config with use_vsa = false; oracle = true }
-        in
-        let r = E_vanilla.run ~config:cfg prog in
+        let facts = { (Fpvm.Vsa.analyze prog) with Fpvm.Vsa.sinks = [] } in
+        let cfg = { Fpvm.Engine.default_config with oracle = true } in
+        let r = E_vanilla.resume (E_vanilla.prepare ~config:cfg ~facts prog) in
         Alcotest.(check bool) "violation detected" true
           (r.Fpvm.Engine.stats.Fpvm.Stats.oracle_boxed_loads > 0));
     Alcotest.test_case "demotion split: figure-6 demotions are boxed" `Quick

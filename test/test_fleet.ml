@@ -93,6 +93,19 @@ let manifest_tests =
         | Ok () -> ()
         | Error m -> Alcotest.fail m) ]
 
+(* ---- the log's config line ---------------------------------------------- *)
+
+(* Replay compares a log's config line byte for byte, so logs recorded
+   by earlier builds replay only while a run writes the same line. *)
+let config_tests =
+  [ Alcotest.test_case "a default run writes the committed config line" `Quick
+      (fun () ->
+        Alcotest.(check string) "config line"
+          "approach=emulate;deploy=0;vsa=true;fpa=true;orc=false;gc=20000;\
+           inc=true;full=8;cache=true;alw=false;trace=64;plans=true;jit=true;\
+           jthr=8;jmtl=64;mach=r815"
+          (Fleet.config_fingerprint Fpvm.Engine.default_config "r815")) ]
+
 (* ---- partition --------------------------------------------------------- *)
 
 let partition_tests =
@@ -283,6 +296,7 @@ let checkpoint_tests =
 let () =
   Alcotest.run "fleet"
     [ ("manifest", manifest_tests);
+      ("config", config_tests);
       ("partition", partition_tests);
       ("serve", serve_tests);
       ("checkpoint", checkpoint_tests) ]
