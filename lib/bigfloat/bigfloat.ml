@@ -32,7 +32,7 @@ let canon sign man exp =
 
 (* Round (-1)^sign * man * 2^exp (+ sticky) to [prec] significant bits.
    Truncation or increment and canonicalization share one shift. *)
-let make ~prec ?(mode = rne) ~sign ~man ~exp ~sticky =
+let make ~prec ~mode ~sign ~man ~exp ~sticky =
   if prec < 2 then invalid_arg "Bigfloat.make: prec < 2";
   if Nat.is_zero man then
     (* Callers only pass sticky with a nonzero man, except for

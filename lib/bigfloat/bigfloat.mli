@@ -42,7 +42,7 @@ val of_string : prec:int -> string -> t
 (** Decimal, e.g. ["-1.25e-3"]. Rounded to [prec] bits (RNE). Raises
     [Invalid_argument] on malformed input. *)
 
-val make : prec:int -> ?mode:rounding -> sign:int -> man:Bignum.Nat.t ->
+val make : prec:int -> mode:rounding -> sign:int -> man:Bignum.Nat.t ->
   exp:int -> sticky:bool -> t
 (** Round (-1)^sign * man * 2^exp (+ sticky epsilon) to [prec] bits. *)
 

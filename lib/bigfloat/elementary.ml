@@ -1,9 +1,12 @@
-(* Elementary functions: argument reduction + series evaluation with
-   guard bits, rounded once at the end.
+(* Elementary functions: argument reduction, then a series kernel in
+   fixed point, rounded once at the end.
 
-   Series run at a working precision wp = prec + guard; constants (pi,
-   ln2) are computed by integer summations scaled by 2^wp and memoized
-   per working precision. *)
+   A fixed-point value at scale w is a natural n standing for n / 2^w,
+   with w = prec + guard + 8. A series term costs one Nat.mul and a
+   shift, plus a division by a small integer; each step truncates by
+   less than one unit (2^-w). Constants (pi, ln2) and the log and atan
+   tables come from small-integer series and are memoized per domain
+   and working precision. *)
 
 module B = Bigfloat
 module Nat = Bignum.Nat
@@ -12,54 +15,44 @@ let guard = 32
 
 (* ---- integer-scaled constant series ----------------------------------- *)
 
-(* ln2 * 2^wp = sum_{k>=1} 2^wp / (k * 2^k), truncated when terms die. *)
-let ln2_scaled wp =
-  let acc = ref Nat.zero in
-  let k = ref 1 in
-  let continue = ref true in
-  while !continue do
-    if !k > wp then continue := false
-    else begin
-      let term = fst (Nat.divmod_int (Nat.shift_left Nat.one (wp - !k)) !k) in
-      if Nat.is_zero term then continue := false
-      else begin
-        acc := Nat.add !acc term;
-        incr k
-      end
-    end
-  done;
-  !acc
+(* atanh(p/q) * 2^w = sum_k 2^w (p/q)^(2k+1) / (2k+1), for small
+   0 <= p < q. Each step truncates by under a unit. *)
+let atanh_frac_scaled w p q =
+  let p2 = p * p and q2 = q * q in
+  let rec go acc pw k =
+    if Nat.is_zero pw then acc
+    else
+      go (Nat.add acc (fst (Nat.divmod_int pw ((2 * k) + 1))))
+        (fst (Nat.divmod_int (Nat.mul_int pw p2) q2))
+        (k + 1)
+  in
+  go Nat.zero (fst (Nat.divmod_int (Nat.mul_int (Nat.shift_left Nat.one w) p) q)) 0
 
-(* atan(1/x) * 2^wp for integer x >= 2 (Machin terms). *)
-let atan_inv_scaled wp x =
-  let x2 = x * x in
-  let acc = ref Nat.zero in
-  let p = ref (fst (Nat.divmod_int (Nat.shift_left Nat.one wp) x)) in
-  let k = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let term = fst (Nat.divmod_int !p ((2 * !k) + 1)) in
-    if Nat.is_zero term then continue := false
-    else begin
-      if !k land 1 = 0 then acc := Nat.add !acc term
-      else acc := Nat.sub !acc term;
-      (* x is small (5, 239): two small divisions stay in range. *)
-      p := fst (Nat.divmod_int !p x2);
-      incr k
-    end
-  done;
-  !acc
+(* atan(p/q) * 2^w by Euler's series, for small 0 <= p <= q:
+   atan(p/q) = sum_n t_n with t_0 = pq / (p^2 + q^2) and
+   t_n = t_(n-1) * 2n p^2 / ((2n+1) (p^2 + q^2)), all terms positive. *)
+let atan_frac_scaled w p q =
+  let p2 = p * p and s = (p * p) + (q * q) in
+  let rec go acc t n =
+    if Nat.is_zero t then acc
+    else
+      go (Nat.add acc t)
+        (fst (Nat.divmod_int (Nat.mul_int t (2 * n * p2)) (((2 * n) + 1) * s)))
+        (n + 1)
+  in
+  go Nat.zero (fst (Nat.divmod_int (Nat.mul_int (Nat.shift_left Nat.one w) (p * q)) s)) 1
 
-(* One memo per constant, keyed by working precision. Domain-local: the
-   memo is pure (same key -> same value), but a shared Hashtbl would race
-   when engine sessions run on separate domains. Per-domain tables trade
-   a few recomputations at domain start for lock-free reads on the hot
-   path. *)
-let new_cache () : (int, B.t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
+(* One memo per constant or table, keyed by working precision.
+   Domain-local: the memo is pure (same key -> same value), but a shared
+   Hashtbl would race when engine sessions run on separate domains.
+   Per-domain tables trade a few recomputations at domain start for
+   lock-free reads on the hot path. *)
+let new_cache () = Domain.DLS.new_key (fun () -> Hashtbl.create 8)
 
 let ln2_cache = new_cache ()
 let pi_cache = new_cache ()
+let log_tables = new_cache ()
+let atan_tables = new_cache ()
 
 let cached key wp compute =
   let tbl = Domain.DLS.get key in
@@ -70,21 +63,105 @@ let cached key wp compute =
       Hashtbl.replace tbl wp v;
       v
 
+(* ln2 = 2 atanh(1/3). *)
 let ln2_at wp =
   cached ln2_cache wp (fun () ->
-      B.make ~prec:wp ~mode:B.rne ~sign:0 ~man:(ln2_scaled (wp + 16))
-        ~exp:(-(wp + 16)) ~sticky:true)
+      let w = wp + 16 in
+      B.make ~prec:wp ~mode:B.rne ~sign:0 ~man:(atanh_frac_scaled w 1 3)
+        ~exp:(1 - w) ~sticky:true)
 
 (* Machin: pi = 16 atan(1/5) - 4 atan(1/239). *)
 let pi_at wp =
   cached pi_cache wp (fun () ->
       let w = wp + 16 in
-      let a = Nat.mul_int (atan_inv_scaled w 5) 16 in
-      let b = Nat.mul_int (atan_inv_scaled w 239) 4 in
+      let a = Nat.mul_int (atan_frac_scaled w 1 5) 16 in
+      let b = Nat.mul_int (atan_frac_scaled w 1 239) 4 in
       B.make ~prec:wp ~mode:B.rne ~sign:0 ~man:(Nat.sub a b) ~exp:(-w) ~sticky:true)
 
 let pi ~prec = pi_at (prec + 2)
 let ln2 ~prec = ln2_at (prec + 2)
+
+(* Entry [j] of an [n]-entry table at scale [w], filled on first use.
+   [compute] works 16 bits further down, so its truncation errors stay
+   below one unit. *)
+let table_entry key n w j compute =
+  let tbl = cached key w (fun () -> Array.make n None) in
+  match tbl.(j) with
+  | Some v -> v
+  | None ->
+      let v = Nat.shift_right (compute (w + 16)) 16 in
+      tbl.(j) <- Some v;
+      v
+
+(* log(1 + j/64) = 2 atanh(j / (128 + j)), 0 <= j < 64. *)
+let log_entry w j =
+  table_entry log_tables 64 w j (fun w' ->
+      Nat.shift_left (atanh_frac_scaled w' j (128 + j)) 1)
+
+(* atan(j/64), 0 <= j <= 64. *)
+let atan_entry w j = table_entry atan_tables 65 w j (fun w' -> atan_frac_scaled w' j 64)
+
+(* ---- fixed point ---------------------------------------------------------- *)
+
+let fix_one w = Nat.shift_left Nat.one w
+
+(* n * 2^k for either sign of k, truncated. *)
+let shift n k = if k >= 0 then Nat.shift_left n k else Nat.shift_right n (-k)
+
+(* |x| and x^2 at scale w, truncated; 0 for zero. *)
+let fix_of w x =
+  match B.classify x with
+  | `Fin (_, e, man) -> shift man (e + w)
+  | `Zero _ | `Nan | `Inf _ -> Nat.zero
+
+let fix_sq w x =
+  match B.classify x with
+  | `Fin (_, e, man) -> shift (Nat.mul man man) ((2 * e) + w)
+  | `Zero _ | `Nan | `Inf _ -> Nat.zero
+
+(* Constants at scale w, within a unit. *)
+let ln2_fix w = fix_of w (ln2_at (w + 4))
+let half_pi_fix w = fix_of w (B.scale2 (pi_at (w + 4)) (-1))
+
+(* The one rounding of a result: (-1)^sign * n * 2^e to [prec] bits. *)
+let round ~prec sign n e = B.make ~prec ~mode:B.rne ~sign ~man:n ~exp:e ~sticky:false
+
+(* x * (f / 2^w) rounded once, keeping x's sign and relative accuracy
+   however small x is. *)
+let round_mul ~prec w x f =
+  match B.classify x with
+  | `Fin (sign, e, man) -> round ~prec sign (Nat.mul man f) (e - w)
+  | `Zero _ | `Nan | `Inf _ -> x
+
+(* [f / 2^w] exactly, as a Bigfloat. *)
+let of_fix w f = round ~prec:(max 2 (Nat.num_bits f)) 0 f (-w)
+
+(* The series evaluator: sum_{k>=0} (+-1)^k p_k / weight k at scale w,
+   where p_0 = 1 and p_k = p_(k-1) * z / step k, for 0 <= z < 1. With
+   [alt], odd terms are negative; positive and negative terms are summed
+   apart and subtracted once. The loop ends when p_k truncates to 0.
+
+   Error: p_k stays within 2 / (1 - z) units of its exact recurrence, and
+   each term adds at most one unit of truncation, so K terms at z <= 0.7
+   are within 8K + 16 units: under 2^10 for up to 126 terms (sin, the
+   longest kernel, takes about 30 at prec 240). *)
+let series w z ~alt ~step ~weight =
+  let rec go k p pos neg =
+    let p = Nat.shift_right (Nat.mul p z) w in
+    let d = step k in
+    let p = if d = 1 then p else fst (Nat.divmod_int p d) in
+    if Nat.is_zero p then Nat.sub pos neg
+    else begin
+      let b = weight k in
+      let c = if b = 1 then p else fst (Nat.divmod_int p b) in
+      if alt && k land 1 = 1 then go (k + 1) p pos (Nat.add neg c)
+      else go (k + 1) p (Nat.add pos c) neg
+    end
+  in
+  go 1 (fix_one w) (fix_one w) Nat.zero
+
+let by_one _ = 1
+let odd k = (2 * k) + 1
 
 (* ---- small helpers ----------------------------------------------------- *)
 
@@ -97,7 +174,7 @@ let div_int wp a n = B.div_int ~prec:wp a n
 (* Round to final precision: one extra rounding of a wp-precision value. *)
 let finish ~prec v =
   match B.classify v with
-  | `Fin (sign, exp, man) -> B.make ~prec ~mode:B.rne ~sign ~man ~exp ~sticky:false
+  | `Fin (sign, exp, man) -> round ~prec sign man exp
   | `Nan | `Inf _ | `Zero _ -> v
 
 (* Nearest integer of x as an OCaml int; caller bounds the magnitude. *)
@@ -109,10 +186,12 @@ let to_int_round x =
       if sign = 1 then -v else v
   | `Nan | `Inf _ -> invalid_arg "to_int_round"
 
-(* True when |x| < 2^e. *)
-let below x e = B.is_zero x || (B.is_finite x && B.exponent x < e)
-
 (* ---- exp --------------------------------------------------------------- *)
+
+(* expm1 x = x E(x) with E(x) = sum_k x^k / (k+1)!, |x| < 1/4: E at
+   scale w. *)
+let expm1_ratio w x =
+  series w (fix_of w x) ~alt:(B.signbit x) ~step:(fun k -> k + 1) ~weight:by_one
 
 let exp ~prec x =
   match B.classify x with
@@ -120,29 +199,37 @@ let exp ~prec x =
   | `Inf 0 -> B.inf
   | `Inf _ -> B.zero
   | `Zero _ -> B.one
-  | `Fin _ ->
+  | `Fin (sign, _, _) ->
       let ex = B.exponent x in
       if ex > 40 then
         (* |x| >= 2^40: the result's exponent exceeds any practical use;
            saturate like an overflow/underflow. *)
-        (if B.sign x > 0 then B.inf else B.zero)
+        (if sign = 0 then B.inf else B.zero)
+      else if ex < -8 then begin
+        (* exp x = 1 + x E(x), rounded once: the part below 1 keeps its
+           relative accuracy however small x is. *)
+        let w = prec + guard + 8 in
+        B.add ~prec B.one (B.mul_exact x (of_fix w (expm1_ratio w x)))
+      end
       else begin
-        let wp = prec + guard + max 0 ex in
-        let l2 = ln2_at wp in
-        let n = to_int_round (div' wp x l2) in
-        let r = sub' wp x (mul' wp (B.of_int n) l2) in
-        (* Taylor sum of exp(r), |r| <= ln2/2. *)
-        let sum = ref B.one and term = ref B.one and k = ref 1 in
-        let continue = ref true in
-        while !continue do
-          term := div_int wp (mul' wp !term r) !k;
-          if below !term (-(wp + 4)) then continue := false
-          else begin
-            sum := add' wp !sum !term;
-            incr k
-          end
-        done;
-        finish ~prec (B.scale2 !sum n)
+        (* 8 more bits than the other kernels pay for the squarings. *)
+        let w = prec + guard + 16 in
+        (* |x| = q ln2 + r with r in [0, ln2). q ln2 is off by up to q
+           units, so the split runs xw bits further down. *)
+        let xw = max 0 ex + 2 in
+        let l2 = ln2_fix (w + xw) in
+        let q, r = Nat.divmod (fix_of (w + xw) x) l2 in
+        let q = Nat.to_int q in
+        let n, r =
+          if sign = 0 then (q, r)
+          else if Nat.is_zero r then (-q, r)
+          else (-(q + 1), Nat.sub l2 r)
+        in
+        (* exp r = exp(r / 2^8)^(2^8): about 20 terms instead of 55 at
+           prec 200, and each squaring doubles the relative error. *)
+        let e = series w (Nat.shift_right r (xw + 8)) ~alt:false ~step:Fun.id ~weight:by_one in
+        let rec square e i = if i = 0 then e else square (Nat.shift_right (Nat.mul e e) w) (i - 1) in
+        round ~prec 0 (square e 8) (n - w)
       end
 
 let expm1 ~prec x =
@@ -154,20 +241,10 @@ let expm1 ~prec x =
   | `Zero _ -> x
   | `Fin _ ->
       if B.exponent x < -2 then begin
-        let wp = prec + guard in
-        let sum = ref B.zero and term = ref B.one and k = ref 1 in
-        let continue = ref true in
-        while !continue do
-          term := div_int wp (mul' wp !term x) !k;
-          if below !term (-(wp + 4)) && !k > 1 then continue := false
-          else begin
-            sum := add' wp !sum !term;
-            incr k
-          end
-        done;
-        finish ~prec !sum
+        let w = prec + guard + 8 in
+        round_mul ~prec w x (expm1_ratio w x)
       end
-      else B.sub ~prec (exp ~prec:(prec + 8) x) B.one
+      else B.sub ~prec (exp ~prec:(prec + guard) x) B.one
 
 let euler_e ~prec = exp ~prec B.one
 
@@ -180,37 +257,44 @@ let log ~prec x =
   | `Inf _ -> B.nan
   | `Zero _ -> B.neg_inf
   | `Fin (1, _, _) -> B.nan
-  | `Fin _ ->
-      if B.equal x B.one then B.zero
+  | `Fin (_, _, man) ->
+      let w = prec + guard + 8 in
+      (* x = 2^k m, m in [1, 2), and c = 1 + j/64 with j = floor(64 (m - 1)). *)
+      let nb = Nat.num_bits man in
+      let top7 =
+        if nb >= 7 then Nat.extract_int man ~lo:(nb - 7) ~len:7
+        else Nat.to_int man lsl (7 - nb)
+      in
+      let k, j = (B.exponent x, top7 - 64) in
+      (* Just below 1 (k = -1, m >= 2 - 2^-6), k ln2 would cancel log m:
+         reduce around 1 instead, with k = 0 and m = x. *)
+      let k, j = if k = -1 && j = 63 then (0, 0) else (k, j) in
+      let m = B.scale2 x (-k) in
+      let c = B.scale2 (B.of_int (64 + j)) (-6) in
+      (* log m = log c + 2 atanh t, t = (m - c) / (m + c), |t| < 1/129;
+         m - c is exact. *)
+      let d = B.sub ~prec:(nb + 8) m c in
+      let t = if B.is_zero d then B.zero else div' w d (add' w m c) in
+      let a = series w (fix_sq w t) ~alt:false ~step:by_one ~weight:odd in
+      if k = 0 && j = 0 then
+        (* log x = 2 t a: rounded as a product, so relative accuracy
+           holds however close x is to 1. *)
+        round_mul ~prec w (B.scale2 t 1) a
       else begin
-        let wp = prec + guard in
-        (* x = m * 2^k, m in [1, 2). *)
-        let k = B.exponent x in
-        let m = B.scale2 x (-k) in
-        (* ln m = 2 atanh t, t = (m-1)/(m+1) in [0, 1/3). *)
-        let t = div' wp (sub' wp m B.one) (add' wp m B.one) in
-        let t2 = mul' wp t t in
-        let sum = ref t and term = ref t and j = ref 1 in
-        let continue = ref true in
-        while !continue do
-          term := mul' wp !term t2;
-          let contrib = div_int wp !term ((2 * !j) + 1) in
-          if below contrib (-(wp + 4)) then continue := false
-          else begin
-            sum := add' wp !sum contrib;
-            incr j
-          end
-        done;
-        let lnm = B.scale2 !sum 1 in
-        finish ~prec (add' wp lnm (mul' wp (B.of_int k) (ln2_at wp)))
+        (* |log x| >= 2^-7 here: sum at scale w, with t >= 0. *)
+        let pos = Nat.add (log_entry w j) (shift (Nat.mul (fix_of w t) a) (1 - w)) in
+        let kl = Nat.mul (ln2_fix w) (Nat.of_int (Stdlib.abs k)) in
+        if k >= 0 then round ~prec 0 (Nat.add pos kl) (-w)
+        else if Nat.compare pos kl >= 0 then round ~prec 0 (Nat.sub pos kl) (-w)
+        else round ~prec 1 (Nat.sub kl pos) (-w)
       end
 
 let log2 ~prec x =
-  let wp = prec + 8 in
+  let wp = prec + guard in
   B.div ~prec (log ~prec:wp x) (ln2_at wp)
 
 let log10 ~prec x =
-  let wp = prec + 8 in
+  let wp = prec + guard in
   B.div ~prec (log ~prec:wp x) (log ~prec:wp (B.of_int 10))
 
 (* ---- sin / cos ---------------------------------------------------------- *)
@@ -219,96 +303,67 @@ let log10 ~prec x =
    x = s + (q + 4n) * pi/2. *)
 let trig_reduce wp x =
   let ex = try B.exponent x with Invalid_argument _ -> 0 in
-  let wr = wp + max 0 ex + 8 in
-  let pi2 = B.scale2 (pi_at wr) (-1) in
-  (* m = round(x / (pi/2)) *)
-  let m_f = B.round_half_away (div' wr x pi2) in
-  let m_mod4, s =
+  let reduce wr =
+    let pi2 = B.scale2 (pi_at wr) (-1) in
+    (* m = round(x / (pi/2)) *)
+    let m_f = B.round_half_away (div' wr x pi2) in
     match B.classify m_f with
-    | `Zero _ -> (0, x)
+    | `Zero _ -> (0, x, true)
     | `Fin (sign, exp, man) ->
         let md = Nat.to_int (Nat.extract_bits (Nat.shift_left man exp) ~lo:0 ~len:2) in
         let md = if sign = 1 then (4 - md) land 3 else md in
-        (md, sub' wr x (mul' wr m_f pi2))
-    | `Nan | `Inf _ -> (0, B.nan)
+        (md, sub' wr x (mul' wr m_f pi2), false)
+    | `Nan | `Inf _ -> (0, B.nan, true)
   in
-  (m_mod4, s)
+  (* s = x - m pi/2 is within 2^(max 0 ex + 3 - wr) of its true value.
+     Near a multiple of pi/2 the subtraction cancels the leading bits of
+     x, and that error may exceed 2^-wp of s: redo it with as many more
+     bits of pi as were lost, in steps of 64 to bound the pi memo. *)
+  let rec go wr =
+    let q, s, exact = reduce wr in
+    let short =
+      if exact then 0
+      else if B.is_zero s then wr
+      else max 0 ex + 3 - wr + wp - B.exponent s
+    in
+    if short <= 0 then (q, s) else go (wr + (64 * ((short + 63) / 64)))
+  in
+  go (wp + max 0 ex + 8)
 
-let sin_series wp s =
-  (* sum (-1)^k s^(2k+1)/(2k+1)!, |s| <= pi/4 *)
-  let s2 = B.neg (mul' wp s s) in
-  let sum = ref s and term = ref s and k = ref 1 in
-  let continue = ref true in
-  while !continue do
-    term := div_int wp (mul' wp !term s2) (2 * !k * ((2 * !k) + 1));
-    if below !term (-(wp + 4)) then continue := false
-    else begin
-      sum := add' wp !sum !term;
-      incr k
-    end
-  done;
-  !sum
+(* sin s = s S(s^2) and cos s = C(s^2), |s| <= pi/4, at scale w. *)
+let sin_ratio w z = series w z ~alt:true ~step:(fun k -> 2 * k * odd k) ~weight:by_one
+let cos_fix w z = series w z ~alt:true ~step:(fun k -> ((2 * k) - 1) * 2 * k) ~weight:by_one
 
-let cos_series wp s =
-  let s2 = B.neg (mul' wp s s) in
-  let sum = ref B.one and term = ref B.one and k = ref 1 in
-  let continue = ref true in
-  while !continue do
-    term := div_int wp (mul' wp !term s2) ((2 * !k) * ((2 * !k) - 1));
-    if below !term (-(wp + 4)) then continue := false
-    else begin
-      sum := add' wp !sum !term;
-      incr k
-    end
-  done;
-  !sum
+(* [trig ~prec x ~zero f] reduces a finite nonzero x and hands [f] the
+   scale, the quadrant, s and s^2; [zero] is the result at zero. *)
+let trig ~prec x ~zero f =
+  match B.classify x with
+  | `Nan | `Inf _ -> B.nan
+  | `Zero _ -> zero
+  | `Fin _ ->
+      let w = prec + guard + 8 in
+      let q, s = trig_reduce (prec + guard) x in
+      f w q s (fix_sq w s)
+
+(* +-s S(s^2) for [neg], or +-C(s^2), rounded once. *)
+let sin_part ~prec w s z ~neg = round_mul ~prec w (if neg then B.neg s else s) (sin_ratio w z)
+let cos_part ~prec w z ~neg = round ~prec (if neg then 1 else 0) (cos_fix w z) (-w)
 
 let sin ~prec x =
-  match B.classify x with
-  | `Nan | `Inf _ -> B.nan
-  | `Zero _ -> x
-  | `Fin _ ->
-      let wp = prec + guard in
-      let q, s = trig_reduce wp x in
-      let v =
-        match q with
-        | 0 -> sin_series wp s
-        | 1 -> cos_series wp s
-        | 2 -> B.neg (sin_series wp s)
-        | _ -> B.neg (cos_series wp s)
-      in
-      finish ~prec v
+  trig ~prec x ~zero:x (fun w q s z ->
+      if q land 1 = 0 then sin_part ~prec w s z ~neg:(q = 2)
+      else cos_part ~prec w z ~neg:(q = 3))
 
 let cos ~prec x =
-  match B.classify x with
-  | `Nan | `Inf _ -> B.nan
-  | `Zero _ -> B.one
-  | `Fin _ ->
-      let wp = prec + guard in
-      let q, s = trig_reduce wp x in
-      let v =
-        match q with
-        | 0 -> cos_series wp s
-        | 1 -> B.neg (sin_series wp s)
-        | 2 -> B.neg (cos_series wp s)
-        | _ -> sin_series wp s
-      in
-      finish ~prec v
+  trig ~prec x ~zero:B.one (fun w q s z ->
+      if q land 1 = 0 then cos_part ~prec w z ~neg:(q = 2)
+      else sin_part ~prec w s z ~neg:(q = 1))
 
 let tan ~prec x =
-  match B.classify x with
-  | `Nan | `Inf _ -> B.nan
-  | `Zero _ -> x
-  | `Fin _ ->
-      let wp = prec + guard + 8 in
-      let q, s = trig_reduce wp x in
-      let sn = sin_series wp s and cs = cos_series wp s in
-      let v =
-        match q with
-        | 0 | 2 -> div' wp sn cs
-        | _ -> B.neg (div' wp cs sn)
-      in
-      finish ~prec v
+  trig ~prec x ~zero:x (fun w q s z ->
+      (* Both series share s^2; the quotient is the one rounding. *)
+      let sn = B.mul_exact s (of_fix w (sin_ratio w z)) and cs = of_fix w (cos_fix w z) in
+      if q land 1 = 0 then B.div ~prec sn cs else B.neg (B.div ~prec cs sn))
 
 (* ---- inverse trig -------------------------------------------------------- *)
 
@@ -320,36 +375,35 @@ let atan ~prec x =
       finish ~prec (if s = 1 then B.neg p else p)
   | `Zero _ -> x
   | `Fin (sgn, _, _) ->
-      let wp = prec + guard + 8 in
+      let w = prec + guard + 8 in
       let ax = B.abs x in
       (* |x| > 1: atan x = pi/2 - atan(1/x). *)
       let invert = B.lt B.one ax in
-      let y = if invert then div' wp B.one ax else ax in
-      (* Halve the angle h times: y <- y / (1 + sqrt(1+y^2)). *)
-      let h = 8 in
-      let y = ref y in
-      for _ = 1 to h do
-        let root = B.sqrt ~prec:wp (add' wp B.one (mul' wp !y !y)) in
-        y := div' wp !y (add' wp B.one root)
-      done;
-      let t = !y in
-      let t2 = B.neg (mul' wp t t) in
-      let sum = ref t and term = ref t and k = ref 1 in
-      let continue = ref true in
-      while !continue do
-        term := mul' wp !term t2;
-        let contrib = div_int wp !term ((2 * !k) + 1) in
-        if below contrib (-(wp + 4)) then continue := false
-        else begin
-          sum := add' wp !sum contrib;
-          incr k
-        end
-      done;
-      let v = B.scale2 !sum h in
-      let v =
-        if invert then sub' wp (B.scale2 (pi_at wp) (-1)) v else v
-      in
-      finish ~prec (if sgn = 1 then B.neg v else v)
+      let y = if invert then div' w B.one ax else ax in
+      (* atan u = u T(u^2), |u| <= 1/128. *)
+      let ratio u2 = series w u2 ~alt:true ~step:by_one ~weight:odd in
+      (* c = j/64 nearest y, so atan y = atan c + atan u with
+         u = (y - c) / (1 + y c). *)
+      let yf = fix_of w y in
+      let j = Nat.to_int (Nat.shift_right (Nat.add yf (fix_one (w - 7))) (w - 6)) in
+      if j = 0 && not invert then
+        (* |x| < 1/128: rounded as a product, keeping relative accuracy. *)
+        round_mul ~prec w x (ratio (fix_sq w y))
+      else begin
+        let v =
+          if j = 0 then Nat.shift_right (Nat.mul yf (ratio (fix_sq w y))) w
+          else begin
+            (* u at scale w from (64 y - j) / (64 + j y). *)
+            let a = Nat.mul_int yf 64 and b = Nat.mul_int (fix_one w) j in
+            let up = Nat.compare a b >= 0 in
+            let num = if up then Nat.sub a b else Nat.sub b a in
+            let u = fst (Nat.shift_div num w (Nat.add (fix_one (w + 6)) (Nat.mul_int yf j))) in
+            let au = Nat.shift_right (Nat.mul u (ratio (Nat.shift_right (Nat.mul u u) w))) w in
+            if up then Nat.add (atan_entry w j) au else Nat.sub (atan_entry w j) au
+          end
+        in
+        round ~prec sgn (if invert then Nat.sub (half_pi_fix w) v else v) (-w)
+      end
 
 let asin ~prec x =
   match B.classify x with
@@ -364,7 +418,8 @@ let asin ~prec x =
       end
       else begin
         let wp = prec + guard + 8 in
-        let denom = B.sqrt ~prec:wp (sub' wp B.one (mul' wp x x)) in
+        (* 1 - x^2 from the exact square: no cancellation near |x| = 1. *)
+        let denom = B.sqrt ~prec:wp (sub' wp B.one (B.mul_exact x x)) in
         atan ~prec (div' wp x denom)
       end
 
@@ -374,9 +429,11 @@ let acos ~prec x =
   | _ ->
       if B.lt B.one (B.abs x) then B.nan
       else begin
+        (* acos x = 2 atan(sqrt((1 - x) / (1 + x))): no cancellation
+           anywhere in [-1, 1], unlike pi/2 - asin x near x = 1. *)
         let wp = prec + guard + 8 in
-        let p2 = B.scale2 (pi_at wp) (-1) in
-        finish ~prec (sub' wp p2 (asin ~prec:wp x))
+        let r = B.sqrt ~prec:wp (div' wp (sub' wp B.one x) (add' wp B.one x)) in
+        finish ~prec (B.scale2 (atan ~prec:wp r) 1)
       end
 
 let atan2 ~prec y x =
@@ -416,8 +473,9 @@ let atan2 ~prec y x =
         let v =
           if sx > 0 then base
           else begin
+            (* The sign of pi follows y's sign bit: atan2(-0, x < 0) = -pi. *)
             let p = pi_at wp in
-            if B.sign y >= 0 then add' wp base p else sub' wp base p
+            if B.signbit y then sub' wp base p else add' wp base p
           end
         in
         finish ~prec v
@@ -425,10 +483,20 @@ let atan2 ~prec y x =
 
 (* ---- hyperbolic ----------------------------------------------------------- *)
 
+(* Both odd functions go through u = expm1 of |x| or 2|x|, so small
+   arguments keep their relative accuracy. *)
 let sinh ~prec x =
-  let wp = prec + guard in
-  let e = exp ~prec:wp x and en = exp ~prec:wp (B.neg x) in
-  finish ~prec (B.scale2 (sub' wp e en) (-1))
+  match B.classify x with
+  | `Nan | `Inf _ | `Zero _ -> x
+  | `Fin (sign, _, _) ->
+      let wp = prec + guard in
+      (* sinh |x| = (u + u / (u + 1)) / 2 *)
+      let u = expm1 ~prec:wp (B.abs x) in
+      let v =
+        if B.is_inf u then u
+        else B.scale2 (add' wp u (div' wp u (add' wp u B.one))) (-1)
+      in
+      finish ~prec (if sign = 1 then B.neg v else v)
 
 let cosh ~prec x =
   let wp = prec + guard in
@@ -440,10 +508,12 @@ let tanh ~prec x =
   | `Nan -> B.nan
   | `Inf s -> if s = 1 then B.minus_one else B.one
   | `Zero _ -> x
-  | `Fin _ ->
+  | `Fin (sign, _, _) ->
       let wp = prec + guard in
-      let e2 = exp ~prec:wp (B.scale2 x 1) in
-      finish ~prec (div' wp (sub' wp e2 B.one) (add' wp e2 B.one))
+      (* tanh |x| = u / (u + 2) with u = expm1 (2|x|); 1 once u overflows. *)
+      let u = expm1 ~prec:wp (B.scale2 (B.abs x) 1) in
+      let v = if B.is_inf u then B.one else div' wp u (add' wp u B.two) in
+      finish ~prec (if sign = 1 then B.neg v else v)
 
 (* ---- pow / roots ----------------------------------------------------------- *)
 
@@ -464,19 +534,24 @@ let pow ~prec x y =
   | _ ->
       if B.equal y B.one then finish ~prec x
       else if is_integer y && (B.is_finite y && B.exponent y <= 30) then begin
-        (* Integer exponent: exact binary powering at working precision,
-           valid for negative bases too. *)
+        (* Integer exponent by binary powering, valid for negative bases
+           too. A power of at most 2^14 bits is formed exactly and rounded
+           once (one division for n < 0), so it is correctly rounded;
+           larger ones are powered at working precision. *)
         let wp = prec + guard in
         let n = to_int_round y in
+        let exact = B.is_finite x && Stdlib.abs n * B.num_bits x <= 1 lsl 14 in
+        let mul a b = if exact then B.mul_exact a b else mul' wp a b in
         let rec go acc base n =
           if n = 0 then acc
           else
-            go (if n land 1 = 1 then mul' wp acc base else acc)
-              (mul' wp base base) (n lsr 1)
+            go (if n land 1 = 1 then mul acc base else acc)
+              (if n > 1 then mul base base else base) (n lsr 1)
         in
         let mag = go B.one x (Stdlib.abs n) in
-        let v = if n >= 0 then mag else div' wp B.one mag in
-        finish ~prec v
+        if n >= 0 then finish ~prec mag
+        else if exact then B.div ~prec B.one mag
+        else finish ~prec (div' wp B.one mag)
       end
       else if B.sign x < 0 then B.nan
       else begin

@@ -27,7 +27,7 @@ let recompute_addrs insns =
 
 (* ---- assembler ---------------------------------------------------------- *)
 
-type label = { mutable pos : int; id : int }
+type label = { mutable pos : int }
 
 type fixup = Fix_jmp of int * label | Fix_jcc of int * Isa.cond * label | Fix_call of int * label
 
@@ -36,13 +36,12 @@ type builder = {
   mutable code : Isa.insn list; (* reversed *)
   mutable ninsns : int;
   mutable fixups : fixup list;
-  mutable next_label : int;
   dbuf : Buffer.t; (* data segment image *)
   bmem_size : int;
 }
 
 let create ?(name = "prog") ?(mem_size = 1 lsl 22) () =
-  { bname = name; code = []; ninsns = 0; fixups = []; next_label = 0;
+  { bname = name; code = []; ninsns = 0; fixups = [];
     dbuf = Buffer.create 4096; bmem_size = mem_size }
 
 let emit b i =
@@ -51,10 +50,7 @@ let emit b i =
 
 let here b = b.ninsns
 
-let new_label b =
-  let l = { pos = -1; id = b.next_label } in
-  b.next_label <- b.next_label + 1;
-  l
+let new_label (_ : builder) = { pos = -1 }
 
 let place b l =
   if l.pos >= 0 then invalid_arg "Asm: label placed twice";

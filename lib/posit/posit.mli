@@ -15,9 +15,14 @@ type spec = { nbits : int; es : int }
 val spec : nbits:int -> es:int -> spec
 (** Validates the size bounds. *)
 
-val posit8 : spec   (** posit<8,0> *)
-val posit16 : spec  (** posit<16,1> *)
-val posit32 : spec  (** posit<32,2> *)
+val posit8 : spec
+(** posit<8,0> *)
+
+val posit16 : spec
+(** posit<16,1> *)
+
+val posit32 : spec
+(** posit<32,2> *)
 
 type t = int64
 (** Raw bit pattern, low [nbits] bits significant. *)

@@ -8,6 +8,10 @@
    Oracle 2: elementary functions at precision 53 must land within a few
    ulps of OCaml's libm (bigfloat is faithful, libm is ~1 ulp).
 
+   Oracle 3: elementary functions at precisions 53-240 against an
+   independent reference at 2 prec + 64 bits: faithful everywhere, and
+   correctly rounded on a fixed corpus.
+
    Plus: high-precision self-consistency identities, known constants to
    50 decimal digits, string roundtrips, directed rounding laws. *)
 
@@ -263,8 +267,10 @@ let misc_tests =
    differs across OCaml releases) run through every correctly rounded
    operation in all four modes and through the elementary functions.
    The results are serialized exactly (sign, exponent, hex significand)
-   and digested. Correct rounding makes every result unique, so a kernel
-   rewrite may change speed but never this digest; any drift fails. *)
+   and digested. Correct rounding makes every Bigfloat result unique, so
+   a kernel rewrite may change speed but never those bits. Elementary's
+   results are faithful, not unique: here their bits are checked, and
+   the oracle below checks that they are right. Any drift fails. *)
 
 module Nat = Bignum.Nat
 
@@ -415,6 +421,377 @@ let golden_tests =
         let d = Digest.to_hex (Digest.string (golden_serialize vs)) in
         Alcotest.(check string) "digest" golden_digest d) ]
 
+(* ---- faithfulness oracle -----------------------------------------------
+
+   The golden pins Elementary's bits but cannot say they are right. This
+   reference recomputes each function independently: plain Taylor sums
+   with Bigfloat ops at 2 prec + 64 bits, reduced by identities only (no
+   tables, no fixed point). Every result must be one of the two
+   representable neighbours of the reference (faithful), and the corpus
+   must show no result other than the correctly rounded one. *)
+
+module Ref = struct
+  let memo f =
+    let tbl = Hashtbl.create 8 in
+    fun rp ->
+      match Hashtbl.find_opt tbl rp with
+      | Some v -> v
+      | None ->
+          let v = f rp in
+          Hashtbl.replace tbl rp v;
+          v
+
+  (* t_0 + t_1 + ... with t_k = next k t_(k-1), until a term falls 2^-rp
+     below t_0. *)
+  let taylor rp t0 next =
+    let stop = B.exponent t0 - rp - 4 in
+    let rec go k sum t =
+      let t = next k t in
+      if B.is_zero t || B.exponent t < stop then sum
+      else go (k + 1) (B.add ~prec:rp sum t) t
+    in
+    go 1 t0 t0
+
+  (* sum_k x x2^k / (2k+1): atan with x2 = -x^2, atanh with x2 = x^2. *)
+  let odd_series rp x x2 =
+    let stop = B.exponent x - rp - 4 in
+    let rec go k sum p =
+      let p = B.mul ~prec:rp p x2 in
+      let t = B.div_int ~prec:rp p ((2 * k) + 1) in
+      if B.exponent t < stop then sum else go (k + 1) (B.add ~prec:rp sum t) p
+    in
+    go 1 x x
+
+  let atan_inv rp n =
+    let x = B.div ~prec:rp B.one (B.of_int n) in
+    odd_series rp x (B.neg (B.mul ~prec:rp x x))
+
+  let pi =
+    memo (fun rp ->
+        B.sub ~prec:rp
+          (B.mul ~prec:rp (B.of_int 16) (atan_inv rp 5))
+          (B.mul ~prec:rp (B.of_int 4) (atan_inv rp 239)))
+
+  (* ln2 = 2 atanh(1/3) *)
+  let ln2 =
+    memo (fun rp ->
+        let x = B.div ~prec:rp B.one (B.of_int 3) in
+        B.scale2 (odd_series rp x (B.mul ~prec:rp x x)) 1)
+
+  let half_pi rp = B.scale2 (pi rp) (-1)
+
+  let to_int x =
+    match B.classify (B.round_half_away x) with
+    | `Zero _ -> 0
+    | `Fin (s, e, m) ->
+        let v = Nat.to_int (Nat.shift_left m e) in
+        if s = 1 then -v else v
+    | `Nan | `Inf _ -> invalid_arg "Ref.to_int"
+
+  (* exp x = 2^n exp(r)^(2^10), r = (x - n ln2) / 2^10. *)
+  let exp rp x =
+    if B.is_zero x then B.one
+    else begin
+      let wr = rp + 64 + max 0 (B.exponent x) in
+      let l2 = ln2 wr in
+      let n = to_int (B.div ~prec:wr x l2) in
+      let r = B.sub ~prec:wr x (B.mul ~prec:wr (B.of_int n) l2) in
+      let r = B.scale2 r (-10) in
+      let e =
+        taylor wr B.one (fun k t -> B.div_int ~prec:wr (B.mul ~prec:wr t r) k)
+      in
+      let rec square e i = if i = 0 then e else square (B.mul ~prec:wr e e) (i - 1) in
+      B.scale2 (square e 10) n
+    end
+
+  (* expm1 x = sum_(k>=1) x^k / k! for |x| < 1/4, else exp x - 1. *)
+  let expm1 rp x =
+    if B.exponent x < -2 then
+      taylor rp x (fun k t -> B.div_int ~prec:rp (B.mul ~prec:rp t x) (k + 1))
+    else B.sub ~prec:rp (exp rp x) B.one
+
+  (* log x = k ln2 + 2 atanh((m-1)/(m+1)), m = x 2^-k in [sqrt2/2, sqrt2). *)
+  let log rp x =
+    let k = B.exponent x in
+    let m = B.scale2 x (-k) in
+    let k, m =
+      if B.lt B.two (B.mul_exact m m) then (k + 1, B.scale2 m (-1)) else (k, m)
+    in
+    let t = B.div ~prec:rp (B.sub ~prec:rp m B.one) (B.add ~prec:rp m B.one) in
+    let lm = if B.is_zero t then B.zero else B.scale2 (odd_series rp t (B.mul ~prec:rp t t)) 1 in
+    B.add ~prec:rp lm (B.mul ~prec:rp (B.of_int k) (ln2 (rp + 64)))
+
+  (* x = s + q pi/2 with |s| <= pi/4, using enough bits of pi that s
+     keeps rp bits when x lies near a multiple of pi/2. *)
+  let reduce rp x =
+    let wr = (2 * rp) + max 0 (B.exponent x) in
+    let p2 = half_pi wr in
+    let m = B.round_half_away (B.div ~prec:wr x p2) in
+    let s = B.sub ~prec:wr x (B.mul ~prec:wr m p2) in
+    ((to_int (B.fmod ~prec:wr m (B.of_int 4)) + 4) land 3, s)
+
+  let sin_s rp s =
+    let ms2 = B.neg (B.mul ~prec:rp s s) in
+    taylor rp s (fun k t -> B.div_int ~prec:rp (B.mul ~prec:rp t ms2) (2 * k * ((2 * k) + 1)))
+
+  let cos_s rp s =
+    let ms2 = B.neg (B.mul ~prec:rp s s) in
+    taylor rp B.one (fun k t ->
+        B.div_int ~prec:rp (B.mul ~prec:rp t ms2) (((2 * k) - 1) * 2 * k))
+
+  let sin rp x =
+    let q, s = reduce rp x in
+    match q with
+    | 0 -> sin_s rp s
+    | 1 -> cos_s rp s
+    | 2 -> B.neg (sin_s rp s)
+    | _ -> B.neg (cos_s rp s)
+
+  let cos rp x =
+    let q, s = reduce rp x in
+    match q with
+    | 0 -> cos_s rp s
+    | 1 -> B.neg (sin_s rp s)
+    | 2 -> B.neg (cos_s rp s)
+    | _ -> sin_s rp s
+  let tan rp x = B.div ~prec:rp (sin rp x) (cos rp x)
+  let log2 rp x = B.div ~prec:rp (log rp x) (ln2 rp)
+  let log10 rp x = B.div ~prec:rp (log rp x) (log rp (B.of_int 10))
+
+  (* Halve the angle until |y| <= 1/8: atan y = 2 atan(y / (1 + sqrt(1 + y^2))). *)
+  let atan rp x =
+    let ax = B.abs x in
+    let invert = B.lt B.one ax in
+    let y = if invert then B.div ~prec:rp B.one ax else ax in
+    let rec halve y h =
+      if B.exponent y < -3 then (y, h)
+      else
+        halve
+          (B.div ~prec:rp y
+             (B.add ~prec:rp B.one (B.sqrt ~prec:rp (B.add ~prec:rp B.one (B.mul ~prec:rp y y)))))
+          (h + 1)
+    in
+    let y, h = halve y 0 in
+    let v = B.scale2 (odd_series rp y (B.neg (B.mul ~prec:rp y y))) h in
+    let v = if invert then B.sub ~prec:rp (half_pi rp) v else v in
+    if B.signbit x then B.neg v else v
+
+  let asin rp x =
+    if B.equal (B.abs x) B.one then
+      (if B.signbit x then B.neg (half_pi rp) else half_pi rp)
+    else
+      atan rp
+        (B.div ~prec:rp x
+           (B.sqrt ~prec:rp (B.sub ~prec:rp B.one (B.mul_exact x x))))
+
+  let acos rp x = B.sub ~prec:rp (half_pi rp) (asin rp x)
+
+  let atan2 rp y x =
+    let base = atan rp (B.div ~prec:rp y x) in
+    if not (B.signbit x) then base
+    else if B.signbit y then B.sub ~prec:rp base (pi rp)
+    else B.add ~prec:rp base (pi rp)
+
+  (* Integer exponents are exact (or one division), so an exact midpoint
+     result is seen as one. *)
+  let pow rp x y =
+    match B.classify y with
+    | `Zero _ -> B.one
+    | `Fin (s, e, m) when e >= 0 && Nat.num_bits m + e <= 6 ->
+        let n = Nat.to_int (Nat.shift_left m e) in
+        let p = List.fold_left (fun acc _ -> B.mul_exact acc x) B.one (List.init n Fun.id) in
+        if s = 0 then p else B.div ~prec:rp B.one p
+    | _ -> exp rp (B.mul ~prec:rp y (log (rp + 64) x))
+end
+
+let rounded ~prec mode v = B.add ~prec ~mode v B.zero
+
+(* Inputs: the golden's LCG shapes, [n] per function and precision, with
+   the leading bit of each input drawn from [lo, hi]. *)
+let oracle_corpus ~seed ~prec ~n (lo, hi) =
+  let next = lcg seed in
+  List.init n (fun _ ->
+      let top = lo + (next () mod (hi - lo + 1)) in
+      golden_val next ~w:(1 + (next () mod (prec + 40))) ~top)
+
+(* Each unary case: the function, its reference, its input range and
+   whether inputs are taken positive. *)
+let oracle_unary =
+  [ ("exp", E.exp, Ref.exp, (-20, 8), false);
+    ("expm1", E.expm1, Ref.expm1, (-20, 4), false);
+    ("log", E.log, Ref.log, (-60, 60), true);
+    ("log2", E.log2, Ref.log2, (-60, 60), true);
+    ("log10", E.log10, Ref.log10, (-60, 60), true);
+    ("sin", E.sin, Ref.sin, (-20, 12), false);
+    ("cos", E.cos, Ref.cos, (-20, 12), false);
+    ("tan", E.tan, Ref.tan, (-20, 12), false);
+    ("asin", E.asin, Ref.asin, (-20, -1), false);
+    ("acos", E.acos, Ref.acos, (-20, -1), false);
+    ("atan", E.atan, Ref.atan, (-30, 30), false) ]
+
+let oracle_precs = [ 53; 113; 200; 240 ]
+
+(* Boundary inputs at [prec]: the log table's c_j = 1 + j/64 and its
+   neighbours for j = 0, 16 and 63, atan's j/64 rounding boundaries and
+   1, tiny and large arguments, and the inputs of the reduction fixes:
+   log just below 1, and fl(k pi/2). *)
+let oracle_edges prec =
+  let v f = B.of_float f in
+  (* x and its two neighbours at [prec]. *)
+  let around x =
+    let eps = B.scale2 B.one (B.exponent x - (2 * prec)) in
+    [ x; B.add ~prec ~mode:Ieee754.Softfp.Toward_pos x eps;
+      B.sub ~prec ~mode:Ieee754.Softfp.Toward_neg x eps ]
+  in
+  let below_one k = B.sub ~prec:(k + 2) B.one (B.scale2 B.one (-k)) in
+  let fl_kpi2 k = B.mul ~prec (B.of_int k) (B.scale2 (E.pi ~prec) (-1)) in
+  let tiny = B.scale2 B.one (-300) and large = B.scale2 (v 1.375) 300 in
+  let common = [ tiny; B.neg tiny; v 0.5; v (-0.75) ] in
+  (* 1 - 2^-k with 2k above prec + 40 bits: x^2 rounded at that width
+     would put 1 - x^2 off by 2^-2k. *)
+  let near_one =
+    [ B.one; B.neg B.one; below_one (prec / 2); B.neg (below_one prec);
+      below_one ((2 * prec / 3) - 2) ]
+  in
+  (* exp(+-2^-(prec+1)) and exp(2^-(prec/2)) lie just off a midpoint. *)
+  let near_half_ulp = [ prec + 1; (prec + 1) / 2 ] in
+  [ ("exp",
+     common
+     @ [ v 1000.5; v (-1000.5); B.scale2 (v 1.5) 20; E.ln2 ~prec;
+         B.mul ~prec (B.of_int (-3)) (E.ln2 ~prec) ]
+     @ List.concat_map
+         (fun k -> let t = B.scale2 B.one (-k) in [ t; B.neg t ])
+         near_half_ulp);
+    ("log",
+     List.concat_map around
+       [ B.one; v (127.0 /. 64.0); v 1.25; v (127.0 /. 128.0); v (63.0 /. 32.0);
+         B.scale2 (v 1.25) 5; B.scale2 (v (127.0 /. 64.0)) (-5) ]
+     @ [ v 10.0; tiny; large ]
+     @ List.map below_one [ 1; 7; 8; 20; 40; 100; 150 ]);
+    ("expm1", common @ [ v 1000.5; v (-1000.5) ]);
+    ("log2", [ B.one; v 8.0; v 10.0; tiny; large ] @ List.map below_one [ 1; 20; 100 ]);
+    ("log10", [ B.one; v 8.0; v 10.0; v 1e22; tiny; large ] @ List.map below_one [ 1; 20; 100 ]);
+    ("sin", common @ [ large; v 1e6 ] @ List.map fl_kpi2 [ 1; 2; 3; 4; 7; 100 ]);
+    ("cos", common @ [ large; v 1e6 ] @ List.map fl_kpi2 [ 1; 2; 3; 4; 7; 100 ]);
+    ("tan", common @ [ large; v 1e6 ] @ List.map fl_kpi2 [ 1; 2; 3; 5; 7; 100 ]);
+    ("asin", common @ near_one);
+    ("acos", common @ near_one);
+    ("atan",
+     common @ [ large; B.neg large ]
+     @ List.concat_map around
+         [ B.one; v (1.0 /. 128.0); v (127.0 /. 128.0); v (1.0 /. 64.0); v (128.0 /. 127.0) ]) ]
+
+(* [oracle_check] returns (results, faithful failures, not correctly
+   rounded) over a list of (input label, result, reference). *)
+let oracle_check ~prec cases =
+  List.fold_left
+    (fun (n, bad, off) (label, r, v) ->
+      let dn = rounded ~prec Ieee754.Softfp.Toward_neg v
+      and up = rounded ~prec Ieee754.Softfp.Toward_pos v in
+      let bad =
+        if B.equal r dn || B.equal r up then bad
+        else begin
+          Printf.printf "  not faithful: %s -> %s, reference %s\n" label
+            (B.to_string ~digits:40 r) (B.to_string ~digits:40 v);
+          bad + 1
+        end
+      in
+      let off =
+        if B.equal r (rounded ~prec B.rne v) then off
+        else begin
+          Printf.printf "  not correctly rounded: %s\n" label;
+          off + 1
+        end
+      in
+      (n + 1, bad, off))
+    (0, 0, 0) cases
+
+let oracle_tests =
+  let show x = B.to_string ~digits:30 x in
+  let unary prec (name, f, reference, range, pos) =
+    let rp = (2 * prec) + 64 in
+    let corpus = oracle_corpus ~seed:(Hashtbl.hash (name, prec)) ~prec ~n:500 range in
+    let corpus = if pos then List.map B.abs corpus else corpus in
+    let edges = List.assoc name (oracle_edges prec) in
+    List.map
+      (fun x -> (Printf.sprintf "%s(%s) @%d" name (show x) prec, f ~prec x, reference rp x))
+      (corpus @ edges)
+  in
+  let binary prec =
+    let rp = (2 * prec) + 64 in
+    let next = lcg (Hashtbl.hash ("binary", prec)) in
+    let arg lo hi = golden_val next ~w:(1 + (next () mod (prec + 40))) ~top:(lo + (next () mod (hi - lo + 1))) in
+    List.concat
+      (List.init 500 (fun i ->
+           let y = arg (-10) 10 and x = arg (-10) 10 in
+           let b = B.abs (arg (-6) 6) in
+           let e = if i mod 4 = 0 then B.of_int ((next () mod 41) - 20) else arg (-6) 4 in
+           [ (Printf.sprintf "atan2(%s, %s) @%d" (show y) (show x) prec,
+              E.atan2 ~prec y x, Ref.atan2 rp y x);
+             (Printf.sprintf "pow(%s, %s) @%d" (show b) (show e) prec,
+              E.pow ~prec b e, Ref.pow rp b e) ]))
+  in
+  [ Alcotest.test_case "faithful and correctly rounded against the reference" `Slow
+      (fun () ->
+        let n, bad, off =
+          List.fold_left
+            (fun (n, bad, off) prec ->
+              let n', bad', off' =
+                oracle_check ~prec (List.concat_map (unary prec) oracle_unary @ binary prec)
+              in
+              (n + n', bad + bad', off + off'))
+            (0, 0, 0) oracle_precs
+        in
+        Printf.printf "oracle: %d results, %d not faithful, %d not correctly rounded\n" n bad off;
+        Alcotest.(check bool) "corpus size" true (n >= 52 * 500);
+        Alcotest.(check int) "not faithful" 0 bad;
+        Alcotest.(check int) "not correctly rounded" 0 off) ]
+
+(* ---- reductions that used to cancel -------------------------------------- *)
+
+let fix_tests =
+  let same = Alcotest.testable B.pp B.equal in
+  [ Alcotest.test_case "log(1 - 2^-k) = -sum 2^-ki / i, rounded" `Quick (fun () ->
+        List.iter
+          (fun prec ->
+            List.iter
+              (fun k ->
+                let x = B.sub ~prec:(k + 2) B.one (B.scale2 B.one (-k)) in
+                (* -log(1 - e) = sum e^i / i, to 3 prec bits. *)
+                let rp = 3 * prec in
+                let rec sum acc i =
+                  let t = B.div_int ~prec:rp (B.scale2 B.one (-k * i)) i in
+                  if B.exponent t < B.exponent acc - rp then acc
+                  else sum (B.add ~prec:rp acc t) (i + 1)
+                in
+                let want = B.neg (rounded ~prec B.rne (sum (B.scale2 B.one (-k)) 2)) in
+                Alcotest.check same (Printf.sprintf "k=%d prec=%d" k prec) want (E.log ~prec x))
+              [ 1; 7; 8; 20; 40; 100; 150 ])
+          [ 53; 200 ]);
+    Alcotest.test_case "sin, cos, tan at fl(k pi/2) match a 600-bit reference" `Quick (fun () ->
+        List.iter
+          (fun prec ->
+            List.iter
+              (fun k ->
+                let x = B.mul ~prec (B.of_int k) (B.scale2 (E.pi ~prec) (-1)) in
+                List.iter
+                  (fun (name, f, reference) ->
+                    Alcotest.check same
+                      (Printf.sprintf "%s(fl(%d pi/2)) prec=%d" name k prec)
+                      (rounded ~prec B.rne (reference 600 x)) (f ~prec x))
+                  [ ("sin", E.sin, Ref.sin); ("cos", E.cos, Ref.cos); ("tan", E.tan, Ref.tan) ])
+              [ 1; 2; 3; 4; 5; -7 ])
+          [ 53; 200 ]);
+    Alcotest.test_case "atan2 of signed zeros = Float.atan2" `Quick (fun () ->
+        List.iter
+          (fun (y, x) ->
+            let want = Float.atan2 y x in
+            let got = B.to_float (E.atan2 ~prec:53 (B.of_float y) (B.of_float x)) in
+            Alcotest.(check int64)
+              (Printf.sprintf "atan2(%g, %g)" y x)
+              (Int64.bits_of_float want) (Int64.bits_of_float got))
+          [ (0.0, 1.0); (-0.0, 1.0); (0.0, -1.0); (-0.0, -1.0) ]) ]
+
 let () =
   Alcotest.run "bigfloat"
     [ ("oracle53", oracle53_tests);
@@ -423,4 +800,6 @@ let () =
       ("high-precision", high_precision_tests);
       ("rounding", rounding_tests);
       ("misc", misc_tests);
-      ("golden", golden_tests) ]
+      ("golden", golden_tests);
+      ("oracle", oracle_tests);
+      ("fixes", fix_tests) ]

@@ -106,6 +106,27 @@ let elementary_tests =
         let h = Float.hypot a b in
         let r = B.to_float (E.hypot ~prec:53 (B.of_float a) (B.of_float b)) in
         ulp_diff r h <= 64L);
+    Alcotest.test_case "sinh and tanh at 2^-60 match a 600-bit reference" `Quick
+      (fun () ->
+        (* sinh x = sum x^(2k+1) / (2k+1)!, cosh x = sum x^(2k) / (2k)! *)
+        let rp = 600 in
+        let x = B.scale2 B.one (-60) in
+        let x2 = B.mul ~prec:rp x x in
+        let taylor t0 d =
+          let rec go k sum t =
+            let t = B.div_int ~prec:rp (B.mul ~prec:rp t x2) (d k) in
+            if B.exponent t < B.exponent sum - rp then sum
+            else go (k + 1) (B.add ~prec:rp sum t) t
+          in
+          go 1 t0 t0
+        in
+        let sh = taylor x (fun k -> 2 * k * ((2 * k) + 1))
+        and ch = taylor B.one (fun k -> ((2 * k) - 1) * 2 * k) in
+        let round v = B.add ~prec:200 v B.zero in
+        let same = Alcotest.testable B.pp B.equal in
+        Alcotest.check same "sinh" (round sh) (E.sinh ~prec:200 x);
+        Alcotest.check same "tanh" (round (B.div ~prec:rp sh ch)) (E.tanh ~prec:200 x);
+        Alcotest.check same "sinh(-x)" (round (B.neg sh)) (E.sinh ~prec:200 (B.neg x)));
     q "acos(cos t) = t on [0,pi]" ~count:100
       (QCheck.make ~print:string_of_float (QCheck.Gen.float_range 0.1 3.0))
       (fun t ->

@@ -99,6 +99,31 @@ let end_to_end =
         Alcotest.(check bool) "long run finite" true (width_of 200))
   ]
 
+(* log just below 1: the enclosure of the point 1 - 2^-k must contain
+   -sum 2^-ki / i, computed here at 200 bits. *)
+let log_below_one =
+  [ Alcotest.test_case "log(1 - 2^-52) and log(1 - 2^-53) are enclosed" `Quick
+      (fun () ->
+        List.iter
+          (fun k ->
+            let x = 1.0 -. Float.ldexp 1.0 (-k) in
+            let truth =
+              List.fold_left
+                (fun acc i ->
+                  Bigfloat.sub ~prec:200 acc
+                    (Bigfloat.div_int ~prec:200 (Bigfloat.scale2 Bigfloat.one (-k * i)) i))
+                Bigfloat.zero [ 1; 2; 3; 4 ]
+            in
+            let v = I.log (point x) in
+            let lo = Bigfloat.of_float (Int64.float_of_bits v.I.lo)
+            and hi = Bigfloat.of_float (Int64.float_of_bits v.I.hi) in
+            Alcotest.(check bool)
+              (Printf.sprintf "lo <= log(1 - 2^-%d)" k) true (Bigfloat.le lo truth);
+            Alcotest.(check bool)
+              (Printf.sprintf "log(1 - 2^-%d) <= hi" k) true (Bigfloat.le truth hi))
+          [ 52; 53 ]) ]
+
 let () =
   Alcotest.run "interval"
-    [ ("containment", containment); ("end-to-end", end_to_end) ]
+    [ ("containment", containment); ("end-to-end", end_to_end);
+      ("log", log_below_one) ]

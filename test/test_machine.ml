@@ -364,7 +364,7 @@ let printer_inputs () =
       Workloads.all
   in
   let generated =
-    List.map Fpvm_ir.Codegen.compile_program
+    List.map (fun p -> Fpvm_ir.Codegen.compile_program p)
       (QCheck.Gen.generate ~rand:(Random.State.make [| 0xFAC75 |]) ~n:200
          Random_program.gen_program)
   in

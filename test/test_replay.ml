@@ -249,8 +249,8 @@ let arb_paged_image =
         (triple (list_size (int_range 1 5) page) (int_bound ps) nat))
 
 let same_bytes_tests =
-  [ q "bytes_rle = bytewise encoder" ~count:2000 arb_rle_bytes same_rle;
-    q "bytes_rle = bytewise encoder (sparse)" arb_sparse_bytes same_rle;
+  [ q "bytes_rle = bytewise encoder" ~count:2000 arb_rle_bytes (fun by -> same_rle by);
+    q "bytes_rle = bytewise encoder (sparse)" arb_sparse_bytes (fun by -> same_rle by);
     q "bytes_rle = bytewise encoder (written pages)" arb_paged_image
       (fun (by, zero_pages) -> same_rle ~zero_pages by);
     Alcotest.test_case "bytes_rle = bytewise encoder (every offset)" `Quick
