@@ -178,10 +178,14 @@ module Make (A : Arith.S) = struct
     mutable in_trace : bool;
         (* inside a trap delivery's emulate+trace window: the only time
            temp elision may fire (trace exit materializes leftovers) *)
-    mutable temp_stores : (int * int) list;
-        (* (byte address, scratch slot) of every in-trace binary64 store
-           that spilled a live temp pattern to memory; swept (re-boxed
-           where the pattern survives) at trace exit *)
+    mutable spill_addr : int array;
+    mutable spill_slot : int array;
+    mutable spill_n : int;
+        (* spill records, oldest first: the byte address and scratch
+           slot of every in-trace binary64 store that spilled a live
+           temp pattern to memory; swept (re-boxed where the pattern
+           survives) at trace exit. A record whose slot was re-boxed
+           reads slot -1. *)
     jit : Jit.t;
         (* hot-trace accounting: per-head delivery counters and the
            recorded paths compiled blocks were lowered from (the
@@ -209,7 +213,7 @@ module Make (A : Arith.S) = struct
   let create config =
     { config;
       stats = Stats.create ();
-      arena = Arena.create ();
+      arena = Arena.create (A.promote Ieee754.Soft64.default_qnan);
       cache = Decoder.create_cache ();
       plans = Plan.create ();
       probe = Probe.sink ();
@@ -221,7 +225,9 @@ module Make (A : Arith.S) = struct
       scratch = [||];
       scratch_n = 0;
       in_trace = false;
-      temp_stores = [];
+      spill_addr = [||];
+      spill_slot = [||];
+      spill_n = 0;
       jit = Jit.create ();
       jit_blocks = Plan.create ();
       jit_rec = None;
@@ -247,13 +253,10 @@ module Make (A : Arith.S) = struct
         else A.promote Ieee754.Soft64.default_qnan
       end
       else
-        match Arena.get t.arena idx with
-        | Some v -> v
-        | None ->
-            (* Dangling box (freed by GC while still reachable would be
-               a bug; a stale pattern read from never-initialized memory
-               is not): treat as a universal NaN. *)
-            A.promote Ieee754.Soft64.default_qnan
+        (* A dangling box (freed by GC while still reachable would be a
+           bug; a stale pattern read from never-initialized memory is
+           not) reads as the arena's dummy: a universal NaN. *)
+        Arena.value t.arena idx
     end
     else A.promote bits
 
@@ -357,7 +360,7 @@ module Make (A : Arith.S) = struct
     in
     let dt = Unix.gettimeofday () -. t0 in
     let cost = t.config.cost in
-    let cells = if full then t.arena.Arena.next_fresh else young in
+    let cells = if full then Arena.next_fresh t.arena else young in
     let cyc =
       (!words * cost.CM.gc_per_word) + (cells * cost.CM.gc_per_cell)
     in
@@ -437,6 +440,11 @@ module Make (A : Arith.S) = struct
     end
     else box t v
 
+  (* [temp_pat k] is [Plan.box_temp k], computed in place: no call and
+     no boxed result *)
+  let temp_tag = Plan.box_temp 0
+  let[@inline] temp_pat k = Int64.logor temp_tag (Int64.of_int k)
+
   (* Promote slot [k] to a real arena box everywhere its pattern lives:
      the register file and every spill word recorded for it. Copies of
      a temp pattern can only exist in those places (guard_native below
@@ -447,7 +455,7 @@ module Make (A : Arith.S) = struct
     match t.scratch.(k) with
     | None -> ()
     | Some v ->
-        let pat = Plan.box_temp k in
+        let pat = temp_pat k in
         let bits = box t v in
         (match t.probe.Probe.on_num with
         | None -> ()
@@ -458,31 +466,50 @@ module Make (A : Arith.S) = struct
         for i = 0 to 31 do
           if Int64.equal st.State.xmm.(i) pat then st.State.xmm.(i) <- bits
         done;
-        t.temp_stores <-
-          List.filter
-            (fun (a, k') ->
-              if k' = k then begin
-                if Int64.equal (State.load64 st a) pat then
-                  State.store64 st a bits;
-                false
-              end
-              else true)
-            t.temp_stores;
+        (* Newest record first: [State.store64] lists a card as dirty
+           at its first write, and a checkpoint keeps the dirty cards in
+           that order, so this order is part of the checkpoint bytes. *)
+        for j = t.spill_n - 1 downto 0 do
+          if t.spill_slot.(j) = k then begin
+            t.spill_slot.(j) <- -1;
+            let a = t.spill_addr.(j) in
+            if Int64.equal (State.load64 st a) pat then State.store64 st a bits
+          end
+        done;
         t.scratch.(k) <- None;
         t.stats.Stats.temps_materialized <-
           t.stats.Stats.temps_materialized + 1
 
+  (* The scratch slot of the live temp [bits] boxes, or -1. A slot is
+     below [max_trace_len], so one masked compare tests the box bits
+     and the index's top bits at once. *)
   let live_slot t bits =
-    if Plan.is_temp_box bits then begin
-      let k = Plan.temp_slot bits in
-      if k < t.scratch_n && t.scratch.(k) <> None then Some k else None
+    if Int64.equal (Int64.logand bits Plan.temp_mask) temp_tag then begin
+      let k = Int64.to_int bits land (Plan.temp_base - 1) in
+      if k < t.scratch_n then
+        match t.scratch.(k) with Some _ -> k | None -> -1
+      else -1
     end
-    else None
+    else -1
 
   let mat_bits t st bits =
-    match live_slot t bits with
-    | Some k -> materialize_slot t st k
-    | None -> ()
+    let k = live_slot t bits in
+    if k >= 0 then materialize_slot t st k
+
+  let add_spill t a k =
+    let n = t.spill_n in
+    if n = Array.length t.spill_addr then begin
+      let grow b =
+        let c = Array.make (max 16 (2 * n)) 0 in
+        Array.blit b 0 c 0 n;
+        c
+      in
+      t.spill_addr <- grow t.spill_addr;
+      t.spill_slot <- grow t.spill_slot
+    end;
+    t.spill_addr.(n) <- a;
+    t.spill_slot.(n) <- k;
+    t.spill_n <- n + 1
 
   let mat_reg t st x =
     mat_bits t st (State.get_xmm st x 0);
@@ -516,21 +543,18 @@ module Make (A : Arith.S) = struct
     if t.scratch_n > 0 then
       match insn with
       | Isa.Mov_f { w = Isa.F64; dst = Isa.Mem m; src = Isa.Xmm x } ->
-          (match live_slot t (State.get_xmm st x 0) with
-          | Some k -> t.temp_stores <- (State.ea st m, k) :: t.temp_stores
-          | None -> ())
+          let k = live_slot t (State.get_xmm st x 0) in
+          if k >= 0 then add_spill t (State.ea st m) k
       | Isa.Mov_f { w = Isa.F64; _ } -> ()
       | Isa.Mov_f { w = Isa.F32; dst; src } ->
           mat_op ~n:4 t st dst;
           mat_op ~n:4 t st src
       | Isa.Mov_x { dst = Isa.Mem m; src = Isa.Xmm x } ->
           let a = State.ea st m in
-          (match live_slot t (State.get_xmm st x 0) with
-          | Some k -> t.temp_stores <- (a, k) :: t.temp_stores
-          | None -> ());
-          (match live_slot t (State.get_xmm st x 1) with
-          | Some k -> t.temp_stores <- (a + 8, k) :: t.temp_stores
-          | None -> ())
+          let k0 = live_slot t (State.get_xmm st x 0) in
+          if k0 >= 0 then add_spill t a k0;
+          let k1 = live_slot t (State.get_xmm st x 1) in
+          if k1 >= 0 then add_spill t (a + 8) k1
       | Isa.Mov_x _ -> ()
       (* emulated binary64 FP: operands resolve through unbox *)
       | Isa.Fp_arith { w = Isa.F64; _ }
@@ -594,20 +618,17 @@ module Make (A : Arith.S) = struct
       for i = 0 to 31 do
         mat_bits t st st.State.xmm.(i)
       done;
-      let stores = t.temp_stores in
-      List.iter
-        (fun (a, k) ->
-          if
-            k < t.scratch_n
-            && t.scratch.(k) <> None
-            && Int64.equal (State.load64 st a) (Plan.box_temp k)
-          then materialize_slot t st k)
-        stores;
-      t.temp_stores <- [];
+      (* newest first; the records of slots re-boxed above read -1 *)
+      for j = t.spill_n - 1 downto 0 do
+        let k = t.spill_slot.(j) in
+        if k >= 0 && Int64.equal (State.load64 st t.spill_addr.(j)) (temp_pat k)
+        then materialize_slot t st k
+      done;
+      t.spill_n <- 0;
       Array.fill t.scratch 0 t.scratch_n None;
       t.scratch_n <- 0
     end
-    else t.temp_stores <- []
+    else t.spill_n <- 0
 
   (* ---- plan compilation (site specialization) -------------------------- *)
 
@@ -1805,7 +1826,7 @@ module Make (A : Arith.S) = struct
                      event. Real boxes must additionally be live. *)
                   Plan.is_temp_box bits
                   || (Nanbox.is_boxed bits
-                     && Arena.get t.arena (Nanbox.unbox bits) <> None)
+                     && Arena.is_live t.arena (Nanbox.unbox bits))
                 in
                 if
                   boxed_word (a land lnot 7)

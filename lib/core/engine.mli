@@ -163,10 +163,13 @@ module Make (A : Arith.S) : sig
             box [Plan.box_temp k]; emptied at every trace exit *)
     mutable scratch_n : int;
     mutable in_trace : bool;
-    mutable temp_stores : (int * int) list;
-        (** (byte address, scratch slot) of every in-trace binary64
-            store that spilled a live temp pattern to memory; swept at
-            trace exit *)
+    mutable spill_addr : int array;
+    mutable spill_slot : int array;
+    mutable spill_n : int;
+        (** spill records, oldest first: the byte address and scratch
+            slot of every in-trace binary64 store that spilled a live
+            temp pattern to memory; swept newest first at trace exit. A
+            record whose slot was re-boxed reads slot [-1]. *)
     jit : Jit.t;
         (** hot-trace accounting: per-head delivery counters and the
             recorded paths blocks were compiled from (the

@@ -90,3 +90,9 @@ let temp_base = 1 lsl 46
 let is_temp_box bits = Nanbox.is_boxed bits && Nanbox.unbox bits >= temp_base
 let temp_slot bits = Nanbox.unbox bits - temp_base
 let box_temp slot = Nanbox.box (temp_base + slot)
+
+(* The bits every temp box of a slot below [temp_base] shares with
+   [box_temp 0]: exponent, quiet bit, tag, and the payload bits from
+   [temp_base] up. The sign is left out, as [Nanbox.is_boxed] ignores
+   it. *)
+let temp_mask = 0x7FFF_C000_0000_0000L

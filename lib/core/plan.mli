@@ -46,3 +46,8 @@ val temp_base : int
 val is_temp_box : int64 -> bool
 val temp_slot : int64 -> int
 val box_temp : int -> int64
+
+val temp_mask : int64
+(** [bits] is the temp box of a slot below {!temp_base} iff
+    [Int64.logand bits temp_mask = box_temp 0]; the slot is then the
+    low 46 bits. The sign bit is ignored, as {!Nanbox.is_boxed} does. *)

@@ -110,21 +110,21 @@ module Make (A : Fpvm.Arith.S) = struct
             A.encode_value ctx.scratch v;
             Codec.fnv64 Codec.fnv_basis (Buffer.contents ctx.scratch)
         | None -> dangling_digest
-      else
-      match Fpvm.Arena.get eng.E.arena idx with
-      | Some v ->
-          let o = Obj.repr v in
-          memo_ensure ctx idx;
-          if ctx.memo_obj.(idx) == o then ctx.memo_dig.(idx)
-          else begin
-            Buffer.clear ctx.scratch;
-            A.encode_value ctx.scratch v;
-            let d = Codec.fnv64 Codec.fnv_basis (Buffer.contents ctx.scratch) in
-            ctx.memo_obj.(idx) <- o;
-            ctx.memo_dig.(idx) <- d;
-            d
-          end
-      | None -> dangling_digest
+      else if Fpvm.Arena.is_live eng.E.arena idx then begin
+        let v = Fpvm.Arena.value eng.E.arena idx in
+        let o = Obj.repr v in
+        memo_ensure ctx idx;
+        if ctx.memo_obj.(idx) == o then ctx.memo_dig.(idx)
+        else begin
+          Buffer.clear ctx.scratch;
+          A.encode_value ctx.scratch v;
+          let d = Codec.fnv64 Codec.fnv_basis (Buffer.contents ctx.scratch) in
+          ctx.memo_obj.(idx) <- o;
+          ctx.memo_dig.(idx) <- d;
+          d
+        end
+      end
+      else dangling_digest
     end
     else bits
 

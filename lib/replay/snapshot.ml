@@ -99,6 +99,10 @@ let restore_state s pos (st : State.t) =
     (fun c ->
       if c < 0 || c >= Bytes.length st.State.dirty_map then
         Codec.corrupt "dirty card %d out of range" c;
+      (* a card is listed once, at its first write; a repeat would be
+         scanned twice by the next incremental GC pass *)
+      if Bytes.get st.State.dirty_map c <> '\000' then
+        Codec.corrupt "dirty card %d repeats" c;
       Bytes.set st.State.dirty_map c '\001')
     cards;
   st.State.dirty_cards <- cards;
@@ -107,75 +111,6 @@ let restore_state s pos (st : State.t) =
   Buffer.add_string st.State.out (Codec.r_str s pos);
   Buffer.clear st.State.serialized;
   Buffer.add_string st.State.serialized (Codec.r_str s pos)
-
-(* ---- shadow arena ---------------------------------------------------- *)
-
-let encode_arena b enc (ar : 'v Fpvm.Arena.t) =
-  Codec.varint b (Array.length ar.Fpvm.Arena.cells);
-  Codec.varint b ar.Fpvm.Arena.next_fresh;
-  for i = 0 to ar.Fpvm.Arena.next_fresh - 1 do
-    let c = ar.Fpvm.Arena.cells.(i) in
-    (match c.Fpvm.Arena.v with
-    | None -> Codec.u8 b (if c.Fpvm.Arena.on_young then 2 else 0)
-    | Some v ->
-        Codec.u8 b (1 lor if c.Fpvm.Arena.on_young then 2 else 0);
-        enc b v)
-  done;
-  (* stacks bottom-to-top: depth, then the live prefix of the buffer *)
-  let int_stack a n =
-    Codec.varint b n;
-    for i = 0 to n - 1 do
-      Codec.varint b a.(i)
-    done
-  in
-  int_stack ar.Fpvm.Arena.free ar.Fpvm.Arena.free_n;
-  int_stack ar.Fpvm.Arena.young ar.Fpvm.Arena.young_n;
-  Codec.varint b ar.Fpvm.Arena.live;
-  Codec.varint b ar.Fpvm.Arena.total_alloc;
-  Codec.varint b ar.Fpvm.Arena.total_freed;
-  Codec.varint b ar.Fpvm.Arena.high_water
-
-let restore_arena s pos dec (ar : 'v Fpvm.Arena.t) =
-  let cap = Codec.r_varint s pos in
-  (* one tag byte per fresh cell; the arena only grows by doubling past
-     its initial capacity, so [cap] is bounded by both *)
-  let next_fresh = Codec.r_count s pos in
-  if cap < 0 || cap > max (Array.length ar.Fpvm.Arena.cells) (2 * next_fresh)
-  then Codec.corrupt "arena capacity %d for %d cells" cap next_fresh;
-  if next_fresh > cap then Codec.corrupt "arena next_fresh beyond capacity";
-  let cells =
-    Array.init cap (fun _ ->
-        { Fpvm.Arena.v = None; mark = false; on_young = false })
-  in
-  for i = 0 to next_fresh - 1 do
-    let tag = Codec.r_u8 s pos in
-    let v = if tag land 1 <> 0 then Some (dec s pos) else None in
-    cells.(i) <-
-      { Fpvm.Arena.v; mark = false; on_young = tag land 2 <> 0 }
-  done;
-  (* stack buffers are sized to the cell array so later pushes stay in
-     bounds (the arena maintains this invariant after [grow]) *)
-  let int_stack () =
-    let n = Codec.r_varint s pos in
-    if n > cap then Codec.corrupt "arena stack depth %d beyond capacity" n;
-    let a = Array.make cap 0 in
-    for i = 0 to n - 1 do
-      a.(i) <- Codec.r_varint s pos
-    done;
-    (a, n)
-  in
-  ar.Fpvm.Arena.cells <- cells;
-  ar.Fpvm.Arena.next_fresh <- next_fresh;
-  let free, free_n = int_stack () in
-  ar.Fpvm.Arena.free <- free;
-  ar.Fpvm.Arena.free_n <- free_n;
-  let young, young_n = int_stack () in
-  ar.Fpvm.Arena.young <- young;
-  ar.Fpvm.Arena.young_n <- young_n;
-  ar.Fpvm.Arena.live <- Codec.r_varint s pos;
-  ar.Fpvm.Arena.total_alloc <- Codec.r_varint s pos;
-  ar.Fpvm.Arena.total_freed <- Codec.r_varint s pos;
-  ar.Fpvm.Arena.high_water <- Codec.r_varint s pos
 
 (* ---- engine statistics ----------------------------------------------- *)
 
@@ -269,7 +204,7 @@ let capture ~(meta : Log.meta) ~seq ~enc ~(st : State.t)
       Codec.varint b i;
       Codec.varint b site)
     patched;
-  encode_arena b enc arena;
+  Fpvm.Arena.encode enc b arena;
   (* simulated kernel accounting *)
   Codec.varint b kern.Trapkern.fpe_count;
   Codec.varint b kern.Trapkern.trap_count;
@@ -382,7 +317,7 @@ let restore ~dec ~(st : State.t) ~(arena : 'v Fpvm.Arena.t)
     cached;
   cache.Fpvm.Decoder.hits <- hits;
   cache.Fpvm.Decoder.misses <- misses;
-  restore_arena blob pos dec arena;
+  Fpvm.Arena.restore dec blob pos arena;
   kern.Trapkern.fpe_count <- Codec.r_varint blob pos;
   kern.Trapkern.trap_count <- Codec.r_varint blob pos;
   kern.Trapkern.trace_exit_count <- Codec.r_varint blob pos;

@@ -35,6 +35,30 @@ let nanbox_tests =
         not (Fpvm.Nanbox.is_boxed (Int64.bits_of_float f)));
     q "box roundtrip (random index)" (QCheck.int_range 0 1000000) (fun i ->
         Fpvm.Nanbox.unbox (Fpvm.Nanbox.box i) = i);
+    (* The engine's one-compare live-temp test: any box of index
+       [temp_base + k], k below [temp_base], with either sign; the top
+       bits of a payload, the quiet bit and the tag are flipped in. *)
+    q "temp mask = is_temp_box below 2^47"
+      QCheck.(
+        quad bool (int_range 0 15) (int_range 0 3)
+          (oneof [ int_range 0 64; int_range 0 (Fpvm.Plan.temp_base - 1) ]))
+      (fun (neg, top, qt, k) ->
+        let bits =
+          Int64.(
+            logor
+              (logor (shift_left (of_int top) 46) (of_int k))
+              (logor 0x7FF0_0000_0000_0000L (shift_left (of_int qt) 50)))
+        in
+        let bits = if neg then Int64.logor bits Int64.min_int else bits in
+        let masked =
+          Int64.equal
+            (Int64.logand bits Fpvm.Plan.temp_mask)
+            (Fpvm.Plan.box_temp 0)
+        in
+        masked
+        = (Fpvm.Plan.is_temp_box bits
+          && Fpvm.Plan.temp_slot bits < Fpvm.Plan.temp_base)
+        && ((not masked) || Fpvm.Plan.temp_slot bits = k));
     Alcotest.test_case "quiet NaN is not boxed" `Quick (fun () ->
         Alcotest.(check bool) "qnan" false
           (Fpvm.Nanbox.is_boxed (Int64.bits_of_float Float.nan)));
@@ -44,9 +68,193 @@ let nanbox_tests =
         Alcotest.(check bool) "not ours" false (Fpvm.Nanbox.is_boxed s))
   ]
 
+(* A reference model of the arena: a record per cell, and the free and
+   young sets as lists (push = cons, pop = head), the representation the
+   arena had before its cells became arrays. Arena indices become NaN-box
+   payloads, which every fingerprint depends on, so the arena must hand
+   out and free exactly the indices the model does. *)
+module Arena_model = struct
+  module M = Map.Make (Int)
+
+  type cell = { v : int option; mark : bool; young : bool }
+
+  type t = {
+    mutable cells : cell M.t; (* every index below next_fresh *)
+    mutable next_fresh : int;
+    mutable free : int list;
+    mutable young : int list;
+    mutable live : int;
+    mutable total_alloc : int;
+    mutable total_freed : int;
+    mutable high_water : int;
+  }
+
+  let create () =
+    { cells = M.empty; next_fresh = 0; free = []; young = []; live = 0;
+      total_alloc = 0; total_freed = 0; high_water = 0 }
+
+  let cell m i = M.find i m.cells
+  let set m i c = m.cells <- M.add i c m.cells
+
+  let alloc m v =
+    let i =
+      match m.free with
+      | i :: rest ->
+          m.free <- rest;
+          i
+      | [] ->
+          let i = m.next_fresh in
+          m.next_fresh <- i + 1;
+          set m i { v = None; mark = false; young = false };
+          i
+    in
+    if not (cell m i).young then m.young <- i :: m.young;
+    set m i { v = Some v; mark = false; young = true };
+    m.live <- m.live + 1;
+    m.total_alloc <- m.total_alloc + 1;
+    m.high_water <- max m.high_water m.live;
+    i
+
+  let get m i = if i < 0 || i >= m.next_fresh then None else (cell m i).v
+
+  let mark m i = if get m i <> None then set m i { (cell m i) with mark = true }
+
+  let clear_marks m =
+    m.cells <- M.map (fun c -> { c with mark = false }) m.cells
+
+  let release m i =
+    set m i { (cell m i) with v = None; mark = false };
+    m.free <- i :: m.free;
+    m.live <- m.live - 1;
+    m.total_freed <- m.total_freed + 1
+
+  let free m i = if get m i <> None then release m i
+
+  (* one sweep visit: free if live and unmarked, then clear mark and
+     young *)
+  let visit m freed i =
+    let c = cell m i in
+    if c.v <> None && not c.mark then begin
+      release m i;
+      incr freed
+    end;
+    set m i { (cell m i) with mark = false; young = false }
+
+  let sweep m =
+    let freed = ref 0 in
+    for i = 0 to m.next_fresh - 1 do
+      visit m freed i
+    done;
+    m.young <- [];
+    !freed
+
+  let sweep_young m =
+    let freed = ref 0 in
+    List.iter (visit m freed) m.young;
+    m.young <- [];
+    !freed
+end
+
+type arena_op =
+  | Alloc
+  | Alloc_many of int
+  | Free of int
+  | Mark of int
+  | Clear_marks
+  | Sweep
+  | Sweep_young
+  | Get of int
+
+let show_arena_op = function
+  | Alloc -> "alloc"
+  | Alloc_many n -> Printf.sprintf "alloc x%d" n
+  | Free i -> Printf.sprintf "free %d" i
+  | Mark i -> Printf.sprintf "mark %d" i
+  | Clear_marks -> "clear_marks"
+  | Sweep -> "sweep"
+  | Sweep_young -> "sweep_young"
+  | Get i -> Printf.sprintf "get %d" i
+
+(* Capacities 1 and 2 make [grow] run early; 4,096 is the engine's
+   start, and [Alloc_many] can take it past that. Indices reach below 0
+   and past the cells handed out. *)
+let arb_arena_ops =
+  let open QCheck.Gen in
+  let index = frequency [ (8, int_range (-1) 40); (1, int_range 0 6000) ] in
+  let op =
+    frequency
+      [ (12, return Alloc);
+        (1, map (fun n -> Alloc_many n) (int_range 1 5000));
+        (6, map (fun i -> Free i) index);
+        (12, map (fun i -> Mark i) index);
+        (2, return Clear_marks);
+        (2, return Sweep);
+        (4, return Sweep_young);
+        (6, map (fun i -> Get i) index) ]
+  in
+  QCheck.make
+    ~print:(fun (cap, ops) ->
+      Printf.sprintf "capacity %d: %s" cap
+        (String.concat "; " (List.map show_arena_op ops)))
+    (pair (oneofl [ 1; 2; 4096 ]) (list_size (int_range 1 150) op))
+
+let arena_counters a =
+  Fpvm.Arena.
+    [ live_count a; young_count a; total_alloc a; total_freed a;
+      high_water a ]
+
+let model_counters (m : Arena_model.t) =
+  [ m.live; List.length m.young; m.total_alloc; m.total_freed; m.high_water ]
+
+let arena_model_test =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xA7E4A |])
+    (QCheck.Test.make ~count:200 ~name:"indices and counters match the model"
+       arb_arena_ops (fun (capacity, ops) ->
+         let a = Fpvm.Arena.create ~capacity 0 and m = Arena_model.create () in
+         let next = ref 0 in
+         let same what x y =
+           if x <> y then QCheck.Test.fail_reportf "%s differs" what
+         in
+         let alloc () =
+           incr next;
+           same "alloc index" (Fpvm.Arena.alloc a !next)
+             (Arena_model.alloc m !next)
+         in
+         List.iter
+           (fun op ->
+             (match op with
+             | Alloc -> alloc ()
+             | Alloc_many n ->
+                 for _ = 1 to n do
+                   alloc ()
+                 done
+             | Free i ->
+                 Fpvm.Arena.free a i;
+                 Arena_model.free m i
+             | Mark i ->
+                 Fpvm.Arena.mark a i;
+                 Arena_model.mark m i
+             | Clear_marks ->
+                 Fpvm.Arena.clear_marks a;
+                 Arena_model.clear_marks m
+             | Sweep -> same "sweep" (Fpvm.Arena.sweep a) (Arena_model.sweep m)
+             | Sweep_young ->
+                 same "sweep_young" (Fpvm.Arena.sweep_young a)
+                   (Arena_model.sweep_young m)
+             | Get i -> same "get" (Fpvm.Arena.get a i) (Arena_model.get m i));
+             same
+               ("counters after " ^ show_arena_op op)
+               (arena_counters a) (model_counters m))
+           ops;
+         for i = -1 to m.next_fresh + 1 do
+           same (Printf.sprintf "get %d" i) (Fpvm.Arena.get a i)
+             (Arena_model.get m i)
+         done;
+         true))
+
 let arena_tests =
   [ Alcotest.test_case "alloc/get/sweep" `Quick (fun () ->
-        let a = Fpvm.Arena.create ~capacity:2 () in
+        let a = Fpvm.Arena.create ~capacity:2 0.0 in
         let i1 = Fpvm.Arena.alloc a 1.5 in
         let i2 = Fpvm.Arena.alloc a 2.5 in
         let i3 = Fpvm.Arena.alloc a 3.5 in
@@ -63,15 +271,22 @@ let arena_tests =
         let i4 = Fpvm.Arena.alloc a 9.0 in
         Alcotest.(check int) "reuse" i2 i4);
     Alcotest.test_case "stats" `Quick (fun () ->
-        let a = Fpvm.Arena.create () in
+        let a = Fpvm.Arena.create 0.0 in
         for i = 0 to 99 do
           ignore (Fpvm.Arena.alloc a (float_of_int i))
         done;
-        Alcotest.(check int) "total" 100 a.Fpvm.Arena.total_alloc;
-        Alcotest.(check int) "high water" 100 a.Fpvm.Arena.high_water;
+        Alcotest.(check int) "total" 100 (Fpvm.Arena.total_alloc a);
+        Alcotest.(check int) "high water" 100 (Fpvm.Arena.high_water a);
         Fpvm.Arena.clear_marks a;
         let freed = Fpvm.Arena.sweep a in
-        Alcotest.(check int) "all freed" 100 freed)
+        Alcotest.(check int) "all freed" 100 freed);
+    Alcotest.test_case "an empty arena grows" `Quick (fun () ->
+        let a = Fpvm.Arena.create ~capacity:0 0.0 in
+        Alcotest.(check (list int)) "indices" [ 0; 1; 2 ]
+          (List.map (Fpvm.Arena.alloc a) [ 1.5; 2.5; 3.5 ]);
+        Alcotest.(check (option (float 0.0))) "get" (Some 3.5)
+          (Fpvm.Arena.get a 2));
+    arena_model_test
   ]
 
 (* ---- a rounding-heavy test program ---- *)

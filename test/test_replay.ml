@@ -501,6 +501,7 @@ type ckpt_fields = {
   gc_latency : int;
   cache_flag : int;
   jit_path_len : int;
+  dirty_cards : int;
   arena_cap : int;
   arena_next_fresh : int;
 }
@@ -525,6 +526,7 @@ let checkpoint_fields blob =
     pos := !pos + lit;
     i := !i + z + lit
   done;
+  let dirty_cards = !pos in
   varints (Wire.r_varint blob pos) (* dirty cards *);
   ignore (Wire.r_str blob pos) (* out *);
   ignore (Wire.r_str blob pos) (* serialized *);
@@ -550,8 +552,8 @@ let checkpoint_fields blob =
   varints (2 * Wire.r_varint blob pos) (* patched sites *);
   let arena_cap = !pos in
   varint ();
-  { mem; gc_latency; cache_flag; jit_path_len = !jit_path_len; arena_cap;
-    arena_next_fresh = !pos }
+  { mem; gc_latency; cache_flag; jit_path_len = !jit_path_len; dirty_cards;
+    arena_cap; arena_next_fresh = !pos }
 
 (* [blob] with the varint at [off] replaced by [v] and the FNV trailer
    (over the bytes from [from] on) recomputed: only the new value can
@@ -616,6 +618,189 @@ let claimed_length_test =
           | _ -> Alcotest.failf "log of %d events accepted" v
           | exception Wire.Corrupt _ -> ())
         [ elen + 1; huge ])
+
+(* ---- the arena section ----------------------------------------------- *)
+
+(* Capacity, fresh count and the depths of the free and young stacks of
+   a checkpoint's arena section; [dec] reads the port's values. *)
+let arena_shape dec blob =
+  let pos = ref (checkpoint_fields blob).arena_cap in
+  let cap = Wire.r_varint blob pos in
+  let next_fresh = Wire.r_varint blob pos in
+  for _ = 1 to next_fresh do
+    if Wire.r_u8 blob pos land 1 <> 0 then ignore (dec blob pos)
+  done;
+  let free_n = Wire.r_varint blob pos in
+  for _ = 1 to free_n do
+    ignore (Wire.r_varint blob pos)
+  done;
+  (cap, next_fresh, free_n, Wire.r_varint blob pos)
+
+let lorenz_meta arith config =
+  { Replay.Log.workload = "lorenz"; scale = "test"; arith; config }
+
+(* A forged arena section spliced into a checkpoint of lorenz taken
+   before its first instruction, where the arena is empty, with the FNV
+   trailer recomputed: only the arena's own checks can reject it. The
+   section is written by [forge] with live values as vanilla encodes
+   them. Restore used to accept every forged case here. Resumed, the
+   capacity 0 made the first box raise [Invalid_argument], the free
+   stack [4000] made lorenz print 15 bytes instead of 58 (a box into a
+   cell [Arena.get] called dangling), and [1; 1] made two values share
+   index 1 and print 59. *)
+let forged_arena_test name cases =
+  Alcotest.test_case name `Quick (fun () ->
+      let module S = Replay.Session.Make (Fpvm.Alt_vanilla) in
+      let prog = (Option.get (W.find "lorenz")).W.program W.Test in
+      let blob =
+        S.capture ~meta:(lorenz_meta "vanilla" "c") ~seq:0
+          (S.prepare ~config:incr_cfg prog)
+      in
+      let start = (checkpoint_fields blob).arena_cap in
+      let pos = ref start in
+      let empty = List.init 8 (fun _ -> Wire.r_varint blob pos) in
+      (match empty with
+      | [ 4096; 0; 0; 0; 0; 0; 0; 0 ] -> ()
+      | _ -> Alcotest.fail "the arena is not empty before the first step");
+      let body_end = String.length blob - 8 in
+      let splice forge =
+        let b = Buffer.create (String.length blob) in
+        Buffer.add_string b (String.sub blob 0 start);
+        forge b;
+        Buffer.add_string b (String.sub blob !pos (body_end - !pos));
+        let body = Buffer.contents b in
+        Wire.i64 b (fnv_ref Wire.fnv_basis body);
+        Buffer.contents b
+      in
+      Alcotest.(check bool) "the section as is keeps the blob" true
+        (splice (fun b -> List.iter (Wire.varint b) empty) = blob);
+      List.iter
+        (fun (what, ok, forge) ->
+          match S.restore ~config:incr_cfg prog (splice forge) with
+          | _ -> if not ok then Alcotest.failf "%s accepted" what
+          | exception Wire.Corrupt m ->
+              if ok then Alcotest.failf "%s rejected: %s" what m)
+        cases)
+
+(* An arena section: capacity, fresh count, cells (Some v: live; the
+   flag: young), the free and young stacks bottom to top, then live,
+   total_alloc, total_freed and high_water. *)
+let arena_section ?(cap = 4096) cells free young b =
+  Wire.varint b cap;
+  Wire.varint b (List.length cells);
+  List.iter
+    (fun (v, young) ->
+      let tag = if young then 2 else 0 in
+      match v with
+      | Some v ->
+          Wire.u8 b (tag lor 1);
+          Fpvm.Alt_vanilla.encode_value b v
+      | None -> Wire.u8 b tag)
+    cells;
+  List.iter
+    (fun st ->
+      Wire.varint b (List.length st);
+      List.iter (Wire.varint b) st)
+    [ free; young ];
+  let live = List.length (List.filter (fun (v, _) -> v <> None) cells) in
+  List.iter (Wire.varint b) [ live; live; 0; live ]
+
+let forged_arena_tests =
+  let dead = (None, false) and young_dead = (None, true) in
+  let live = (Some 0x4008000000000000L, true) in
+  [ forged_arena_test "arena of capacity 0 rejected"
+      [ ("capacity 0", false, arena_section ~cap:0 [] [] []) ];
+    forged_arena_test "free entry beyond next_fresh rejected"
+      [ ("free stack [4000] over no cells", false,
+         arena_section [] [ 4000 ] []) ];
+    forged_arena_test "repeated free entry rejected"
+      [ ("free stack [1; 1] over two dead cells", false,
+         arena_section [ dead; dead ] [ 1; 1 ] []) ];
+    forged_arena_test "live free entry and bad young entries rejected"
+      [ ("two cells, one free, both young", true,
+         arena_section [ live; young_dead ] [ 1 ] [ 0; 1 ]);
+        ("free stack naming a live cell", false,
+         arena_section [ live ] [ 0 ] [ 0 ]);
+        ("young entry beyond next_fresh", false,
+         arena_section [ young_dead ] [ 0 ] [ 1 ]);
+        ("young entry without its tag", false,
+         arena_section [ dead ] [ 0 ] [ 0 ]);
+        ("repeated young entry", false,
+         arena_section [ live ] [] [ 0; 0 ]);
+        ("tag byte 4", false,
+         fun b ->
+           List.iter (Wire.varint b) [ 4096; 1; 4; 0; 0; 0; 0; 0; 0 ]) ] ]
+
+(* A machine lists a dirty card once, at its first write since the last
+   GC pass. A checkpoint listing one twice, with a valid trailer, used to
+   restore, and the next incremental pass scanned that card twice: a
+   lorenz run resumed from seq 504 ended 16 modeled cycles later than
+   the recording. *)
+let repeated_dirty_card_test =
+  Alcotest.test_case "repeated dirty card rejected" `Quick (fun () ->
+      let module S = Replay.Session.Make (Fpvm.Alt_vanilla) in
+      let prog = (Option.get (W.find "lorenz")).W.program W.Test in
+      let rec_ =
+        S.record ~checkpoint_every:500 ~meta:(lorenz_meta "vanilla" "c")
+          ~config:incr_cfg prog
+      in
+      let _, blob = List.hd rec_.Replay.Session.checkpoints in
+      let at = (checkpoint_fields blob).dirty_cards in
+      let pos = ref at in
+      let n = Wire.r_varint blob pos in
+      let cards = List.init n (fun _ -> Wire.r_varint blob pos) in
+      Alcotest.(check bool) "a dirty card" true (cards <> []);
+      let body_end = String.length blob - 8 in
+      let with_cards cards =
+        let b = Buffer.create (String.length blob) in
+        Buffer.add_string b (String.sub blob 0 at);
+        Wire.varint b (List.length cards);
+        List.iter (Wire.varint b) cards;
+        Buffer.add_string b (String.sub blob !pos (body_end - !pos));
+        let body = Buffer.contents b in
+        Wire.i64 b (fnv_ref Wire.fnv_basis body);
+        Buffer.contents b
+      in
+      Alcotest.(check bool) "the cards as they are keep the blob" true
+        (with_cards cards = blob);
+      let forged = with_cards (cards @ [ List.hd cards ]) in
+      match S.restore ~config:incr_cfg prog forged with
+      | _ -> Alcotest.fail "a repeated dirty card accepted"
+      | exception Wire.Corrupt _ -> ())
+
+(* A checkpoint whose arena grew past its 4,096-cell start, with both
+   stacks in use, encodes again to the same bytes once restored: every
+   cell's value, tag and stack position survives the round trip. NaN-
+   injected lorenz under vanilla allocates about one cell per event, so
+   with a GC pass every 5,000 emulations the first pass comes after the
+   arena has grown, and the checkpoints after it hold free cells and
+   young ones. *)
+let grown_arena_tests =
+  List.map
+    (fun (config, gc_name) ->
+      Alcotest.test_case
+        (Printf.sprintf "grown arena round trip (%s)" gc_name)
+        `Quick (fun () ->
+          let module S = Replay.Session.Make (Fpvm.Alt_vanilla) in
+          let config = { config with Fpvm.Engine.gc_interval = 5000 } in
+          let prog =
+            Machine.Program.inject_nan ~nth:0 (W.Lorenz.program ~steps:600 ())
+          in
+          let meta = lorenz_meta "vanilla" gc_name in
+          let rec_ = S.record ~checkpoint_every:250 ~meta ~config prog in
+          let grown (_, blob) =
+            let cap, next_fresh, free_n, young_n =
+              arena_shape Fpvm.Alt_vanilla.decode_value blob
+            in
+            cap > 4096 && next_fresh > 4096 && free_n > 0 && young_n > 0
+          in
+          match List.find_opt grown rec_.Replay.Session.checkpoints with
+          | None -> Alcotest.fail "no checkpoint with a grown arena"
+          | Some (seq, blob) ->
+              let ses, _, _ = S.restore ~config prog blob in
+              Alcotest.(check bool) "captured again, same bytes" true
+                (S.capture ~meta ~seq ses = blob)))
+    [ (incr_cfg, "incremental-gc"); (full_cfg, "full-gc") ]
 
 let corrupted_checkpoint_test =
   Alcotest.test_case "corrupted checkpoint rejected" `Quick (fun () ->
@@ -1034,7 +1219,10 @@ let () =
       ("value-codec", value_tests);
       ("event-log", event_log_tests);
       ("engine",
-       engine_tests @ [ corrupted_checkpoint_test; claimed_length_test; golden_test ]);
+       engine_tests
+       @ [ corrupted_checkpoint_test; claimed_length_test; golden_test ]
+       @ forged_arena_tests
+       @ (repeated_dirty_card_test :: grown_arena_tests));
       ("pages", pages_tests);
       ("facts", facts_tests);
       ("bisect", bisect_matches_linear_scan :: bisect_engine_tests) ]
