@@ -55,15 +55,15 @@ let measure_ns (pairs : (string * (unit -> unit)) list) : (string * float) list 
 
 (* ---- common engine runners ---------------------------------------------- *)
 
-let cfg ?(approach = Fpvm.Engine.Trap_and_emulate) ?(cost = CM.r815)
-    ?(deployment = Trapkern.User_signal) ?(gc_interval = 20000)
-    ?(incremental_gc = true) ?(full_scan_every = 8) ?(max_trace_len = 64)
-    ?(use_plans = true) ?(use_jit = true) ?(jit_threshold = 8)
-    ?(jit_max_trace_len = 64) ?(use_fpa = true) ?(oracle = false) () =
-  { Fpvm.Engine.approach; deployment; use_fpa; oracle;
-    gc_interval; incremental_gc; full_scan_every;
-    always_emulate = false; max_trace_len; use_plans; use_jit; jit_threshold;
-    jit_max_trace_len; cost; max_insns = 400_000_000 }
+let dc = Fpvm.Engine.default_config
+
+let cfg ?(approach = dc.approach) ?(cost = dc.cost) ?(deployment = dc.deployment)
+    ?(gc_interval = dc.gc_interval) ?(incremental_gc = dc.incremental_gc)
+    ?(max_trace_len = dc.max_trace_len) ?(use_plans = dc.use_plans)
+    ?(use_jit = dc.use_jit) ?(jit_threshold = dc.jit_threshold)
+    ?(use_fpa = dc.use_fpa) ?(oracle = dc.oracle) () =
+  { dc with approach; cost; deployment; gc_interval; incremental_gc;
+    max_trace_len; use_plans; use_jit; jit_threshold; use_fpa; oracle }
 
 let workloads_fig9 =
   [ "miniAero"; "Enzo(astro)"; "lorenz"; "NAS CG"; "fbench"; "three-body" ]
@@ -527,10 +527,7 @@ let ablate_compiler_gc () =
   hr "Ablation: compiler-managed shadow freeing (section 3.4's GC advantage)";
   printf "%-28s %12s %12s %12s %12s\n" "build" "boxes" "eager frees"
     "gc freed" "gc cycles";
-  let config =
-    { (cfg ~approach:Fpvm.Engine.Static_transform ()) with
-      Fpvm.Engine.gc_interval = 2000 }
-  in
+  let config = cfg ~approach:Fpvm.Engine.Static_transform ~gc_interval:2000 () in
   let row name prog =
     let r = E_mpfr.run ~config prog in
     let s = r.Fpvm.Engine.stats in
@@ -579,8 +576,7 @@ let ablate_delivery () =
 
 let bench_json () =
   hr "BENCH_overhead.json: trace emulation + incremental GC evidence";
-  let seed_cfg = cfg ~incremental_gc:false () in
-  let seed_cfg = { seed_cfg with Fpvm.Engine.max_trace_len = 1 } in
+  let seed_cfg = cfg ~incremental_gc:false ~max_trace_len:1 () in
   let opt_cfg = cfg () in
   let delivery (s : Fpvm.Stats.t) =
     s.Fpvm.Stats.cyc_hw + s.Fpvm.Stats.cyc_kernel + s.Fpvm.Stats.cyc_delivery
@@ -1599,8 +1595,7 @@ let bench_fleet () =
         List.map
           (fun inc ->
             (port, inc,
-             { Fpvm.Engine.default_config with
-               Fpvm.Engine.incremental_gc = inc }))
+             cfg ~incremental_gc:inc ()))
           [ true; false ])
       ports
     |> List.mapi (fun i (port, _inc, config) ->

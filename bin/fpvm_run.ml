@@ -16,15 +16,15 @@
      fpvm_run -w lorenz --from-checkpoint lorenz.log.ckpt50
      fpvm_run bisect a.log b.log --arch-only *)
 
-module CM = Machine.Cost_model
 module W = Workloads
 
-(* The functor-erased per-arithmetic driver, its port constructors and
-   the log's config line live in lib/fleet ({!Fleet.driver},
-   {!Fleet.Port}, {!Fleet.config_fingerprint}): fpvm_run is the
+(* The functor-erased per-arithmetic driver and its port constructors
+   live in lib/fleet ({!Fleet.driver}, {!Fleet.Port}): fpvm_run is the
    one-guest case of the same machinery fpvm_serve schedules fleets
    with, so a solo run and a fleet guest construct their arithmetic
-   identically — the bit-identity guarantee is by construction. *)
+   identically — the bit-identity guarantee is by construction. The
+   config flags, their validation and the log's config line come from
+   the engine's config table ({!Fpvm.Engine.config_table}). *)
 
 module J = Fpvm.Json
 
@@ -89,6 +89,14 @@ let load_program workload scale inject_nan =
         Ok (e, if inject_nan >= 0 then Machine.Program.inject_nan p ~nth:inject_nan else p)
       with Invalid_argument m -> Error m)
 
+(* A recording's meta: the engine's config line, plus the seeded NaN
+   site when there is one. *)
+let log_meta (e : W.entry) ~scale ~arith ~config ~inject_nan =
+  { Replay.Log.workload = e.W.name; scale; arith;
+    config =
+      Fpvm.Engine.config_line config
+      ^ if inject_nan >= 0 then Printf.sprintf ";injnan=%d" inject_nan else "" }
+
 (* Log/checkpoint I-O failures are user errors, not crashes. *)
 let guard f =
   match f () with
@@ -97,29 +105,16 @@ let guard f =
   | exception Sys_error msg -> `Error (false, msg)
   | exception Failure msg -> `Error (false, msg)
 
-let run workload arith prec posit_bits approach machine deployment scale
-    trace_len full_gc gc_interval no_plans no_jit jit_threshold
-    jit_max_trace_len no_fpa oracle stats json disasm spy list_only record_file
-    replay_file checkpoint_every from_checkpoint inject inject_nan trace_out
-    profile profile_out shadow_check flows flow_capacity cache_dir no_cache =
+let run workload arith prec posit_bits scale config stats json disasm spy
+    list_only record_file replay_file checkpoint_every from_checkpoint inject
+    inject_nan trace_out profile profile_out shadow_check flows flow_capacity
+    cache_dir no_cache =
   if list_only then begin
     List.iter
       (fun (e : W.entry) -> Printf.printf "%-12s %s\n" e.W.name e.W.specifics)
       W.all;
     `Ok 0
   end
-  else if trace_len < 1 then
-    `Error (false, Printf.sprintf "--trace-len must be >= 1 (got %d)" trace_len)
-  else if gc_interval <= 0 then
-    `Error (false, Printf.sprintf "--gc-interval must be > 0 (got %d)" gc_interval)
-  else if jit_threshold < 1 then
-    `Error
-      (false, Printf.sprintf "--jit-threshold must be >= 1 (got %d)" jit_threshold)
-  else if jit_max_trace_len < 1 then
-    `Error
-      ( false,
-        Printf.sprintf "--jit-max-trace-len must be >= 1 (got %d)"
-          jit_max_trace_len )
   else if checkpoint_every < 0 then
     `Error
       (false, Printf.sprintf "--checkpoint-every must be >= 0 (got %d)" checkpoint_every)
@@ -151,284 +146,247 @@ let run workload arith prec posit_bits approach machine deployment scale
         end
         else
           let arith = String.lowercase_ascii arith in
-          match
-            (match String.lowercase_ascii machine with
-            | "r815" -> Ok CM.r815
-            | "7220" -> Ok CM.xeon7220
-            | "r730xd" -> Ok CM.r730xd
-            | m -> Error (Printf.sprintf "unknown machine %S (r815, 7220, r730xd)" m)),
-            (match deployment with
-            | "user" -> Ok Trapkern.User_signal
-            | "kernel" -> Ok Trapkern.Kernel_module
-            | "uu" -> Ok Trapkern.User_to_user
-            | d -> Error (Printf.sprintf "unknown deployment %S (user, kernel, uu)" d)),
-            (match approach with
-            | "emulate" -> Ok Fpvm.Engine.Trap_and_emulate
-            | "patch" -> Ok Fpvm.Engine.Trap_and_patch
-            | "static" -> Ok Fpvm.Engine.Static_transform
-            | a -> Error (Printf.sprintf "unknown approach %S (emulate, patch, static)" a))
-          with
-          | Error m, _, _ | _, Error m, _ | _, _, Error m -> `Error (false, m)
-          | Ok cost, Ok deployment, Ok approach -> (
-              let config =
-                { Fpvm.Engine.default_config with
-                  Fpvm.Engine.approach; cost; deployment; gc_interval; oracle;
-                  Fpvm.Engine.max_trace_len = trace_len;
-                  Fpvm.Engine.incremental_gc = not full_gc;
-                  Fpvm.Engine.use_plans = not no_plans;
-                  Fpvm.Engine.use_jit = not no_jit;
-                  Fpvm.Engine.use_fpa = not no_fpa;
-                  Fpvm.Engine.jit_threshold;
-                  Fpvm.Engine.jit_max_trace_len }
+          match Fleet.Port.of_flags ~arith ~prec ~posit:posit_bits with
+          | Error m -> `Error (false, m)
+          | Ok _ when arith = "native" && (record_file <> "" || replay_file <> "" || from_checkpoint <> "") ->
+              `Error (false, "--record/--replay/--from-checkpoint require an FPVM arithmetic, not native")
+          | Ok _
+            when arith = "native"
+                 && (trace_out <> "" || profile || profile_out <> ""
+                    || shadow_check || flows) ->
+              `Error
+                ( false,
+                  "--trace-out/--profile/--shadow-check/--flows require \
+                   an FPVM arithmetic, not native" )
+          | Ok port ->
+              let d = Fleet.port_driver port in
+              (* One shared analysis per run: the driver reuses it to
+                 patch sinks (when running, recording, replaying or
+                 restoring alike), the engine consumes the FP tier for
+                 fusion widening, and the numprof elision predicate /
+                 static birth candidates come from the same verdicts —
+                 no tier runs twice. *)
+              let facts =
+                if arith = "native" then None
+                else Some (Fpvm.Vsa.analyze prog)
               in
-              match Fleet.Port.of_flags ~arith ~prec ~posit:posit_bits with
-              | Error m -> `Error (false, m)
-              | Ok _ when arith = "native" && (record_file <> "" || replay_file <> "" || from_checkpoint <> "") ->
-                  `Error (false, "--record/--replay/--from-checkpoint require an FPVM arithmetic, not native")
-              | Ok _
-                when arith = "native"
-                     && (trace_out <> "" || profile || profile_out <> ""
-                        || shadow_check || flows) ->
-                  `Error
-                    ( false,
-                      "--trace-out/--profile/--shadow-check/--flows require \
-                       an FPVM arithmetic, not native" )
-              | Ok port ->
-                  let d = Fleet.port_driver port in
-                  (* One shared analysis per run: the driver reuses it to
-                     patch sinks (when running, recording, replaying or
-                     restoring alike), the engine consumes the FP tier for
-                     fusion widening, and the numprof elision predicate /
-                     static birth candidates come from the same verdicts —
-                     no tier runs twice. *)
-                  let facts =
-                    if arith = "native" then None
-                    else Some (Fpvm.Vsa.analyze prog)
+              let clean, static_candidates =
+                match facts with
+                | Some a when config.Fpvm.Engine.use_fpa ->
+                    let fpa = a.Fpvm.Vsa.fpa in
+                    let born =
+                      Analysis.Fpa.born_free_array fpa
+                        (Array.length prog.Machine.Program.insns)
+                    in
+                    ( Some
+                        (fun i ->
+                          i >= 0 && i < Array.length born && born.(i)),
+                      Array.to_list fpa.Analysis.Fpa.verdicts
+                      |> List.filter_map
+                           (fun (v : Analysis.Fpa.verdict) ->
+                             let concrete =
+                               List.filter
+                                 (fun r ->
+                                   String.length r >= 4
+                                   && (String.sub r 0 4 = "nan:"
+                                      || String.sub r 0 4 = "inf:"))
+                                 v.Analysis.Fpa.v_risks
+                             in
+                             if concrete = [] then None
+                             else
+                               Some (v.Analysis.Fpa.v_index, concrete))
+                    )
+                | _ -> (None, [])
+              in
+              let tel =
+                if
+                  trace_out <> "" || profile || profile_out <> ""
+                  || shadow_check || flows
+                  || (config.oracle && arith <> "native")
+                then
+                  Some
+                    (Telemetry.create ~trace:(trace_out <> "")
+                       ~profile:(profile || profile_out <> "")
+                       ~numprof:config.oracle ~shadow:shadow_check ?clean
+                       ~static_candidates ~flows ?flow_capacity ())
+                else None
+              in
+              let instrument =
+                Option.map
+                  (fun t sink -> Telemetry.attach t sink)
+                  tel
+              in
+              let meta =
+                log_meta e ~scale ~config ~inject_nan
+                  ~arith:
+                    (if arith = "native" then arith
+                     else Fleet.Port.to_string port)
+              in
+              let write_text path s =
+                let oc = open_out path in
+                output_string oc s;
+                close_out oc
+              in
+              (* Persistent warm start: load this session's artifact
+                 cache file (if any) into a fresh store before the
+                 run, save it back after. Any mismatch or corruption
+                 makes the load a silent no-op — the run is then
+                 simply cold. Replay keeps its accounting faithful
+                 to the log's original run, so no store there. *)
+              let cache_store =
+                if no_cache || arith = "native" || replay_file <> "" then
+                  None
+                else begin
+                  let dir =
+                    if cache_dir <> "" then cache_dir
+                    else Fpvm.Artifact.default_dir ()
                   in
-                  let clean, static_candidates =
-                    match facts with
-                    | Some a when config.Fpvm.Engine.use_fpa ->
-                        let fpa = a.Fpvm.Vsa.fpa in
-                        let born =
-                          Analysis.Fpa.born_free_array fpa
-                            (Array.length prog.Machine.Program.insns)
+                  let store = Fpvm.Artifact.create () in
+                  let key = d.d_session_key ~config prog in
+                  ignore (Fpvm.Artifact.load store ~dir ~key);
+                  Some (store, dir, key)
+                end
+              in
+              let cache_art =
+                Option.map (fun (st, _, _) -> st) cache_store
+              in
+              let finish ?(code = 0) (r : Fpvm.Engine.result) =
+                (match cache_store with
+                | Some (store, dir, key) ->
+                    ignore (Fpvm.Artifact.save store ~dir ~key)
+                | None -> ());
+                print_string r.Fpvm.Engine.output;
+                (match tel with
+                | None -> ()
+                | Some t ->
+                    Telemetry.finalize t r.Fpvm.Engine.stats;
+                    (match t.Telemetry.trace with
+                    | Some tr when trace_out <> "" ->
+                        (* flow arrows ride the same timeline file *)
+                        let extra =
+                          Option.map Telemetry.Flowrec.export_flows
+                            t.Telemetry.flows
                         in
-                        ( Some
-                            (fun i ->
-                              i >= 0 && i < Array.length born && born.(i)),
-                          Array.to_list fpa.Analysis.Fpa.verdicts
-                          |> List.filter_map
-                               (fun (v : Analysis.Fpa.verdict) ->
-                                 let concrete =
-                                   List.filter
-                                     (fun r ->
-                                       String.length r >= 4
-                                       && (String.sub r 0 4 = "nan:"
-                                          || String.sub r 0 4 = "inf:"))
-                                     v.Analysis.Fpa.v_risks
-                                 in
-                                 if concrete = [] then None
-                                 else
-                                   Some (v.Analysis.Fpa.v_index, concrete))
-                        )
-                    | _ -> (None, [])
-                  in
-                  let tel =
-                    if
-                      trace_out <> "" || profile || profile_out <> ""
-                      || shadow_check || flows
-                      || (oracle && arith <> "native")
-                    then
-                      Some
-                        (Telemetry.create ~trace:(trace_out <> "")
-                           ~profile:(profile || profile_out <> "")
-                           ~numprof:oracle ~shadow:shadow_check ?clean
-                           ~static_candidates ~flows ?flow_capacity ())
-                    else None
-                  in
-                  let instrument =
-                    Option.map
-                      (fun t sink -> Telemetry.attach t sink)
-                      tel
-                  in
-                  let meta =
-                    { Replay.Log.workload = e.W.name;
-                      scale;
-                      arith =
-                        (if arith = "native" then arith
-                         else Fleet.Port.to_string port);
-                      config =
-                        (Fleet.config_fingerprint config machine
-                        ^
-                        if inject_nan >= 0 then
-                          Printf.sprintf ";injnan=%d" inject_nan
-                        else "") }
-                  in
-                  let write_text path s =
-                    let oc = open_out path in
-                    output_string oc s;
-                    close_out oc
-                  in
-                  (* Persistent warm start: load this session's artifact
-                     cache file (if any) into a fresh store before the
-                     run, save it back after. Any mismatch or corruption
-                     makes the load a silent no-op — the run is then
-                     simply cold. Replay keeps its accounting faithful
-                     to the log's original run, so no store there. *)
-                  let cache_store =
-                    if no_cache || arith = "native" || replay_file <> "" then
-                      None
-                    else begin
-                      let dir =
-                        if cache_dir <> "" then cache_dir
-                        else Fpvm.Artifact.default_dir ()
-                      in
-                      let store = Fpvm.Artifact.create () in
-                      let key = d.d_session_key ~config prog in
-                      ignore (Fpvm.Artifact.load store ~dir ~key);
-                      Some (store, dir, key)
-                    end
-                  in
-                  let cache_art =
-                    Option.map (fun (st, _, _) -> st) cache_store
-                  in
-                  let finish ?(code = 0) (r : Fpvm.Engine.result) =
-                    (match cache_store with
-                    | Some (store, dir, key) ->
-                        ignore (Fpvm.Artifact.save store ~dir ~key)
+                        Telemetry.Trace.write_file ?extra tr trace_out;
+                        Printf.eprintf
+                          "trace: %d events -> %s (%d dropped)\n"
+                          (Telemetry.Trace.recorded tr)
+                          trace_out
+                          (Telemetry.Trace.dropped tr)
+                    | _ -> ());
+                    (match t.Telemetry.flows with
+                    | Some fr ->
+                        let opn, comp, drop = Telemetry.Flowrec.gauges fr in
+                        Printf.eprintf
+                          "flows: %d completed, %d open, %d dropped (%d \
+                           links ring-dropped)\n"
+                          comp opn drop
+                          (Telemetry.Flowrec.links_dropped fr)
                     | None -> ());
-                    print_string r.Fpvm.Engine.output;
-                    (match tel with
-                    | None -> ()
-                    | Some t ->
-                        Telemetry.finalize t r.Fpvm.Engine.stats;
-                        (match t.Telemetry.trace with
-                        | Some tr when trace_out <> "" ->
-                            (* flow arrows ride the same timeline file *)
-                            let extra =
-                              Option.map Telemetry.Flowrec.export_flows
-                                t.Telemetry.flows
-                            in
-                            Telemetry.Trace.write_file ?extra tr trace_out;
-                            Printf.eprintf
-                              "trace: %d events -> %s (%d dropped)\n"
-                              (Telemetry.Trace.recorded tr)
-                              trace_out
-                              (Telemetry.Trace.dropped tr)
-                        | _ -> ());
-                        (match t.Telemetry.flows with
-                        | Some fr ->
-                            let opn, comp, drop = Telemetry.Flowrec.gauges fr in
-                            Printf.eprintf
-                              "flows: %d completed, %d open, %d dropped (%d \
-                               links ring-dropped)\n"
-                              comp opn drop
-                              (Telemetry.Flowrec.links_dropped fr)
-                        | None -> ());
-                        (match t.Telemetry.profile with
-                        | Some p ->
-                            if profile then begin
-                              let bb = Buffer.create 1024 in
-                              Telemetry.Profile.report_text p
-                                r.Fpvm.Engine.stats bb;
-                              prerr_string (Buffer.contents bb)
-                            end;
-                            if profile_out <> "" then
-                              write_text profile_out
-                                (J.to_string
-                                   (Telemetry.Profile.report_json ~n:32 p
-                                      r.Fpvm.Engine.stats)
-                                ^ "\n")
-                        | None -> ());
-                        match t.Telemetry.numprof with
-                        | Some np when shadow_check ->
-                            let bb = Buffer.create 1024 in
-                            Telemetry.Numprof.report_text np bb;
-                            prerr_string (Buffer.contents bb)
-                        | _ -> ());
-                    if json then print_json ~workload:e.W.name ~arith:meta.Replay.Log.arith ~scale r;
-                    if stats then print_stats r;
-                    let s = r.Fpvm.Engine.stats in
-                    let fpa_violated =
-                      s.Fpvm.Stats.fpa_sub_violations > 0
-                      || s.Fpvm.Stats.fpa_nan_violations > 0
-                    in
-                    if
-                      oracle
-                      && (s.Fpvm.Stats.oracle_boxed_loads > 0 || fpa_violated)
-                    then begin
-                      if s.Fpvm.Stats.oracle_boxed_loads > 0 then
-                        Printf.eprintf
-                          "soundness oracle: %d unpatched integer load(s) observed a live NaN-boxed value (%d loads checked) — the static analysis missed a sink\n"
-                          s.Fpvm.Stats.oracle_boxed_loads
-                          s.Fpvm.Stats.oracle_loads_checked;
-                      if fpa_violated then
-                        Printf.eprintf
-                          "fpa soundness oracle: %d subnormal raw input(s) at proven-subnormal-free sites, %d NaN/Inf birth(s) at proven-clean sites — the FP special-value analysis overclaimed\n"
-                          s.Fpvm.Stats.fpa_sub_violations
-                          s.Fpvm.Stats.fpa_nan_violations;
-                      `Ok 5
-                    end
-                    else `Ok code
-                  in
-                  if arith = "native" then
-                    finish (Fpvm.Engine.run_native ~cost prog)
-                  else if record_file <> "" then
-                    guard (fun () ->
-                    let rec_ =
-                      d.d_record ?facts ?instrument ?artifacts:cache_art
-                        ~checkpoint_every ~meta ~config prog
-                    in
-                    let log_bytes =
-                      if inject >= 0 then inject_divergence rec_.Replay.Session.log_bytes inject
-                      else rec_.Replay.Session.log_bytes
-                    in
-                    Replay.Codec.write_file record_file log_bytes;
-                    List.iter
-                      (fun (seq, blob) ->
-                        Replay.Codec.write_file
-                          (Printf.sprintf "%s.ckpt%d" record_file seq)
-                          blob)
-                      rec_.Replay.Session.checkpoints;
-                    finish rec_.Replay.Session.result)
-                  else if replay_file <> "" then
-                    guard (fun () ->
-                        let log = Replay.Log.of_file replay_file in
-                        if not (Replay.Log.meta_equal log.Replay.Log.meta meta)
-                        then
-                          `Error
-                            ( false,
-                              Format.asprintf
-                                "log/flag mismatch:@.  log:   %a@.  flags: %a@.(replay with the flags the log was recorded with)"
-                                Replay.Log.pp_meta log.Replay.Log.meta
-                                Replay.Log.pp_meta meta )
-                        else
-                          let checkpoint =
-                            if from_checkpoint = "" then None
-                            else Some (Replay.Codec.read_file from_checkpoint)
-                          in
-                          match
-                            d.d_replay ?checkpoint ?instrument ?facts ~config
-                              log prog
-                          with
-                          | Replay.Session.Match r ->
-                              Printf.eprintf "replay: %d events matched\n"
-                                (Array.length log.Replay.Log.events);
-                              finish r
-                          | Replay.Session.Diverged dv ->
-                              Format.eprintf "%a"
-                                (Replay.Session.pp_divergence ~prog) dv;
-                              `Ok 3)
-                  else if from_checkpoint <> "" then
-                    guard (fun () ->
-                        finish
-                          (d.d_resume ?instrument ?facts ?artifacts:cache_art
-                             ~config prog
-                             (Replay.Codec.read_file from_checkpoint)))
-                  else
+                    (match t.Telemetry.profile with
+                    | Some p ->
+                        if profile then begin
+                          let bb = Buffer.create 1024 in
+                          Telemetry.Profile.report_text p
+                            r.Fpvm.Engine.stats bb;
+                          prerr_string (Buffer.contents bb)
+                        end;
+                        if profile_out <> "" then
+                          write_text profile_out
+                            (J.to_string
+                               (Telemetry.Profile.report_json ~n:32 p
+                                  r.Fpvm.Engine.stats)
+                            ^ "\n")
+                    | None -> ());
+                    match t.Telemetry.numprof with
+                    | Some np when shadow_check ->
+                        let bb = Buffer.create 1024 in
+                        Telemetry.Numprof.report_text np bb;
+                        prerr_string (Buffer.contents bb)
+                    | _ -> ());
+                if json then print_json ~workload:e.W.name ~arith:meta.Replay.Log.arith ~scale r;
+                if stats then print_stats r;
+                let s = r.Fpvm.Engine.stats in
+                let fpa_violated =
+                  s.Fpvm.Stats.fpa_sub_violations > 0
+                  || s.Fpvm.Stats.fpa_nan_violations > 0
+                in
+                if
+                  config.oracle
+                  && (s.Fpvm.Stats.oracle_boxed_loads > 0 || fpa_violated)
+                then begin
+                  if s.Fpvm.Stats.oracle_boxed_loads > 0 then
+                    Printf.eprintf
+                      "soundness oracle: %d unpatched integer load(s) observed a live NaN-boxed value (%d loads checked) — the static analysis missed a sink\n"
+                      s.Fpvm.Stats.oracle_boxed_loads
+                      s.Fpvm.Stats.oracle_loads_checked;
+                  if fpa_violated then
+                    Printf.eprintf
+                      "fpa soundness oracle: %d subnormal raw input(s) at proven-subnormal-free sites, %d NaN/Inf birth(s) at proven-clean sites — the FP special-value analysis overclaimed\n"
+                      s.Fpvm.Stats.fpa_sub_violations
+                      s.Fpvm.Stats.fpa_nan_violations;
+                  `Ok 5
+                end
+                else `Ok code
+              in
+              if arith = "native" then
+                finish (Fpvm.Engine.run_native ~cost:config.cost prog)
+              else if record_file <> "" then
+                guard (fun () ->
+                let rec_ =
+                  d.d_record ?facts ?instrument ?artifacts:cache_art
+                    ~checkpoint_every ~meta ~config prog
+                in
+                let log_bytes =
+                  if inject >= 0 then inject_divergence rec_.Replay.Session.log_bytes inject
+                  else rec_.Replay.Session.log_bytes
+                in
+                Replay.Codec.write_file record_file log_bytes;
+                List.iter
+                  (fun (seq, blob) ->
+                    Replay.Codec.write_file
+                      (Printf.sprintf "%s.ckpt%d" record_file seq)
+                      blob)
+                  rec_.Replay.Session.checkpoints;
+                finish rec_.Replay.Session.result)
+              else if replay_file <> "" then
+                guard (fun () ->
+                    let log = Replay.Log.of_file replay_file in
+                    if not (Replay.Log.meta_equal log.Replay.Log.meta meta)
+                    then
+                      `Error
+                        ( false,
+                          Format.asprintf
+                            "log/flag mismatch:@.  log:   %a@.  flags: %a@.(replay with the flags the log was recorded with)"
+                            Replay.Log.pp_meta log.Replay.Log.meta
+                            Replay.Log.pp_meta meta )
+                    else
+                      let checkpoint =
+                        if from_checkpoint = "" then None
+                        else Some (Replay.Codec.read_file from_checkpoint)
+                      in
+                      match
+                        d.d_replay ?checkpoint ?instrument ?facts ~config
+                          log prog
+                      with
+                      | Replay.Session.Match r ->
+                          Printf.eprintf "replay: %d events matched\n"
+                            (Array.length log.Replay.Log.events);
+                          finish r
+                      | Replay.Session.Diverged dv ->
+                          Format.eprintf "%a"
+                            (Replay.Session.pp_divergence ~prog) dv;
+                          `Ok 3)
+              else if from_checkpoint <> "" then
+                guard (fun () ->
                     finish
-                      (d.d_run ?facts ?instrument ?artifacts:cache_art ~config
-                         prog))
+                      (d.d_resume ?instrument ?facts ?artifacts:cache_art
+                         ~config prog
+                         (Replay.Codec.read_file from_checkpoint)))
+              else
+                finish
+                  (d.d_run ?facts ?instrument ?artifacts:cache_art ~config
+                     prog)
   end
 
 (* ---- bisect command --------------------------------------------------- *)
@@ -747,7 +705,7 @@ let coach_flags ~wname ~arith ~prec ~posit_bits ~scale ~full_gc ~inject_nan =
     Buffer.add_string b (Printf.sprintf " --inject-nan %d" inject_nan);
   Buffer.contents b
 
-let coach workload arith prec posit_bits scale full_gc ground_truth
+let coach workload arith prec posit_bits scale config ground_truth
     flow_capacity inject_nan =
   let arith = String.lowercase_ascii arith in
   if arith = "native" then
@@ -765,10 +723,6 @@ let coach workload arith prec posit_bits scale full_gc ground_truth
     | Error m, _ | _, Error m -> `Error (false, m)
     | Ok port, Ok (e, prog) ->
       let d = Fleet.port_driver port in
-      let config =
-        { Fpvm.Engine.default_config with
-          Fpvm.Engine.incremental_gc = not full_gc }
-      in
       let facts = Fpvm.Vsa.analyze prog in
       let fpa = facts.Fpvm.Vsa.fpa in
       let risk_of = Hashtbl.create 64 in
@@ -783,15 +737,8 @@ let coach workload arith prec posit_bits scale full_gc ground_truth
         else "?"
       in
       let meta =
-        { Replay.Log.workload = e.W.name;
-          scale;
-          arith = Fleet.Port.to_string port;
-          config =
-            (Fleet.config_fingerprint config "r815"
-            ^
-            if inject_nan >= 0 then
-              Printf.sprintf ";injnan=%d" inject_nan
-            else "") }
+        log_meta e ~scale ~arith:(Fleet.Port.to_string port) ~config
+          ~inject_nan
       in
       guard (fun () ->
           let tel = Telemetry.create ~flows:true ?flow_capacity () in
@@ -854,7 +801,7 @@ let coach workload arith prec posit_bits scale full_gc ground_truth
             print_string "no NaN/Inf flows observed; nothing to coach\n";
           let flags =
             coach_flags ~wname:e.W.name ~arith ~prec ~posit_bits ~scale
-              ~full_gc ~inject_nan
+              ~full_gc:(not config.incremental_gc) ~inject_nan
           in
           List.iter
             (fun (f : FR.flow) ->
@@ -925,62 +872,33 @@ let prec =
 let posit_bits =
   Arg.(value & opt int 32 & info [ "posit" ] ~doc:"Posit width (8, 16, 32).")
 
-let approach =
-  Arg.(value & opt string "emulate"
-       & info [ "approach" ] ~doc:"FPVM approach: emulate, patch, static.")
-
-let machine =
-  Arg.(value & opt string "r815" & info [ "machine" ] ~doc:"Cost model: r815, 7220, r730xd.")
-
-let deployment =
-  Arg.(value & opt string "user"
-       & info [ "deployment" ] ~doc:"Trap delivery: user, kernel, uu.")
-
 let scale =
   Arg.(value & opt string "test" & info [ "scale" ] ~doc:"Problem scale: test or s.")
 
-let trace_len =
-  Arg.(value & opt int 64
-       & info [ "trace-len" ]
-           ~doc:"Max instructions emulated per trap delivery (1 = classic single-step).")
-
-let full_gc =
-  Arg.(value & flag
-       & info [ "full-gc" ]
-           ~doc:"Disable the incremental (dirty-card) GC; full scan every pass.")
-
-let gc_interval =
-  Arg.(value & opt int Fpvm.Engine.default_config.Fpvm.Engine.gc_interval
-       & info [ "gc-interval" ] ~doc:"Emulated instructions between GC passes.")
-
-let no_plans =
-  Arg.(value & flag
-       & info [ "no-plans" ]
-           ~doc:"Disable site-specialized emulation (the binding-plan cache \
-                 and in-trace shadow-temp elision); reproduces the \
-                 unspecialized engine bit- and cycle-exactly.")
-
-let no_jit =
-  Arg.(value & flag
-       & info [ "no-jit" ]
-           ~doc:"Disable the trace JIT (compiled guarded superblocks with \
-                 trace-to-trace linking); reproduces the plans-only engine \
-                 bit-exactly.")
-
-let jit_threshold =
-  Arg.(value
-       & opt int Fpvm.Engine.default_config.Fpvm.Engine.jit_threshold
-       & info [ "jit-threshold" ]
-           ~doc:"Trap deliveries at one trace head before its next window \
-                 is recorded and compiled into a superblock." ~docv:"N")
-
-let jit_max_trace_len =
-  Arg.(value
-       & opt int Fpvm.Engine.default_config.Fpvm.Engine.jit_max_trace_len
-       & info [ "jit-max-trace-len" ]
-           ~doc:"Cap (>= 1) on the recorded window length handed to the \
-                 superblock compiler; recordings longer than this are \
-                 truncated before lowering." ~docv:"N")
+(* One term for the config rows [fronts] of the engine's table: a
+   valued row is the flag [--key VALUE], a two-valued row the switch
+   that selects its other spelling; each goes through the row's own
+   validator, and a rejected value is a usage error. *)
+let config_term fronts =
+  let open Fpvm.Engine in
+  let add acc f =
+    let set c v =
+      Result.bind c (fun c -> Result.map_error (( ^ ) "--") (f.parse c v))
+    in
+    match f.switch with
+    | Some (switch, v) ->
+        Term.(const (fun c on -> if on then set c v else c) $ acc
+              $ Arg.(value & flag & info [ switch ] ~doc:f.doc))
+    | None ->
+        let docv = match f.accepts with Ints _ -> "N" | Names _ -> "NAME" in
+        Term.(const set $ acc
+              $ Arg.(value & opt string (f.spell default_config)
+                     & info [ f.key ] ~doc:f.doc ~docv))
+  in
+  List.fold_left add (Term.const (Ok default_config)) fronts
+  |> Term.map
+       (Result.fold ~ok:(fun c -> `Ok c) ~error:(fun m -> `Error (false, m)))
+  |> Term.ret
 
 let cache_dir =
   Arg.(value & opt string ""
@@ -995,23 +913,6 @@ let no_cache =
        & info [ "no-cache" ]
            ~doc:"Disable the persistent compilation-artifact cache (neither \
                  load nor save).")
-
-let no_fpa =
-  Arg.(value & flag
-       & info [ "no-fpa" ]
-           ~doc:"Disable the FP special-value analysis tier (escape hatch): \
-                 the JIT falls back to runtime subnormal guards and no \
-                 shadow checks are elided. Outputs are bit-identical with \
-                 the tier on or off.")
-
-let oracle =
-  Arg.(value & flag
-       & info [ "oracle" ]
-           ~doc:"Soundness oracle: watch every dispatched instruction for an \
-                 unpatched integer load observing a live NaN-boxed value, \
-                 and every statically-proven-clean site for a dynamic \
-                 NaN/Inf birth or subnormal raw input; exit 5 if any is \
-                 seen (a static-analysis false negative).")
 
 let stats = Arg.(value & flag & info [ "stats" ] ~doc:"Print FPVM statistics to stderr.")
 let json = Arg.(value & flag & info [ "json" ] ~doc:"Print machine-readable run statistics (JSON) to stdout.")
@@ -1097,10 +998,9 @@ let flow_capacity_arg =
 let run_term =
   Term.(
     ret
-      (const run $ workload $ arith $ prec $ posit_bits $ approach $ machine
-     $ deployment $ scale $ trace_len $ full_gc $ gc_interval $ no_plans
-     $ no_jit $ jit_threshold $ jit_max_trace_len $ no_fpa
-     $ oracle $ stats $ json $ disasm $ spy $ list_only $ record_file
+      (const run $ workload $ arith $ prec $ posit_bits $ scale
+     $ config_term Fpvm.Engine.config_fronts
+     $ stats $ json $ disasm $ spy $ list_only $ record_file
      $ replay_file $ checkpoint_every $ from_checkpoint $ inject
      $ inject_nan_arg $ trace_out $ profile $ profile_out $ shadow_check
      $ flows_flag $ flow_capacity_arg $ cache_dir $ no_cache))
@@ -1162,7 +1062,8 @@ let coach_cmd =
     Term.(
       ret
         (const coach $ workload $ arith $ prec $ posit_bits $ scale
-       $ full_gc $ ground_truth $ flow_capacity_arg $ inject_nan_arg))
+       $ config_term [ Fpvm.Engine.front "gc" ]
+       $ ground_truth $ flow_capacity_arg $ inject_nan_arg))
 
 let cmd =
   let doc = "run workloads under the floating point virtual machine" in

@@ -24,8 +24,7 @@ let guest_json (r : Fleet.guest_result) =
        ("workload", J.Str g.Fleet.g_workload);
        ("arith", J.Str (Fleet.guest_arith g));
        ("scale", J.Str (Fleet.scale_string g.Fleet.g_scale));
-       ("gc",
-        J.Str (if g.Fleet.g_config.Fpvm.Engine.incremental_gc then "inc" else "full"));
+       ("gc", J.Str ((Fpvm.Engine.front "gc").spell g.Fleet.g_config));
        ("domain", J.Int r.Fleet.r_domain);
        ("cycles", J.Int r.Fleet.r_cycles);
        ("insns", J.Int r.Fleet.r_insns);
@@ -140,12 +139,13 @@ let serve manifest domains batch switch_cost flows verify_solo json quiet =
 open Cmdliner
 
 let manifest =
+  let keys = List.map (fun f -> f.Fpvm.Engine.key) Fpvm.Engine.config_fronts in
   Arg.(value & opt string ""
        & info [ "m"; "manifest" ]
-           ~doc:"Fleet manifest: one guest per line of key=value tokens \
-                 (workload=, arith=, prec=, posit=, scale=, gc=, plans=, \
-                 jit=, jit-threshold=, trace-len=, gc-interval=, count=). \
-                 '#' starts a comment." ~docv:"FILE")
+           ~doc:("Fleet manifest: one guest per line of key=value tokens \
+                  (workload, arith, prec, posit, scale, count, "
+                 ^ String.concat ", " keys ^ "). '#' starts a comment.")
+           ~docv:"FILE")
 
 let domains =
   Arg.(value & opt int 1

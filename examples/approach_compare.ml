@@ -22,10 +22,7 @@ let () =
     let r = E_vanilla.run ~config prog in
     assert (r.Fpvm.Engine.output = native.Fpvm.Engine.output);
     Printf.printf "%-26s %-10s %12d %9.0fx %10d\n" name
-      (match deployment with
-      | Trapkern.User_signal -> "user"
-      | Trapkern.Kernel_module -> "kernel"
-      | Trapkern.User_to_user -> "uu")
+      ((Fpvm.Engine.front "deployment").Fpvm.Engine.spell config)
       r.Fpvm.Engine.cycles
       (float_of_int r.Fpvm.Engine.cycles /. float_of_int native.Fpvm.Engine.cycles)
       r.Fpvm.Engine.stats.Fpvm.Stats.fp_traps

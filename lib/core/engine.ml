@@ -67,10 +67,6 @@ type config = {
   jit_threshold : int;
       (* deliveries at one head before its next window is recorded and
          compiled *)
-  jit_max_trace_len : int;
-      (* cap (>= 1) on the recorded window length handed to the
-         superblock compiler; longer recordings are truncated before
-         lowering. Codegen-relevant: part of the artifact session key. *)
   cost : CM.t;
   max_insns : int;
 }
@@ -88,23 +84,177 @@ let default_config =
     use_plans = true;
     use_jit = true;
     jit_threshold = 8;
-    jit_max_trace_len = 64;
     cost = CM.r815;
     max_insns = 400_000_000 }
 
-(* The codegen-relevant slice of the config, canonically formatted —
-   the flags component of the artifact-cache session key
-   (Artifact.session_key). GC knobs, the delivery deployment, the
-   oracle and max_insns are excluded: they never shape recorded paths,
-   so recordings are shared across them. *)
-let config_flags (c : config) =
-  Printf.sprintf "%s,fpa=%b,plans=%b,jit=%b,thr=%d,mtl=%d,jmtl=%d,ae=%b,cost=%s"
-    (match c.approach with
-    | Trap_and_emulate -> "tae"
-    | Trap_and_patch -> "tap"
-    | Static_transform -> "st")
-    c.use_fpa c.use_plans c.use_jit c.jit_threshold c.max_trace_len
-    c.jit_max_trace_len c.always_emulate c.cost.CM.name
+(* Cap on a recorded superblock path: a longer recording is truncated
+   before lowering. Every cap below 64 regresses the linking workloads
+   and every cap above behaves like 64 (EXPERIMENTS, the cap sweep). *)
+let jit_max_trace_len = 64
+
+(* ---- the config table ---------------------------------------------- *)
+
+(* One row per segment of the config line, in line order; every place
+   that spells a field derives from the rows (engine.mli). *)
+
+type accepts = Ints of int * int | Names of string list
+
+type front = {
+  key : string;
+  switch : (string * string) option;
+  accepts : accepts;
+  spell : config -> string;
+  parse : config -> string -> (config, string) result;
+  doc : string;
+}
+
+type row = {
+  line : string;
+  show : config -> string;
+  session : bool;
+  front : front option;
+}
+
+let describe = function
+  | Ints (lo, hi) when hi = max_int -> Printf.sprintf ">= %d" lo
+  | Ints (lo, hi) -> Printf.sprintf "between %d and %d" lo hi
+  | Names l -> String.concat " or " l
+
+(* A row; [of_string] reads a lowercased front-end spelling, [to_string]
+   spells a value back, and the line prints [print] of it. *)
+let field line ?(session = false) ?key ?switch ~accepts ~of_string ~to_string
+    ?(print = to_string) get set doc =
+  let front key =
+    { key; switch; accepts;
+      spell = (fun c -> to_string (get c));
+      parse =
+        (fun c v ->
+          match of_string (String.lowercase_ascii v) with
+          | Some x -> Ok (set c x)
+          | None ->
+              Error
+                (Printf.sprintf "%s must be %s (got %S)" key (describe accepts) v));
+      doc =
+        (if switch = None then Printf.sprintf "%s (%s)." doc (describe accepts)
+         else doc) }
+  in
+  { line; session; show = (fun c -> print (get c));
+    front = Option.map front key }
+
+let named line ?session ?key ?switch ?print names =
+  field line ?session ?key ?switch ?print
+    ~accepts:(Names (List.map fst names))
+    ~of_string:(fun v -> List.assoc_opt v names)
+    ~to_string:(fun v -> fst (List.find (fun (_, x) -> x = v) names))
+
+(* A two-valued field: the line prints %b, and fpvm_run's [switch]
+   selects the spelling it names. *)
+let flag line ?session ?(names = [ ("on", true); ("off", false) ]) ~key
+    ~switch =
+  named line ?session ~key ~switch ~print:string_of_bool names
+
+(* An integer field in [1, hi]; the line prints %d. *)
+let ints line ?session ~key ?(hi = max_int) =
+  field line ?session ~key ~accepts:(Ints (1, hi)) ~to_string:string_of_int
+    ~of_string:(fun v ->
+      Option.bind (int_of_string_opt v) (fun n ->
+          if n < 1 || n > hi then None else Some n))
+
+(* A segment no front end sets. *)
+let shown line ?(session = false) show = { line; session; show; front = None }
+
+let config_table =
+  [ named "approach" ~session:true ~key:"approach"
+      [ ("emulate", Trap_and_emulate); ("patch", Trap_and_patch);
+        ("static", Static_transform) ]
+      (fun c -> c.approach) (fun c approach -> { c with approach })
+      "FPVM approach";
+    named "deploy" ~key:"deployment"
+      ~print:(fun d -> string_of_int (Trapkern.deployment_id d))
+      [ ("user", Trapkern.User_signal); ("kernel", Trapkern.Kernel_module);
+        ("uu", Trapkern.User_to_user) ]
+      (fun c -> c.deployment) (fun c deployment -> { c with deployment })
+      "Trap delivery";
+    (* the analysis and the decode cache can no longer be turned off *)
+    shown "vsa" (fun _ -> "true");
+    flag "fpa" ~session:true ~key:"fpa" ~switch:("no-fpa", "off")
+      (fun c -> c.use_fpa) (fun c use_fpa -> { c with use_fpa })
+      "Disable the FP special-value analysis tier (escape hatch): the JIT \
+       falls back to runtime subnormal guards and no shadow checks are \
+       elided. Outputs are bit-identical with the tier on or off.";
+    flag "orc" ~key:"oracle" ~switch:("oracle", "on")
+      (fun c -> c.oracle) (fun c oracle -> { c with oracle })
+      "Soundness oracle: watch every dispatched instruction for an \
+       unpatched integer load observing a live NaN-boxed value, and every \
+       statically-proven-clean site for a dynamic NaN/Inf birth or \
+       subnormal raw input; exit 5 if any is seen (a static-analysis false \
+       negative).";
+    ints "gc" ~key:"gc-interval"
+      (fun c -> c.gc_interval) (fun c gc_interval -> { c with gc_interval })
+      "Emulated instructions between GC passes";
+    flag "inc" ~key:"gc" ~switch:("full-gc", "full")
+      ~names:[ ("inc", true); ("incremental", true); ("full", false) ]
+      (fun c -> c.incremental_gc)
+      (fun c incremental_gc -> { c with incremental_gc })
+      "Disable the incremental (dirty-card) GC; full scan every pass.";
+    shown "full" (fun c -> string_of_int c.full_scan_every);
+    shown "cache" (fun _ -> "true");
+    shown "alw" ~session:true (fun c -> string_of_bool c.always_emulate);
+    (* [prepare] allocates a scratch slot per traced instruction, and a
+       slot's box must stay below [Plan.temp_base] *)
+    ints "trace" ~session:true ~key:"trace-len" ~hi:4096
+      (fun c -> c.max_trace_len)
+      (fun c max_trace_len -> { c with max_trace_len })
+      "Max instructions emulated per trap delivery; 1 is the classic \
+       single-step engine";
+    flag "plans" ~session:true ~key:"plans" ~switch:("no-plans", "off")
+      (fun c -> c.use_plans) (fun c use_plans -> { c with use_plans })
+      "Disable site-specialized emulation (the binding-plan cache and \
+       in-trace shadow-temp elision); reproduces the unspecialized engine \
+       bit- and cycle-exactly.";
+    flag "jit" ~session:true ~key:"jit" ~switch:("no-jit", "off")
+      (fun c -> c.use_jit) (fun c use_jit -> { c with use_jit })
+      "Disable the trace JIT (compiled guarded superblocks with \
+       trace-to-trace linking); reproduces the plans-only engine \
+       bit-exactly.";
+    ints "jthr" ~session:true ~key:"jit-threshold"
+      (fun c -> c.jit_threshold)
+      (fun c jit_threshold -> { c with jit_threshold })
+      "Trap deliveries at one trace head before its next window is \
+       recorded and compiled into a superblock";
+    shown "jmtl" ~session:true (fun _ -> string_of_int jit_max_trace_len);
+    named "mach" ~session:true ~key:"machine"
+      ~print:(fun m -> String.lowercase_ascii m.CM.name)
+      (List.map (fun m -> (String.lowercase_ascii m.CM.name, m)) CM.profiles)
+      (fun c -> c.cost) (fun c cost -> { c with cost })
+      "Cost model" ]
+
+let config_fronts = List.filter_map (fun r -> r.front) config_table
+
+let front key = List.find (fun f -> f.key = key) config_fronts
+
+let segments rows c =
+  String.concat ";" (List.map (fun r -> r.line ^ "=" ^ r.show c) rows)
+
+let config_line = segments config_table
+let config_flags = segments (List.filter (fun r -> r.session) config_table)
+
+let set c key v =
+  match front key with
+  | f -> f.parse c v
+  | exception Not_found -> Error (Printf.sprintf "unknown key %S" key)
+
+(* The whole-record check [prepare] runs: each integer field within its
+   front ends' bounds, through the same validator. *)
+let check c =
+  List.iter
+    (function
+      | { accepts = Ints _; parse; spell; _ } ->
+          Result.iter_error
+            (fun m -> invalid_arg ("Engine.prepare: " ^ m))
+            (parse c (spell c))
+      | _ -> ())
+    config_fronts
 
 type result = {
   output : string;
@@ -1387,9 +1537,10 @@ module Make (A : Arith.S) = struct
         | Some steps ->
             t.jit_rec <- None;
             let path = Array.of_list (List.rev steps) in
-            let cap = t.config.jit_max_trace_len in
             let path =
-              if Array.length path > cap then Array.sub path 0 cap else path
+              if Array.length path > jit_max_trace_len then
+                Array.sub path 0 jit_max_trace_len
+              else path
             in
             if Array.length path > 0 then begin
               let blk = jit_compile_window t st head path in
@@ -1710,6 +1861,7 @@ module Make (A : Arith.S) = struct
 
   let prepare ?(config = default_config) ?facts ?artifacts (prog : Program.t)
       : session =
+    check config;
     let t = create config in
     let prog = Program.copy prog in
     (* Session key over the pristine copy (before any patching): port x
@@ -1755,7 +1907,7 @@ module Make (A : Arith.S) = struct
     t.elide <-
       (if config.use_plans then Analysis.Escape.no_escape prog.Program.insns
        else Array.make (Array.length prog.Program.insns) false);
-    t.scratch <- Array.make (max 1 config.max_trace_len) None;
+    t.scratch <- Array.make config.max_trace_len None;
     let st =
       State.create ~cost:config.cost ~track_writes:config.incremental_gc prog
     in
@@ -2094,8 +2246,8 @@ end
 
 (* Run the same program natively (no FPVM), for baselines and
    validation. *)
-let run_native ?(cost = CM.r815) ?(max_insns = 400_000_000) (prog : Program.t) :
-    result =
+let run_native ?(cost = default_config.cost)
+    ?(max_insns = default_config.max_insns) (prog : Program.t) : result =
   let st = State.create ~cost prog in
   Cpu.run_native ~max_insns st;
   { output = State.output st;

@@ -77,13 +77,6 @@ type config = {
   jit_threshold : int;
       (** deliveries at one head before its next window is recorded and
           compiled *)
-  jit_max_trace_len : int;
-      (** cap on the recorded window length handed to the superblock
-          compiler (must be >= 1): a recording longer than this is
-          truncated before lowering, so one compile unit never exceeds
-          the cap even when the interpretive trace budget
-          ([max_trace_len]) ran longer. Codegen-relevant: part of the
-          artifact-cache session key. *)
   cost : Machine.Cost_model.t;
   max_insns : int;  (** runaway-execution guard *)
 }
@@ -93,11 +86,58 @@ val default_config : config
     (incremental, full scan every 8th pass), traces up to 64
     instructions, R815 cost model. *)
 
+val jit_max_trace_len : int
+(** Cap (64) on a recorded superblock path: a longer recording, under a
+    [max_trace_len] above it, is truncated before lowering. *)
+
+(** {2 The config table}
+
+    Each field but [max_insns] is declared once, as a row of
+    {!config_table}; the config line, the session key, fpvm_run's flags,
+    manifest keys ({!set}) and {!Make.prepare}'s check derive from it. *)
+
+(** What a front end may write: an integer within inclusive bounds, or
+    one of the names. *)
+type accepts = Ints of int * int | Names of string list
+
+type front = {
+  key : string;  (** manifest key; fpvm_run's flag unless [switch] *)
+  switch : (string * string) option;
+      (** fpvm_run's switch and the spelling it sets: [--no-plans] is
+          [plans=off] *)
+  accepts : accepts;
+  spell : config -> string;  (** the value as a front end spells it *)
+  parse : config -> string -> (config, string) result;
+  doc : string;  (** fpvm_run's help text *)
+}
+
+type row = {
+  line : string;  (** the key in the config line *)
+  show : config -> string;  (** the value as the config line prints it *)
+  session : bool;  (** part of the artifact session key *)
+  front : front option;  (** [None]: no front end sets the field *)
+}
+
+val config_table : row list
+(** In config-line order. [vsa], [cache] and [jmtl] are constants. *)
+
+val config_fronts : front list
+
+val front : string -> front
+(** Raises [Not_found] for an unknown key. *)
+
+val config_line : config -> string
+(** A replay log's config line, [line=show] for each row, [;]-separated.
+    Replay compares it byte for byte, so it is a format. *)
+
 val config_flags : config -> string
-(** The codegen-relevant slice of a config, canonically formatted — the
-    [~flags] component of {!Artifact.session_key}. GC knobs, delivery
-    deployment, the oracle and [max_insns] are excluded: they never
-    shape recorded paths, so recordings are shared across them. *)
+(** The session-key rows of the line, the [~flags] of
+    {!Artifact.session_key}: what shapes a recorded path. *)
+
+val set : config -> string -> string -> (config, string) result
+(** [set c key value]: [c] with front-end [key] set from [value] (any
+    case), or why not. The one validator of config flags and manifest
+    keys. *)
 
 type result = {
   output : string;  (** the program's printed output *)
@@ -219,7 +259,8 @@ module Make (A : Arith.S) : sig
   (** Copy the binary, run the static analysis, create the machine and
       kernel, install all handlers — everything up to (but excluding)
       the first instruction. Deterministic for a given program and
-      config.
+      config. Raises [Invalid_argument], before allocating anything,
+      when an integer field is outside the bounds {!set} enforces.
 
       [?facts] supplies a precomputed {!Vsa.analysis} of the (pristine)
       binary instead of re-running the analysis — the fleet's shared

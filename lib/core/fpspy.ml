@@ -52,12 +52,11 @@ let count profile (events : F.t) =
 (* Run a binary under FPSpy: unmask everything, record each event, then
    re-execute the faulting instruction with exceptions masked (the
    "execute as normal" step) and restore the unmasked state. *)
-let run ?(cost = Machine.Cost_model.r815)
-    ?(deployment = Trapkern.User_signal) ?(max_insns = 400_000_000)
-    (prog : Program.t) : result =
+let run (prog : Program.t) : result =
+  let c = Engine.default_config in
   let prog = Program.copy prog in
-  let st = State.create ~cost prog in
-  let kern = Trapkern.create ~deployment () in
+  let st = State.create ~cost:c.Engine.cost prog in
+  let kern = Trapkern.create ~deployment:c.Engine.deployment () in
   let profile =
     { total_traps = 0; rounded = 0; overflowed = 0; underflowed = 0;
       denormal = 0; invalid = 0; div_by_zero = 0; sites = Hashtbl.create 64 }
@@ -94,7 +93,7 @@ let run ?(cost = Machine.Cost_model.r815)
           assert false);
       Mx.clear_flags st.State.mxcsr;
       Mx.unmask_all st.State.mxcsr);
-  Trapkern.run ~max_insns kern st;
+  Trapkern.run ~max_insns:c.Engine.max_insns kern st;
   let run_result : Engine.result =
     { Engine.output = State.output st;
       serialized = State.serialized_output st;

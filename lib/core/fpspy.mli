@@ -26,14 +26,10 @@ type profile = {
 
 type result = { run : Engine.result; profile : profile }
 
-val run :
-  ?cost:Machine.Cost_model.t ->
-  ?deployment:Trapkern.deployment ->
-  ?max_insns:int ->
-  Machine.Program.t ->
-  result
-(** Run to completion under FPSpy. The program output is bit-identical
-    to a native run (tested); only the profile is new. *)
+val run : Machine.Program.t -> result
+(** Run to completion under FPSpy, on {!Engine.default_config}'s machine
+    and delivery path. The program output is bit-identical to a native
+    run (tested); only the profile is new. *)
 
 val top_sites : ?n:int -> profile -> site list
 (** Hottest event sites, most-hit first. *)

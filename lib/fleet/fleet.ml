@@ -100,24 +100,6 @@ module Port = struct
         (module (val m))
 end
 
-(* The config line of a replay log's meta, written by fpvm_run's [run]
-   and [coach]. Replay compares it byte for byte, so it is a format:
-   [vsa] and [cache] stay literals for the analysis and the decode
-   cache, which can no longer be turned off. *)
-let config_fingerprint (c : Fpvm.Engine.config) machine =
-  Printf.sprintf
-    "approach=%s;deploy=%d;vsa=true;fpa=%b;orc=%b;gc=%d;inc=%b;full=%d;cache=true;alw=%b;trace=%d;plans=%b;jit=%b;jthr=%d;jmtl=%d;mach=%s"
-    (match c.Fpvm.Engine.approach with
-    | Fpvm.Engine.Trap_and_emulate -> "emulate"
-    | Fpvm.Engine.Trap_and_patch -> "patch"
-    | Fpvm.Engine.Static_transform -> "static")
-    (Trapkern.deployment_id c.Fpvm.Engine.deployment)
-    c.Fpvm.Engine.use_fpa c.Fpvm.Engine.oracle c.Fpvm.Engine.gc_interval
-    c.Fpvm.Engine.incremental_gc c.Fpvm.Engine.full_scan_every
-    c.Fpvm.Engine.always_emulate c.Fpvm.Engine.max_trace_len
-    c.Fpvm.Engine.use_plans c.Fpvm.Engine.use_jit c.Fpvm.Engine.jit_threshold
-    c.Fpvm.Engine.jit_max_trace_len machine
-
 (* ---- the functor-erased driver ---------------------------------------- *)
 
 (* Engine/session types are functor-specific, but [Replay.Session.
@@ -324,168 +306,83 @@ module Manifest = struct
 
      Keys: workload (required); arith (vanilla|mpfr|posit|interval|
      slash, default vanilla); prec (mpfr/slash size, default 200);
-     posit (8|16|32, default 32); scale (test|s, default test);
-     gc (inc|full, default inc); gc-interval; plans (on|off, default
-     on); jit (on|off, default on); jit-threshold; trace-len;
-     count (replicate the guest N times, default 1). '#' starts a
-     comment; blank lines are ignored.
+     posit (8|16|32, default 32); scale (test|s, default test); count
+     (replicate the guest N times, default 1); and the engine's config
+     keys, read by [Fpvm.Engine.set] as fpvm_run's flags are ([gc=full]
+     is [--full-gc]). '#' starts a comment; blank lines are ignored.
 
      Workload names are matched case-insensitively; since tokens are
      whitespace-separated, names containing spaces are written with
      '-' or '_' in their place ([workload=nas-cg] resolves to
      "NAS CG"). *)
 
-  let parse_onoff ~line key = function
-    | "on" -> Ok true
-    | "off" -> Ok false
-    | v -> Error (Printf.sprintf "line %d: %s must be on or off (got %S)" line key v)
-
-  let parse_int ~line key v =
-    match int_of_string_opt v with
-    | Some n -> Ok n
-    | None -> Error (Printf.sprintf "line %d: %s must be an integer (got %S)" line key v)
-
-  (* Working accumulator for one guest line. *)
-  type pre = {
-    mutable p_workload : string option;
-    mutable p_arith : string;
-    mutable p_prec : int;
-    mutable p_posit : int;
-    mutable p_scale : W.scale;
-    mutable p_inc_gc : bool;
-    mutable p_plans : bool;
-    mutable p_jit : bool;
-    mutable p_jthr : int;
-    mutable p_tlen : int;
-    mutable p_gci : int;
-    mutable p_count : int;
-  }
-
   (* Parse one guest line into (guest-sans-id, count). *)
   let parse_line ~line (s : string) : (guest * int, string) result =
-    let dc = Fpvm.Engine.default_config in
-    let p =
-      { p_workload = None; p_arith = "vanilla"; p_prec = 200; p_posit = 32;
-        p_scale = W.Test; p_inc_gc = true; p_plans = true; p_jit = true;
-        p_jthr = dc.Fpvm.Engine.jit_threshold;
-        p_tlen = dc.Fpvm.Engine.max_trace_len;
-        p_gci = dc.Fpvm.Engine.gc_interval; p_count = 1 }
-    in
+    let workload = ref None and arith = ref "vanilla" and prec = ref 200 in
+    let posit = ref 32 and scale = ref W.Test and count = ref 1 in
+    let config = ref Fpvm.Engine.default_config in
     let ( let* ) = Result.bind in
-    let bounded key lo v k =
-      let* n = parse_int ~line key v in
-      if n < lo then
-        Error (Printf.sprintf "line %d: %s must be >= %d (got %d)" line key lo n)
-      else begin
-        k n;
-        Ok ()
-      end
+    let int key v =
+      match int_of_string_opt v with
+      | Some n -> Ok n
+      | None -> Error (Printf.sprintf "%s must be an integer (got %S)" key v)
     in
     let apply (key, v) =
       match key with
-      | "workload" ->
-          p.p_workload <- Some v;
-          Ok ()
-      | "arith" ->
-          p.p_arith <- v;
-          Ok ()
-      | "prec" ->
-          let* n = parse_int ~line "prec" v in
-          p.p_prec <- n;
-          Ok ()
-      | "posit" ->
-          let* n = parse_int ~line "posit" v in
-          p.p_posit <- n;
-          Ok ()
+      | "workload" -> Ok (workload := Some v)
+      | "arith" -> Ok (arith := v)
+      | "prec" -> Result.map (( := ) prec) (int key v)
+      | "posit" -> Result.map (( := ) posit) (int key v)
       | "scale" -> (
           match String.lowercase_ascii v with
-          | "test" ->
-              p.p_scale <- W.Test;
-              Ok ()
-          | "s" ->
-              p.p_scale <- W.S;
-              Ok ()
-          | _ ->
-              Error
-                (Printf.sprintf "line %d: scale must be test or s (got %S)" line v))
-      | "gc" -> (
-          match String.lowercase_ascii v with
-          | "inc" | "incremental" ->
-              p.p_inc_gc <- true;
-              Ok ()
-          | "full" ->
-              p.p_inc_gc <- false;
-              Ok ()
-          | _ ->
-              Error (Printf.sprintf "line %d: gc must be inc or full (got %S)" line v))
-      | "gc-interval" -> bounded "gc-interval" 1 v (fun n -> p.p_gci <- n)
-      | "plans" ->
-          let* b = parse_onoff ~line "plans" v in
-          p.p_plans <- b;
-          Ok ()
-      | "jit" ->
-          let* b = parse_onoff ~line "jit" v in
-          p.p_jit <- b;
-          Ok ()
-      | "jit-threshold" -> bounded "jit-threshold" 1 v (fun n -> p.p_jthr <- n)
-      | "trace-len" -> bounded "trace-len" 1 v (fun n -> p.p_tlen <- n)
-      | "count" -> bounded "count" 1 v (fun n -> p.p_count <- n)
-      | k -> Error (Printf.sprintf "line %d: unknown key %S" line k)
+          | "test" -> Ok (scale := W.Test)
+          | "s" -> Ok (scale := W.S)
+          | _ -> Error (Printf.sprintf "scale must be test or s (got %S)" v))
+      | "count" ->
+          let* n = int key v in
+          if n < 1 then Error (Printf.sprintf "count must be >= 1 (got %d)" n)
+          else Ok (count := n)
+      | k -> Result.map (( := ) config) (Fpvm.Engine.set !config k v)
     in
     let toks =
       String.split_on_char ' ' s
       |> List.concat_map (String.split_on_char '\t')
       |> List.filter (fun t -> t <> "")
     in
-    let* () =
-      List.fold_left
-        (fun acc tok ->
-          let* () = acc in
-          match String.index_opt tok '=' with
-          | None ->
-              Error (Printf.sprintf "line %d: expected key=value, got %S" line tok)
-          | Some i ->
-              apply
-                ( String.sub tok 0 i,
-                  String.sub tok (i + 1) (String.length tok - i - 1) ))
-        (Ok ()) toks
-    in
-    match p.p_workload with
-    | None -> Error (Printf.sprintf "line %d: missing workload=" line)
-    | Some workload ->
-        let* entry =
-          (* A manifest token cannot contain spaces, so '-'/'_' stand
-             in for them when the spelled name does not resolve. *)
-          let despaced =
-            String.map (fun c -> if c = '-' || c = '_' then ' ' else c) workload
-          in
-          match W.find workload with
-          | Some e -> Ok e
-          | None -> (
-              match W.find despaced with
-              | Some e -> Ok e
-              | None ->
-                  Error
-                    (Printf.sprintf "line %d: unknown workload %S" line workload))
-        in
-        let* port =
-          Result.map_error
-            (Printf.sprintf "line %d: %s" line)
-            (Port.of_flags ~arith:p.p_arith ~prec:p.p_prec ~posit:p.p_posit)
-        in
-        let config =
-          { dc with
-            Fpvm.Engine.incremental_gc = p.p_inc_gc;
-            use_plans = p.p_plans;
-            use_jit = p.p_jit;
-            jit_threshold = p.p_jthr;
-            max_trace_len = p.p_tlen;
-            gc_interval = p.p_gci }
-        in
-        Ok
-          ( { g_id = 0; g_workload = entry.W.name; g_scale = p.p_scale;
-              g_port = port; g_config = config },
-            p.p_count )
+    Result.map_error (Printf.sprintf "line %d: %s" line)
+    @@ let* () =
+         List.fold_left
+           (fun acc tok ->
+             let* () = acc in
+             match String.index_opt tok '=' with
+             | None -> Error (Printf.sprintf "expected key=value, got %S" tok)
+             | Some i ->
+                 apply
+                   ( String.sub tok 0 i,
+                     String.sub tok (i + 1) (String.length tok - i - 1) ))
+           (Ok ()) toks
+       in
+       match !workload with
+       | None -> Error "missing workload="
+       | Some workload ->
+           let* entry =
+             (* A manifest token cannot contain spaces, so '-'/'_' stand
+                in for them when the spelled name does not resolve. *)
+             let despaced =
+               String.map (fun c -> if c = '-' || c = '_' then ' ' else c) workload
+             in
+             match W.find workload with
+             | Some e -> Ok e
+             | None -> (
+                 match W.find despaced with
+                 | Some e -> Ok e
+                 | None -> Error (Printf.sprintf "unknown workload %S" workload))
+           in
+           let* port = Port.of_flags ~arith:!arith ~prec:!prec ~posit:!posit in
+           Ok
+             ( { g_id = 0; g_workload = entry.W.name; g_scale = !scale;
+                 g_port = port; g_config = !config },
+               !count )
 
   let parse (content : string) : (guest list, string) result =
     let ( let* ) = Result.bind in

@@ -3,6 +3,32 @@
    fleet run. *)
 
 module W = Workloads
+module E = Fpvm.Engine
+module CM = Machine.Cost_model
+
+let dc = E.default_config
+
+(* Every front-end key off its default: fpvm_run's --approach patch
+   --deployment kernel --no-fpa --oracle --gc-interval 500 --full-gc
+   --trace-len 8 --no-plans --no-jit --jit-threshold 2 --machine r730xd. *)
+let off_default =
+  [ ("approach", "patch"); ("deployment", "kernel"); ("fpa", "off");
+    ("oracle", "on"); ("gc-interval", "500"); ("gc", "full");
+    ("trace-len", "8"); ("plans", "off"); ("jit", "off");
+    ("jit-threshold", "2"); ("machine", "r730xd") ]
+
+let off_default_config =
+  { dc with
+    E.approach = E.Trap_and_patch; deployment = Trapkern.Kernel_module;
+    use_fpa = false; oracle = true; gc_interval = 500; incremental_gc = false;
+    max_trace_len = 8; use_plans = false; use_jit = false; jit_threshold = 2;
+    cost = CM.r730xd }
+
+let set_all c kvs =
+  List.fold_left
+    (fun c (k, v) ->
+      match E.set c k v with Ok c -> c | Error m -> Alcotest.fail m)
+    c kvs
 
 let mk ?(arith = "vanilla") ?(prec = 200) ?(posit = 32) workload =
   match Fleet.Port.of_flags ~arith ~prec ~posit with
@@ -71,9 +97,29 @@ let manifest_tests =
         check_err "posit must be 8, 16 or 32"
           "workload=lorenz arith=posit posit=24\n";
         check_err "must be on or off" "workload=lorenz jit=yes\n";
+        check_err "trace-len must be between 1 and 4096 (got \"4097\")"
+          "workload=lorenz trace-len=4097\n";
+        check_err "machine must be r815 or 7220 or r730xd"
+          "workload=lorenz machine=r900\n";
         check_err "expected key=value" "workload=lorenz whoops\n";
         check_err "line 2" "workload=lorenz\nworkload=lorenz gc=sometimes\n";
         check_err "no guests" "# empty\n\n");
+    Alcotest.test_case "parse: a line setting every config key" `Quick
+      (fun () ->
+        Alcotest.(check (list string)) "off_default names every key"
+          (List.map (fun (f : E.front) -> f.E.key) E.config_fronts)
+          (List.map fst off_default);
+        let line =
+          String.concat " "
+            ("workload=lorenz"
+            :: List.map (fun (k, v) -> k ^ "=" ^ v) off_default)
+        in
+        match Fleet.Manifest.parse line with
+        | Ok [ g ] ->
+            Alcotest.(check bool) "the record fpvm_run's flags build" true
+              (g.Fleet.g_config = off_default_config)
+        | Ok _ -> Alcotest.fail "one guest expected"
+        | Error m -> Alcotest.fail m);
     Alcotest.test_case "validate_serve mirrors flag validation" `Quick
       (fun () ->
         (match Fleet.validate_serve ~domains:0 ~batch:8 with
@@ -104,7 +150,85 @@ let config_tests =
           "approach=emulate;deploy=0;vsa=true;fpa=true;orc=false;gc=20000;\
            inc=true;full=8;cache=true;alw=false;trace=64;plans=true;jit=true;\
            jthr=8;jmtl=64;mach=r815"
-          (Fleet.config_fingerprint Fpvm.Engine.default_config "r815")) ]
+          (E.config_line dc));
+    Alcotest.test_case "every row off its default: line and session key"
+      `Quick (fun () ->
+        let c = set_all dc off_default in
+        Alcotest.(check bool) "the keys build the record" true
+          (c = off_default_config);
+        Alcotest.(check string) "config line, every flag off its default"
+          "approach=patch;deploy=1;vsa=true;fpa=false;orc=true;gc=500;\
+           inc=false;full=8;cache=true;alw=false;trace=8;plans=false;\
+           jit=false;jthr=2;jmtl=64;mach=r730xd"
+          (E.config_line c);
+        let c = { c with E.full_scan_every = 3; always_emulate = true } in
+        Alcotest.(check string) "config line, every field off its default"
+          "approach=patch;deploy=1;vsa=true;fpa=false;orc=true;gc=500;\
+           inc=false;full=3;cache=true;alw=true;trace=8;plans=false;\
+           jit=false;jthr=2;jmtl=64;mach=r730xd"
+          (E.config_line c);
+        Alcotest.(check string) "session key flags"
+          "approach=patch;fpa=false;alw=true;trace=8;plans=false;jit=false;\
+           jthr=2;jmtl=64;mach=r730xd"
+          (E.config_flags c));
+    Alcotest.test_case "every machine spelling writes the canonical name"
+      `Quick (fun () ->
+        (* --machine R815 and --machine r815 select one cost model, so a
+           log recorded under either replays under the other *)
+        List.iter
+          (fun (m : CM.t) ->
+            let line = E.config_line { dc with E.cost = m } in
+            Alcotest.(check bool) "canonical segment" true
+              (String.ends_with line
+                 ~suffix:(";mach=" ^ String.lowercase_ascii m.CM.name));
+            List.iter
+              (fun spelling ->
+                Alcotest.(check string) spelling line
+                  (E.config_line (set_all dc [ ("machine", spelling) ])))
+              [ m.CM.name; String.lowercase_ascii m.CM.name;
+                String.uppercase_ascii m.CM.name ])
+          CM.profiles);
+    Alcotest.test_case "a spelling changes its own segment alone" `Quick
+      (fun () ->
+        (* Each non-default spelling a row accepts moves exactly that
+           row's segment of the line, and the session key exactly when
+           the row is part of it. *)
+        let segments c = String.split_on_char ';' (E.config_line c) in
+        List.iteri
+          (fun i (r : E.row) ->
+            match r.E.front with
+            | None -> ()
+            | Some f ->
+                let spellings =
+                  match f.E.accepts with
+                  | E.Names l -> l
+                  | E.Ints (lo, hi) -> List.map string_of_int [ lo; lo + 1; hi ]
+                in
+                let moved =
+                  List.filter_map
+                    (fun v ->
+                      match f.E.parse dc v with
+                      | Error m -> Alcotest.fail m
+                      | Ok c when f.E.spell c = f.E.spell dc -> None
+                      | Ok c -> Some c)
+                    spellings
+                in
+                Alcotest.(check bool) (f.E.key ^ " has another spelling") true
+                  (moved <> []);
+                List.iter
+                  (fun c ->
+                    List.iteri
+                      (fun j (a, b) ->
+                        Alcotest.(check bool)
+                          (Printf.sprintf "%s moves segment %d" f.E.key j)
+                          (i = j) (a <> b))
+                      (List.combine (segments dc) (segments c));
+                    Alcotest.(check bool)
+                      (f.E.key ^ " moves the session key")
+                      r.E.session
+                      (E.config_flags c <> E.config_flags dc))
+                  moved)
+          E.config_table) ]
 
 (* ---- partition --------------------------------------------------------- *)
 
