@@ -988,12 +988,26 @@ let flows_flag =
                  arrows). Observation only — the stats fingerprint is \
                  unchanged.")
 
+(* The ring is allocated up front, so a capacity past its bound is a
+   usage error, not an allocation. *)
 let flow_capacity_arg =
-  Arg.(value & opt (some int) None
+  let max = Telemetry.Flowrec.max_capacity in
+  let bounded =
+    let parse s =
+      Result.bind (Arg.conv_parser Arg.int s) (fun n ->
+          if n <= max then Ok n
+          else Error (`Msg (Printf.sprintf "must be <= %d (got %d)" max n)))
+    in
+    Arg.conv (parse, Arg.conv_printer Arg.int)
+  in
+  Arg.(value & opt (some bounded) None
        & info [ "flow-capacity" ]
-           ~doc:"Flight-recorder chain-link ring capacity (default 4096); \
-                 when the ring wraps, the oldest chain's link detail is \
-                 dropped whole (flow metadata survives)." ~docv:"N")
+           ~doc:(Printf.sprintf
+                   "Flight-recorder chain-link ring capacity (default 4096, \
+                    at most %d); when the ring wraps, the oldest chain's \
+                    link detail is dropped whole (flow metadata survives)."
+                   max)
+           ~docv:"N")
 
 let run_term =
   Term.(

@@ -1,7 +1,16 @@
-(* The Vanilla arithmetic system: IEEE binary64 re-implemented in
-   software. Its entire purpose (paper section 4.3) is validation — a
-   run under FPVM+Vanilla must produce bit-identical results to a native
-   run, proving the virtualization machinery itself is transparent. *)
+(* The Vanilla arithmetic system: IEEE binary64. Its entire purpose
+   (paper section 4.3) is validation — a run under FPVM+Vanilla must
+   produce bit-identical results to a native run, proving the
+   virtualization machinery itself is transparent.
+
+   add, sub, mul, div, sqrt and fma run on the host's binary64 unit.
+   Every non-NaN result is unique under round-to-nearest-even, so the
+   host and the machine's soft core ({!Ieee754.Soft64}, which native
+   steps run) agree on it bit for bit. A NaN result (any NaN operand or
+   invalid operation) is recomputed by the soft core: its payload, sign
+   and default NaN may depend on the platform and on the operand order
+   the compiler picks, and the soft core's are the native machine's.
+   Every other operation stays on the soft core. *)
 
 module S64 = Ieee754.Soft64
 
@@ -14,12 +23,32 @@ let rne = Ieee754.Softfp.Nearest_even
 let promote bits = bits
 let demote v = v
 
-let add a b = fst (S64.add rne a b)
-let sub a b = fst (S64.sub rne a b)
-let mul a b = fst (S64.mul rne a b)
-let div a b = fst (S64.div rne a b)
-let sqrt a = fst (S64.sqrt rne a)
-let fma a b c = fst (S64.fma rne a b c)
+let fl = Int64.float_of_bits
+
+let add a b =
+  let r = fl a +. fl b in
+  if Float.is_nan r then fst (S64.add rne a b) else Int64.bits_of_float r
+
+let sub a b =
+  let r = fl a -. fl b in
+  if Float.is_nan r then fst (S64.sub rne a b) else Int64.bits_of_float r
+
+let mul a b =
+  let r = fl a *. fl b in
+  if Float.is_nan r then fst (S64.mul rne a b) else Int64.bits_of_float r
+
+let div a b =
+  let r = fl a /. fl b in
+  if Float.is_nan r then fst (S64.div rne a b) else Int64.bits_of_float r
+
+let sqrt a =
+  let r = Float.sqrt (fl a) in
+  if Float.is_nan r then fst (S64.sqrt rne a) else Int64.bits_of_float r
+
+let fma a b c =
+  let r = Float.fma (fl a) (fl b) (fl c) in
+  if Float.is_nan r then fst (S64.fma rne a b c) else Int64.bits_of_float r
+
 let neg = S64.neg
 let abs = S64.abs
 let min_v a b = fst (S64.min_op a b)

@@ -316,6 +316,11 @@ module Manifest = struct
      '-' or '_' in their place ([workload=nas-cg] resolves to
      "NAS CG"). *)
 
+  (* [parse] expands every line's count into guests before any runs,
+     so a line's count and the manifest's guest total are bounded. *)
+  let max_count = 4096
+  let max_guests = 65536
+
   (* Parse one guest line into (guest-sans-id, count). *)
   let parse_line ~line (s : string) : (guest * int, string) result =
     let workload = ref None and arith = ref "vanilla" and prec = ref 200 in
@@ -341,6 +346,8 @@ module Manifest = struct
       | "count" ->
           let* n = int key v in
           if n < 1 then Error (Printf.sprintf "count must be >= 1 (got %d)" n)
+          else if n > max_count then
+            Error (Printf.sprintf "count must be <= %d (got %d)" max_count n)
           else Ok (count := n)
       | k -> Result.map (( := ) config) (Fpvm.Engine.set !config k v)
     in
@@ -387,20 +394,24 @@ module Manifest = struct
   let parse (content : string) : (guest list, string) result =
     let ( let* ) = Result.bind in
     let lines = String.split_on_char '\n' content in
-    let* specs =
+    let* specs, _ =
       List.fold_left
         (fun acc (line_no, raw) ->
-          let* acc = acc in
+          let* acc, total = acc in
           let s =
             match String.index_opt raw '#' with
             | Some i -> String.sub raw 0 i
             | None -> raw
           in
-          if String.trim s = "" then Ok acc
+          if String.trim s = "" then Ok (acc, total)
           else
-            let* g = parse_line ~line:line_no s in
-            Ok (g :: acc))
-        (Ok [])
+            let* ((_, count) as g) = parse_line ~line:line_no s in
+            if total + count > max_guests then
+              Error
+                (Printf.sprintf "line %d: the manifest has more than %d guests"
+                   line_no max_guests)
+            else Ok (g :: acc, total + count))
+        (Ok ([], 0))
         (List.mapi (fun i l -> (i + 1, l)) lines)
     in
     let specs = List.rev specs in

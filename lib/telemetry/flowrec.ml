@@ -153,7 +153,15 @@ type t = {
 
 let default_capacity = 4096
 
+(* The ring is allocated whole, about 9 heap words a slot, so its size
+   is bounded: 2^20 slots is ten times the largest committed use. *)
+let max_capacity = 1 lsl 20
+
 let create ?(capacity = default_capacity) () =
+  if capacity > max_capacity then
+    invalid_arg
+      (Printf.sprintf "Flowrec.create: capacity %d is above %d" capacity
+         max_capacity);
   { tbl = Hashtbl.create 1024;
     flows = [||];
     n_flows = 0;

@@ -10,14 +10,16 @@
       every alternative system.
 
    2. Shadow-value divergence (--shadow-check): alongside the active
-      port, re-run every operation in vanilla binary64 (the same
-      Soft64 + host-libm semantics as {!Fpvm.Alt_vanilla}) over shadow
-      operands, keyed by the result's box pattern. At every demotion
-      boundary sink (compare, print, serialize, f2i/f2f narrowing,
-      correctness demotion) compare what the port produced against the
-      shadow and histogram the relative error (log2 buckets). Under
-      the vanilla port the shadow computation is the port computation,
-      so the reported error is exactly zero — the built-in self-test.
+      port, re-run every operation in vanilla binary64 with
+      {!Fpvm.Alt_vanilla} itself (the host's binary64 unit for add,
+      sub, mul, div, sqrt and fma, the soft core for their NaN results
+      and every other op, host libm) over shadow operands, keyed by the
+      result's box pattern. At every demotion boundary sink (compare,
+      print, serialize, f2i/f2f narrowing, correctness demotion)
+      compare what the port produced against the shadow and histogram
+      the relative error (log2 buckets). Under the vanilla port the
+      shadow computation is the port computation, so the reported
+      error is exactly zero — the built-in self-test.
 
       The shadow table is self-healing: each entry remembers the
       port's demoted image at store time, and a lookup whose current

@@ -93,6 +93,16 @@ let manifest_tests =
         check_err "missing workload" "arith=mpfr\n";
         check_err "unknown key" "workload=lorenz fish=1\n";
         check_err "count must be >= 1" "workload=lorenz count=0\n";
+        (* counts expand before any guest runs: bounded per line and in
+           total, each a line error raised before the expansion *)
+        let before = (Gc.quick_stat ()).Gc.major_words in
+        check_err "count must be <= 4096"
+          "workload=lorenz count=1000000000\n";
+        let words = (Gc.quick_stat ()).Gc.major_words -. before in
+        if words >= 1e5 then
+          Alcotest.failf "parse allocated %.0f major words" words;
+        check_err "line 17: the manifest has more than 65536 guests"
+          (String.concat "" (List.init 17 (fun _ -> "workload=lorenz count=4096\n")));
         check_err "prec must be >= 2" "workload=lorenz arith=mpfr prec=1\n";
         check_err "posit must be 8, 16 or 32"
           "workload=lorenz arith=posit posit=24\n";

@@ -362,6 +362,14 @@ let test_finalize_gauges () =
   Alcotest.(check string) "gauges outside the fingerprint" fp_before
     (Fpvm.Stats.fingerprint s)
 
+let test_capacity_bound () =
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  (match FR.create ~capacity:(FR.max_capacity + 1) () with
+  | _ -> Alcotest.fail "create accepted a capacity above the bound"
+  | exception Invalid_argument _ -> ());
+  let words = (Gc.quick_stat ()).Gc.major_words -. before in
+  if words >= 1e5 then Alcotest.failf "create allocated %.0f major words" words
+
 let () =
   Alcotest.run "flowrec"
     [ ("chains",
@@ -370,7 +378,9 @@ let () =
          Alcotest.test_case "first observation opens a flow" `Quick
            test_first_observation;
          Alcotest.test_case "ring overflow drops oldest chain whole" `Quick
-           test_ring_overflow ]);
+           test_ring_overflow;
+         Alcotest.test_case "a capacity past the bound allocates nothing"
+           `Quick test_capacity_bound ]);
       ("determinism",
        [ Alcotest.test_case "on/off identity, 5 ports x 2 gc" `Slow
            test_identity ]);

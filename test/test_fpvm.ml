@@ -353,6 +353,97 @@ let build_bits_prog () =
   Program.emit b Isa.Halt;
   Program.finish b
 
+(* ---- the Vanilla port against the soft core ---- *)
+
+(* add, sub, mul, div, sqrt and fma run on the host's binary64 unit and
+   hand NaN results to the soft core, which the machine's native steps
+   run. The port must equal the soft core bit for bit, NaN payload, sign
+   and default NaN included, whatever the host's own NaN rules are. *)
+let vanilla_tests =
+  let module V = Fpvm.Alt_vanilla in
+  let module S = Ieee754.Soft64 in
+  let rne = Ieee754.Softfp.Nearest_even in
+  let bits = Int64.bits_of_float in
+  let hex = Printf.sprintf "0x%016Lx" in
+  (* shaped like test_ieee754's generator: uniform bits, host floats,
+     specials, and random sign/exponent/mantissa fields *)
+  let specials =
+    List.map bits
+      [ 0.0; -0.0; 1.0; -1.0; 0.5; 1.5; Float.infinity; Float.neg_infinity;
+        Float.nan; Float.max_float; Float.min_float; 4.94e-324; 1e308;
+        1e-300; 0.1; 1.0000000000000002; 6755399441055744.0 ]
+  in
+  let gen_double =
+    QCheck.Gen.(
+      frequency
+        [ (4, map Int64.of_int (int_bound max_int));
+          (4, float >|= bits);
+          (1, oneofl specials);
+          (2,
+           let* s = int_bound 1 in
+           let* e = int_bound 2047 in
+           let* m = map Int64.of_int (int_bound max_int) in
+           return
+             (Int64.logor
+                (Int64.shift_left (Int64.of_int s) 63)
+                (Int64.logor
+                   (Int64.shift_left (Int64.of_int e) 52)
+                   (Int64.logand m 0xFFFFFFFFFFFFFL)))) ])
+  in
+  let arb = QCheck.make ~print:hex gen_double in
+  let q name arb law =
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5EED6 |])
+      (QCheck.Test.make ~count:2000 ~name arb law)
+  in
+  let binops =
+    [ ("add", V.add, S.add); ("sub", V.sub, S.sub); ("mul", V.mul, S.mul);
+      ("div", V.div, S.div) ]
+  in
+  (* Every pair and triple of these goes through each function: two
+     quiet NaNs of different payload and sign and two signalling NaNs
+     (in every operand order and position, so sub 0 (-qNaN) too), the
+     invalid operations inf-inf, 0*inf, 0/0, inf/inf, sqrt of a negative
+     number and fma inf 0 c with finite and NaN c, sqrt -0, overflow to
+     +inf and -inf (max*3, -max-max), subnormal results (1e-300*1e-20,
+     min_sub*3) and round-half-even ties (1 + 2^-53, 2^53 + 1,
+     2^53 + 3). *)
+  let directed =
+    [ 0x7FF8000000000001L; 0xFFF8000000000002L; 0x7FF0000000000001L;
+      0xFFF4000000000000L ]
+    @ List.map bits
+        [ 0.0; -0.0; 1.0; -1.0; 3.0; 0x1p-53; 0x1p53; Float.infinity;
+          Float.neg_infinity; Float.max_float; -.Float.max_float; 1e-300;
+          1e-20; 4.94e-324 ]
+  in
+  let same name v s = Alcotest.(check string) name (hex s) (hex v) in
+  List.map
+    (fun (name, v, s) ->
+      q (name ^ " = Soft64") (QCheck.pair arb arb) (fun (a, b) ->
+          Int64.equal (v a b) (fst (s rne a b))))
+    binops
+  @ [ q "sqrt = Soft64" arb (fun a -> Int64.equal (V.sqrt a) (fst (S.sqrt rne a)));
+      q "fma = Soft64" (QCheck.triple arb arb arb) (fun (a, b, c) ->
+          Int64.equal (V.fma a b c) (fst (S.fma rne a b c)));
+      Alcotest.test_case "directed: NaNs, invalid ops, overflow, subnormals, ties"
+        `Quick (fun () ->
+          List.iter
+            (fun a ->
+              same ("sqrt " ^ hex a) (V.sqrt a) (fst (S.sqrt rne a));
+              List.iter
+                (fun b ->
+                  List.iter
+                    (fun (name, v, s) ->
+                      same (Printf.sprintf "%s %s %s" name (hex a) (hex b))
+                        (v a b) (fst (s rne a b)))
+                    binops;
+                  List.iter
+                    (fun c ->
+                      same (Printf.sprintf "fma %s %s %s" (hex a) (hex b) (hex c))
+                        (V.fma a b c) (fst (S.fma rne a b c)))
+                    directed)
+                directed)
+            directed) ]
+
 let validation_tests =
   [ Alcotest.test_case "vanilla == native (iter program)" `Quick (fun () ->
         let prog = build_iter_prog 100 in
@@ -648,6 +739,7 @@ let () =
     [ ("nanbox", nanbox_tests);
       ("slash", slash_tests);
       ("arena", arena_tests);
+      ("vanilla", vanilla_tests);
       ("validation", validation_tests);
       ("fpspy", fpspy_tests);
       ("vsa", vsa_tests) ]
