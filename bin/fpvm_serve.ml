@@ -150,7 +150,11 @@ let manifest =
 let domains =
   Arg.(value & opt int 1
        & info [ "d"; "domains" ]
-           ~doc:"Worker domains to partition the fleet across (>= 1)." ~docv:"N")
+           ~doc:
+             (Printf.sprintf
+                "Worker domains to partition the fleet across (1 to %d)."
+                Fleet.max_domains)
+           ~docv:"N")
 
 let batch =
   Arg.(value & opt int 8

@@ -13,11 +13,12 @@ type aop =
   | A_cmp of { signaling : bool }
   | A_cmppred of Machine.Isa.fp_pred
   | A_round of Machine.Isa.rounding_imm
-  | A_f2f of Machine.Isa.fp_width (* source width *)
+  | A_f2f (* to the other width *)
   | A_f2i of { truncate : bool; size : int }
   | A_i2f of { size : int }
 
 type decoded = {
+  insn : Machine.Isa.insn;
   aop : aop;
   w : Machine.Isa.fp_width;
   lanes : int;
@@ -26,32 +27,25 @@ type decoded = {
 }
 
 (* Decode one instruction; None for instructions FPVM never emulates. *)
-let rec decode_insn (insn : Machine.Isa.insn) : decoded option =
+let decode_insn (insn : Machine.Isa.insn) : decoded option =
+  let insn = Machine.Program.strip_insn insn in
   match insn with
   | Machine.Isa.Fp_arith { op; w; packed; dst; src } ->
-      Some { aop = A_arith op; w; lanes = (if packed then 2 else 1); dst; src }
+      let lanes = if packed && w = Machine.Isa.F64 then 2 else 1 in
+      Some { insn; aop = A_arith op; w; lanes; dst; src }
   | Machine.Isa.Fp_cmp { signaling; w; a; b } ->
-      Some { aop = A_cmp { signaling }; w; lanes = 1; dst = a; src = b }
+      Some { insn; aop = A_cmp { signaling }; w; lanes = 1; dst = a; src = b }
   | Machine.Isa.Fp_cmppred { pred; w; dst; src } ->
-      Some { aop = A_cmppred pred; w; lanes = 1; dst; src }
+      Some { insn; aop = A_cmppred pred; w; lanes = 1; dst; src }
   | Machine.Isa.Fp_round { imm; w; dst; src } ->
-      Some { aop = A_round imm; w; lanes = 1; dst; src }
+      Some { insn; aop = A_round imm; w; lanes = 1; dst; src }
   | Machine.Isa.Cvt_f2f { from_w; dst; src } ->
-      Some { aop = A_f2f from_w; w = from_w; lanes = 1; dst; src }
+      Some { insn; aop = A_f2f; w = from_w; lanes = 1; dst; src }
   | Machine.Isa.Cvt_f2i { w; truncate; size; dst; src } ->
-      Some { aop = A_f2i { truncate; size }; w; lanes = 1; dst; src }
+      Some { insn; aop = A_f2i { truncate; size }; w; lanes = 1; dst; src }
   | Machine.Isa.Cvt_i2f { w; size; dst; src } ->
-      Some { aop = A_i2f { size }; w; lanes = 1; dst; src }
-  | Machine.Isa.Mov_f _ | Machine.Isa.Mov_x _ | Machine.Isa.Fp_bit _
-  | Machine.Isa.Movq_xr _ | Machine.Isa.Movq_rx _ | Machine.Isa.Mov _
-  | Machine.Isa.Lea _ | Machine.Isa.Int_arith _ | Machine.Isa.Cmp _
-  | Machine.Isa.Test _ | Machine.Isa.Inc _ | Machine.Isa.Dec _
-  | Machine.Isa.Neg _ | Machine.Isa.Push _ | Machine.Isa.Pop _
-  | Machine.Isa.Jmp _ | Machine.Isa.Jcc _ | Machine.Isa.Call _
-  | Machine.Isa.Ret | Machine.Isa.Call_ext _ | Machine.Isa.Nop
-  | Machine.Isa.Halt | Machine.Isa.Free_hint _ -> None
-  | Machine.Isa.Correctness_trap i | Machine.Isa.Checked i
-  | Machine.Isa.Patched { original = i; _ } -> decode_insn i
+      Some { insn; aop = A_i2f { size }; w; lanes = 1; dst; src }
+  | _ -> None
 
 (* ---- traceability (sequence emulation, paper 4.1's amortization) ----
 

@@ -12,13 +12,14 @@ type aop =
   | A_cmp of { signaling : bool }
   | A_cmppred of Machine.Isa.fp_pred
   | A_round of Machine.Isa.rounding_imm
-  | A_f2f of Machine.Isa.fp_width  (** source width *)
+  | A_f2f  (** to the other width; [w] is the source's *)
   | A_f2i of { truncate : bool; size : int }
   | A_i2f of { size : int }
 
 type decoded = {
+  insn : Machine.Isa.insn;  (** the instruction, unwrapped *)
   aop : aop;
-  w : Machine.Isa.fp_width;
+  w : Machine.Isa.fp_width;  (** the width of the FP operands read *)
   lanes : int;  (** 1 for scalar, 2 for packed f64 *)
   dst : Machine.Isa.operand;
   src : Machine.Isa.operand;

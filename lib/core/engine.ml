@@ -426,29 +426,6 @@ module Make (A : Arith.S) = struct
     t.stats.Stats.boxes_allocated <- t.stats.Stats.boxes_allocated + 1;
     Nanbox.box idx
 
-  (* ---- binding ------------------------------------------------------ *)
-
-  (* A bound operand: a concrete place in machine state holding 64 bits. *)
-  type loc = L_xmm of int * int | L_mem of int | L_gpr of Isa.gpr
-
-  let bind_lane st (o : Isa.operand) lane : loc =
-    match o with
-    | Isa.Xmm i -> L_xmm (i, lane)
-    | Isa.Mem m -> L_mem (State.ea st m + (8 * lane))
-    | Isa.Reg r -> L_gpr r
-    | Isa.Imm _ -> invalid_arg "bind_lane: immediate"
-
-  let read_loc st = function
-    | L_xmm (i, lane) -> State.get_xmm st i lane
-    | L_mem a -> State.load64 st a
-    | L_gpr r -> State.get_gpr st r
-
-  let write_loc st l v =
-    match l with
-    | L_xmm (i, lane) -> State.set_xmm st i lane v
-    | L_mem a -> State.store64 st a v
-    | L_gpr r -> State.set_gpr st r v
-
   (* ---- garbage collection (paper 4.1) --------------------------------- *)
 
   (* Full pass: conservative scan of every writable word (the seed
@@ -559,21 +536,6 @@ module Make (A : Arith.S) = struct
      dispatch (there is no site to specialize). *)
   let charge_emu t st cls =
     charge_op t st ~dispatch:t.config.cost.CM.emu_dispatch cls
-
-  let set_compare_flags st (c : Ieee754.Softfp.cmp) =
-    (match c with
-    | Ieee754.Softfp.Cmp_unordered ->
-        st.State.zf <- true; st.State.pf <- true; st.State.cf <- true
-    | Ieee754.Softfp.Cmp_lt ->
-        st.State.zf <- false; st.State.pf <- false; st.State.cf <- true
-    | Ieee754.Softfp.Cmp_gt ->
-        st.State.zf <- false; st.State.pf <- false; st.State.cf <- false
-    | Ieee754.Softfp.Cmp_eq ->
-        st.State.zf <- true; st.State.pf <- false; st.State.cf <- false);
-    st.State.of_ <- false;
-    st.State.sf <- false
-
-  let rounding_of st = Mx.rounding st.State.mxcsr
 
   (* ---- shadow-temp elision -------------------------------------------- *)
 
@@ -782,276 +744,161 @@ module Make (A : Arith.S) = struct
 
   (* ---- plan compilation (site specialization) -------------------------- *)
 
-  (* Operand accessors resolved once at compile time: the per-visit
-     bind_lane match disappears; only a Mem operand's effective address
-     is still computed per access (it depends on live gpr values). *)
-  let rd_lane (o : Isa.operand) lane : State.t -> int64 =
-    match o with
-    | Isa.Xmm i -> fun st -> State.get_xmm st i lane
-    | Isa.Mem m -> fun st -> State.load64 st (State.ea st m + (8 * lane))
-    | Isa.Reg r -> fun st -> State.get_gpr st r
-    | Isa.Imm _ -> invalid_arg "plan: immediate operand"
+  (* An operand's value from its bits: binary64 bits may hold a box,
+     binary32 bits promote. *)
+  let value t (w : Isa.fp_width) bits =
+    match w with Isa.F64 -> unbox t bits | Isa.F32 -> A.of_f32_bits bits
 
-  let wr_lane (o : Isa.operand) lane : State.t -> int64 -> unit =
-    match o with
-    | Isa.Xmm i -> fun st v -> State.set_xmm st i lane v
-    | Isa.Mem m -> fun st v -> State.store64 st (State.ea st m + (8 * lane)) v
-    | Isa.Reg r -> fun st v -> State.set_gpr st r v
-    | Isa.Imm _ -> invalid_arg "plan: immediate operand"
+  (* The bits that stand for a result of width [w]: a fresh box, or for
+     binary32, whose 23 payload bits cannot hold one ("the float
+     problem"), the demoted value. *)
+  let result t (w : Isa.fp_width) v =
+    match w with Isa.F64 -> box t v | Isa.F32 -> A.to_f32_bits v
 
-  let rd_f32 (o : Isa.operand) : State.t -> int64 =
-    match o with
-    | Isa.Xmm i -> fun st -> Int64.logand (State.get_xmm st i 0) 0xFFFFFFFFL
-    | Isa.Mem m ->
-        fun st -> Int64.logand (State.load32 st (State.ea st m)) 0xFFFFFFFFL
-    | _ -> invalid_arg "plan: f32 operand"
-
-  let wr_f32 (o : Isa.operand) : State.t -> int64 -> unit =
-    match o with
-    | Isa.Xmm i ->
-        fun st v ->
-          State.set_xmm st i 0
-            (Int64.logor
-               (Int64.logand (State.get_xmm st i 0) 0xFFFFFFFF00000000L)
-               (Int64.logand v 0xFFFFFFFFL))
-    | Isa.Mem m -> fun st v -> State.store32 st (State.ea st m) v
-    | _ -> invalid_arg "plan: f32 operand"
+  let sink t st idx kind bits v =
+    match t.probe.Probe.on_num with
+    | None -> ()
+    | Some f ->
+        f st (Probe.N_sink { index = idx; kind; bits; f64 = A.demote v })
 
   (* Compile the decoded instruction at [idx] into a superop closure.
-     Each arm mirrors the unspecialized interpreter arm exactly —
-     operand access order, charge points and write strategy — so a run
-     with plans disabled (which executes transient plans at full
-     dispatch) is bit- and cycle-identical to the pre-plan engine, and
-     a run with plans on differs only in the modeled charges and the
-     arena traffic the elision avoids. *)
+     Each arm keeps the unspecialized interpreter's operand access
+     order, charge points and write strategy, so a run with plans
+     disabled (which executes transient plans at full dispatch) is bit-
+     and cycle-identical to the pre-plan engine, and a run with plans on
+     differs only in the modeled charges and the arena traffic the
+     elision avoids. Operands are read, and results placed, by
+     lib/machine at the instruction's own widths. *)
   let compile t idx (d : Decoder.decoded) : plan =
+    let { Decoder.insn; w; lanes; dst; src; _ } = d in
     match d.Decoder.aop with
-    | Decoder.A_arith op -> begin
-        match d.Decoder.w with
-        | Isa.F64 ->
-            let lanes = d.Decoder.lanes in
-            let cls = Arith.class_of_fp_op op in
-            let srd = Array.init lanes (fun l -> rd_lane d.Decoder.src l) in
-            let drd = Array.init lanes (fun l -> rd_lane d.Decoder.dst l) in
-            let dwr = Array.init lanes (fun l -> wr_lane d.Decoder.dst l) in
-            let binop =
-              match op with
-              | Isa.FSQRT -> None
-              | Isa.FADD -> Some A.add
-              | Isa.FSUB -> Some A.sub
-              | Isa.FMUL -> Some A.mul
-              | Isa.FDIV -> Some A.div
-              | Isa.FMIN -> Some A.min_v
-              | Isa.FMAX -> Some A.max_v
-            in
-            (* elision candidate: scalar result into an xmm register *)
-            let elidable =
-              lanes = 1
-              && match d.Decoder.dst with Isa.Xmm _ -> true | _ -> false
-            in
-            { p_exec =
-                (fun ~dispatch st ->
-                  for lane = 0 to lanes - 1 do
-                    let b_bits = srd.(lane) st in
-                    let b = unbox t b_bits in
-                    let a_bits, a, r =
-                      match binop with
-                      | None -> (b_bits, b, A.sqrt b)
-                      | Some f ->
-                          let a_bits = drd.(lane) st in
-                          let a = unbox t a_bits in
-                          (a_bits, a, f a b)
-                    in
-                    charge_op t st ~dispatch cls;
-                    let bits =
-                      if elidable && t.in_trace && t.elide.(idx) then
-                        box_or_temp t r
-                      else box t r
-                    in
-                    (match t.probe.Probe.on_num with
-                    | None -> ()
-                    | Some f ->
-                        f st
-                          (Probe.N_op
-                             { index = idx; op; a_bits; b_bits; r_bits = bits;
-                               a = A.demote a; b = A.demote b;
-                               r = A.demote r }));
-                    dwr.(lane) st bits
-                  done) }
-        | Isa.F32 ->
-            (* The "float problem": 23 payload bits cannot hold a box,
-               so binary32 results are computed in the alternative
-               system and immediately demoted to f32 bits. *)
-            let cls = Arith.class_of_fp_op op in
-            let srd = rd_f32 d.Decoder.src in
-            let drd = rd_f32 d.Decoder.dst in
-            let dwr = wr_f32 d.Decoder.dst in
-            let binop =
-              match op with
-              | Isa.FSQRT -> None
-              | Isa.FADD -> Some A.add
-              | Isa.FSUB -> Some A.sub
-              | Isa.FMUL -> Some A.mul
-              | Isa.FDIV -> Some A.div
-              | Isa.FMIN -> Some A.min_v
-              | Isa.FMAX -> Some A.max_v
-            in
-            { p_exec =
-                (fun ~dispatch st ->
-                  let b = A.of_f32_bits (srd st) in
-                  let r =
-                    match binop with
-                    | None -> A.sqrt b
-                    | Some f -> f (A.of_f32_bits (drd st)) b
-                  in
-                  charge_op t st ~dispatch cls;
-                  dwr st (A.to_f32_bits r)) }
-      end
-    | Decoder.A_cmp { signaling } ->
-        let ard = rd_lane d.Decoder.dst 0 in
-        let brd = rd_lane d.Decoder.src 0 in
+    | Decoder.A_arith op ->
+        let cls = Arith.class_of_fp_op op in
+        let binop =
+          match op with
+          | Isa.FSQRT -> None
+          | Isa.FADD -> Some A.add
+          | Isa.FSUB -> Some A.sub
+          | Isa.FMUL -> Some A.mul
+          | Isa.FDIV -> Some A.div
+          | Isa.FMIN -> Some A.min_v
+          | Isa.FMAX -> Some A.max_v
+        in
+        let f64 = w = Isa.F64 in
+        (* elision candidate: scalar binary64 result into an xmm register *)
+        let elidable =
+          f64 && lanes = 1
+          && match dst with Isa.Xmm _ -> true | _ -> false
+        in
         { p_exec =
             (fun ~dispatch st ->
-              let a_bits = ard st in
-              let a = unbox t a_bits in
-              let b_bits = brd st in
-              let b = unbox t b_bits in
-              charge_op t st ~dispatch Arith.C_cmp;
-              (match t.probe.Probe.on_num with
-              | None -> ()
-              | Some f ->
-                  f st
-                    (Probe.N_sink
-                       { index = idx; kind = Probe.S_compare; bits = a_bits;
-                         f64 = A.demote a });
-                  f st
-                    (Probe.N_sink
-                       { index = idx; kind = Probe.S_compare; bits = b_bits;
-                         f64 = A.demote b }));
-              set_compare_flags st
-                (if signaling then A.cmp_signaling a b else A.cmp_quiet a b))
-        }
-    | Decoder.A_cmppred pred ->
-        let drd = rd_lane d.Decoder.dst 0 in
-        let srd = rd_lane d.Decoder.src 0 in
-        let dwr = wr_lane d.Decoder.dst 0 in
+              for lane = 0 to lanes - 1 do
+                let b_bits = Cpu.read_fp st w src lane in
+                let b = value t w b_bits in
+                let a_bits, a, r =
+                  match binop with
+                  | None -> (b_bits, b, A.sqrt b)
+                  | Some f ->
+                      let a_bits = Cpu.read_fp st w dst lane in
+                      let a = value t w a_bits in
+                      (a_bits, a, f a b)
+                in
+                charge_op t st ~dispatch cls;
+                let bits =
+                  if elidable && t.in_trace && t.elide.(idx) then
+                    box_or_temp t r
+                  else result t w r
+                in
+                (if f64 then
+                   match t.probe.Probe.on_num with
+                   | None -> ()
+                   | Some f ->
+                       f st
+                         (Probe.N_op
+                            { index = idx; op; a_bits; b_bits; r_bits = bits;
+                              a = A.demote a; b = A.demote b;
+                              r = A.demote r }));
+                Cpu.write_result st insn lane bits
+              done) }
+    | Decoder.A_cmp _ | Decoder.A_cmppred _ ->
+        let settle =
+          match d.Decoder.aop with
+          | Decoder.A_cmppred pred ->
+              fun st a b ->
+                Cpu.write_result st insn 0
+                  (if Cpu.pred_holds pred (A.cmp_quiet a b) then -1L else 0L)
+          | Decoder.A_cmp { signaling = true } ->
+              fun st a b -> Cpu.set_compare_flags st (A.cmp_signaling a b)
+          | _ -> fun st a b -> Cpu.set_compare_flags st (A.cmp_quiet a b)
+        in
         { p_exec =
             (fun ~dispatch st ->
-              let a_bits = drd st in
-              let a = unbox t a_bits in
-              let b_bits = srd st in
-              let b = unbox t b_bits in
+              let a_bits = Cpu.read_fp st w dst 0 in
+              let a = value t w a_bits in
+              let b_bits = Cpu.read_fp st w src 0 in
+              let b = value t w b_bits in
               charge_op t st ~dispatch Arith.C_cmp;
-              (match t.probe.Probe.on_num with
-              | None -> ()
-              | Some f ->
-                  f st
-                    (Probe.N_sink
-                       { index = idx; kind = Probe.S_compare; bits = a_bits;
-                         f64 = A.demote a });
-                  f st
-                    (Probe.N_sink
-                       { index = idx; kind = Probe.S_compare; bits = b_bits;
-                         f64 = A.demote b }));
-              let c = A.cmp_quiet a b in
-              let open Ieee754.Softfp in
-              let holds =
-                match (pred, c) with
-                | Isa.EQ, Cmp_eq -> true
-                | Isa.LT, Cmp_lt -> true
-                | Isa.LE, (Cmp_lt | Cmp_eq) -> true
-                | Isa.NEQ, (Cmp_lt | Cmp_gt | Cmp_unordered) -> true
-                | Isa.NLT, (Cmp_gt | Cmp_eq | Cmp_unordered) -> true
-                | Isa.NLE, (Cmp_gt | Cmp_unordered) -> true
-                | Isa.ORD, (Cmp_lt | Cmp_eq | Cmp_gt) -> true
-                | Isa.UNORD, Cmp_unordered -> true
-                | _ -> false
-              in
-              dwr st (if holds then -1L else 0L)) }
+              sink t st idx Probe.S_compare a_bits a;
+              sink t st idx Probe.S_compare b_bits b;
+              settle st a b) }
     | Decoder.A_round imm ->
-        let srd = rd_lane d.Decoder.src 0 in
-        let dwr = wr_lane d.Decoder.dst 0 in
-        let mode =
-          match imm with
-          | Isa.RN -> Ieee754.Softfp.Nearest_even
-          | Isa.RD -> Ieee754.Softfp.Toward_neg
-          | Isa.RU -> Ieee754.Softfp.Toward_pos
-          | Isa.RZ -> Ieee754.Softfp.Toward_zero
-        in
+        let mode = Cpu.round_mode imm in
         { p_exec =
             (fun ~dispatch st ->
               charge_op t st ~dispatch Arith.C_cvt;
-              dwr st (box t (A.round_int mode (unbox t (srd st))))) }
-    | Decoder.A_f2f Isa.F64 ->
-        (* narrow: demote to f32 bits *)
-        let srd = rd_lane d.Decoder.src 0 in
-        let dwr = wr_f32 d.Decoder.dst in
+              let v = value t w (Cpu.read_fp st w src 0) in
+              Cpu.write_result st insn 0 (result t w (A.round_int mode v))) }
+    | Decoder.A_f2f ->
+        let to_w = match w with Isa.F64 -> Isa.F32 | Isa.F32 -> Isa.F64 in
         { p_exec =
             (fun ~dispatch st ->
               charge_op t st ~dispatch Arith.C_cvt;
-              let bits = srd st in
-              let v = unbox t bits in
-              (match t.probe.Probe.on_num with
-              | None -> ()
-              | Some f ->
-                  f st
-                    (Probe.N_sink
-                       { index = idx; kind = Probe.S_demote; bits;
-                         f64 = A.demote v }));
-              dwr st (A.to_f32_bits v)) }
-    | Decoder.A_f2f Isa.F32 ->
-        let srd = rd_f32 d.Decoder.src in
-        let dwr = wr_lane d.Decoder.dst 0 in
-        { p_exec =
-            (fun ~dispatch st ->
-              charge_op t st ~dispatch Arith.C_cvt;
-              dwr st (box t (A.of_f32_bits (srd st)))) }
+              let bits = Cpu.read_fp st w src 0 in
+              let v = value t w bits in
+              if w = Isa.F64 then sink t st idx Probe.S_demote bits v;
+              Cpu.write_result st insn 0 (result t to_w v)) }
     | Decoder.A_f2i { truncate; size } ->
-        let srd = rd_lane d.Decoder.src 0 in
-        let dwr =
-          match d.Decoder.dst with
-          | Isa.Reg r -> fun st bits -> State.set_gpr st r bits
-          | Isa.Mem m ->
-              fun st bits -> State.store_size st size (State.ea st m) bits
-          | _ -> invalid_arg "f2i dst"
-        in
         { p_exec =
             (fun ~dispatch st ->
-              let src_bits = srd st in
-              let v = unbox t src_bits in
+              let bits = Cpu.read_fp st w src 0 in
+              let v = value t w bits in
               let mode =
-                if truncate then Ieee754.Softfp.Toward_zero else rounding_of st
+                if truncate then Ieee754.Softfp.Toward_zero
+                else Mx.rounding st.State.mxcsr
               in
               charge_op t st ~dispatch Arith.C_cvt;
-              (match t.probe.Probe.on_num with
-              | None -> ()
-              | Some f ->
-                  f st
-                    (Probe.N_sink
-                       { index = idx; kind = Probe.S_demote; bits = src_bits;
-                         f64 = A.demote v }));
-              let bits =
-                if size = 8 then A.to_i64 mode v
-                else Int64.of_int32 (A.to_i32 mode v)
-              in
-              dwr st bits) }
+              sink t st idx Probe.S_demote bits v;
+              Cpu.write_result st insn 0
+                (if size = 8 then A.to_i64 mode v
+                 else Int64.of_int32 (A.to_i32 mode v))) }
     | Decoder.A_i2f { size } ->
-        let srd =
-          match d.Decoder.src with
-          | Isa.Reg r -> fun st -> State.get_gpr st r
-          | Isa.Mem m -> fun st -> State.load_size st size (State.ea st m)
-          | Isa.Imm v -> fun _ -> v
-          | _ -> invalid_arg "i2f src"
-        in
-        let dwr = wr_lane d.Decoder.dst 0 in
         { p_exec =
             (fun ~dispatch st ->
-              let iv = srd st in
+              let iv = Cpu.read_int st size src in
               let iv =
                 if size = 4 then Int64.of_int32 (Int64.to_int32 iv) else iv
               in
               charge_op t st ~dispatch Arith.C_cvt;
-              dwr st (box t (A.of_i64 iv))) }
+              Cpu.write_result st insn 0 (result t w (A.of_i64 iv))) }
+
+  (* The bookkeeping every emulation ends with, begun at cycle count
+     [c0] with [e0] temps elided: the telemetry record of its charges
+     and the GC cadence. An emulated instruction ([advance]) is also
+     counted, and RIP moves past [idx] before a GC pass can observe the
+     state; an interposed math call leaves RIP to [Cpu.dispatch]. *)
+  let epilogue t st ~advance idx c0 e0 =
+    let s = t.stats in
+    if advance then s.Stats.emulated_insns <- s.Stats.emulated_insns + 1;
+    (match t.probe.Probe.on_tel with
+    | None -> ()
+    | Some f ->
+        f st
+          (Probe.T_emulate
+             { index = idx; cycles = st.State.cycles - c0;
+               elided = s.Stats.temps_elided - e0 }));
+    t.since_gc <- t.since_gc + 1;
+    if advance then st.State.rip <- idx + 1;
+    maybe_gc t st
 
   (* Emulate the instruction at [idx] with the alternative arithmetic,
      writing NaN-boxed results, and advance RIP. This is the core of
@@ -1100,17 +947,7 @@ module Make (A : Arith.S) = struct
      else
        let d = interpret () in
        (compile t idx d).p_exec ~dispatch:cost.CM.emu_dispatch st);
-    s.Stats.emulated_insns <- s.Stats.emulated_insns + 1;
-    (match t.probe.Probe.on_tel with
-    | None -> ()
-    | Some f ->
-        f st
-          (Probe.T_emulate
-             { index = idx; cycles = st.State.cycles - c0;
-               elided = s.Stats.temps_elided - e0 }));
-    t.since_gc <- t.since_gc + 1;
-    st.State.rip <- idx + 1;
-    maybe_gc t st
+    epilogue t st ~advance:true idx c0 e0
 
   (* The absorb bookkeeping shared by the interpretive trace loop and
      the compiled superblock paths: one in-window trap-worthy event
@@ -1149,17 +986,7 @@ module Make (A : Arith.S) = struct
     let c0 = st.State.cycles in
     let e0 = s.Stats.temps_elided in
     p.p_exec ~dispatch:0 st;
-    s.Stats.emulated_insns <- s.Stats.emulated_insns + 1;
-    (match t.probe.Probe.on_tel with
-    | None -> ()
-    | Some f ->
-        f st
-          (Probe.T_emulate
-             { index = idx; cycles = st.State.cycles - c0;
-               elided = s.Stats.temps_elided - e0 }));
-    t.since_gc <- t.since_gc + 1;
-    st.State.rip <- idx + 1;
-    maybe_gc t st
+    epilogue t st ~advance:true idx c0 e0
 
   (* ---- sequence (trace) emulation ------------------------------------- *)
 
@@ -1227,14 +1054,14 @@ module Make (A : Arith.S) = struct
 
   (* Does this operand currently hold a NaN-boxed (or foreign-sNaN)
      value in any lane? *)
-  let operand_boxed _t st (o : Isa.operand) lanes =
+  let operand_boxed st (o : Isa.operand) lanes =
     match o with
     | Isa.Imm _ | Isa.Reg _ -> false
     | Isa.Xmm _ | Isa.Mem _ ->
         let rec chk lane =
           if lane >= lanes then false
           else begin
-            let bits = read_loc st (bind_lane st o lane) in
+            let bits = Cpu.read_f64 st o lane in
             Nanbox.is_boxed bits
             || Nanbox.is_foreign_snan bits
             || chk (lane + 1)
@@ -1253,7 +1080,7 @@ module Make (A : Arith.S) = struct
         let rec chk lane =
           if lane >= lanes then false
           else begin
-            let bits = read_loc st (bind_lane st o lane) in
+            let bits = Cpu.read_f64 st o lane in
             (Int64.logand bits 0x7FF0_0000_0000_0000L = 0L
             && Int64.logand bits 0xF_FFFF_FFFF_FFFFL <> 0L)
             || chk (lane + 1)
@@ -1265,8 +1092,8 @@ module Make (A : Arith.S) = struct
      NaN (a box or a foreign sNaN — native dispatch is then guaranteed
      to fault) and none is subnormal (so the fault's flag set is
      exactly [invalid], which the absorbed event must reproduce). *)
-  let inputs_fusable t st inputs lanes =
-    List.exists (fun o -> operand_boxed t st o lanes) inputs
+  let inputs_fusable st inputs lanes =
+    List.exists (fun o -> operand_boxed st o lanes) inputs
     && not (List.exists (fun o -> operand_subnormal st o lanes) inputs)
 
   (* Did the static FP tier prove that no raw input lane at this site
@@ -1338,7 +1165,7 @@ module Make (A : Arith.S) = struct
                    admits packed steps, whose two-lane scan was the
                    reason they stayed native. *)
                 fun st ->
-                  if List.exists (fun o -> operand_boxed t st o lanes) inputs
+                  if List.exists (fun o -> operand_boxed st o lanes) inputs
                   then begin
                     t.stats.Stats.fused_unguarded <-
                       t.stats.Stats.fused_unguarded + 1;
@@ -1366,7 +1193,7 @@ module Make (A : Arith.S) = struct
                     native st
               else
                 fun st ->
-                  if inputs_fusable t st inputs lanes then begin
+                  if inputs_fusable st inputs lanes then begin
                     (* taint guard holds: a boxed (signaling-NaN) input
                        guarantees native dispatch faults with exactly
                        [invalid], so emulating directly is bit-identical
@@ -1380,46 +1207,6 @@ module Make (A : Arith.S) = struct
                   else S_exit (* taint guard failed: interpreter decides *)
           | _ -> native
         end
-      | Sb.A_fold_i2f { imm; size } -> begin
-          match Decoder.decode_insn insn with
-          | Some d ->
-              let dwr = wr_lane d.Decoder.dst 0 in
-              let iv =
-                if size = 4 then Int64.of_int32 (Int64.to_int32 imm) else imm
-              in
-              fun st ->
-                jit_step_charge t st;
-                guard_native t st insn;
-                fire_on_step st;
-                (* folded: the absorbed conversion of an immediate is a
-                   constant — box a fresh copy, no bind, no dispatch.
-                   The recording absorbed this step and an immediate
-                   source is deterministic, so it faults every visit;
-                   int-to-float of a nonzero immediate can only raise
-                   [inexact] (no invalid/overflow/underflow/denormal is
-                   reachable), so that is the absorbed event's flag
-                   set. *)
-                t.stats.Stats.jit_fused_steps <-
-                  t.stats.Stats.jit_fused_steps + 1;
-                st.State.fp_insn_count <- st.State.fp_insn_count + 1;
-                absorb_event t st idx F.inexact;
-                let c0 = st.State.cycles in
-                dwr st (box t (A.of_i64 iv));
-                t.stats.Stats.emulated_insns <-
-                  t.stats.Stats.emulated_insns + 1;
-                (match t.probe.Probe.on_tel with
-                | None -> ()
-                | Some f ->
-                    f st
-                      (Probe.T_emulate
-                         { index = idx; cycles = st.State.cycles - c0;
-                           elided = 0 }));
-                t.since_gc <- t.since_gc + 1;
-                st.State.rip <- idx + 1;
-                maybe_gc t st;
-                S_ok
-          | None -> native
-        end
     in
     fun st ->
       if rip_guard && st.State.rip <> idx then S_exit
@@ -1428,19 +1215,13 @@ module Make (A : Arith.S) = struct
 
   let compile_block t (sb : Sb.t) : jit_block =
     let jb_steps = Array.map (compile_step t) sb.Sb.steps in
-    let rec unwrap = function
-      | Isa.Correctness_trap i | Isa.Checked i
-      | Isa.Patched { original = i; _ } ->
-          unwrap i
-      | i -> i
-    in
     let jb_link_check =
       (* Linking absorbs the target head without dispatching it, so the
          same exactly-[invalid] taint proof as a fused step is required
          — scalar head, boxed input, no subnormal input. *)
-      match Sb.fp_inputs (unwrap sb.Sb.head_insn) with
+      match Sb.fp_inputs (Program.strip_insn sb.Sb.head_insn) with
       | Some (inputs, lanes) when lanes = 1 ->
-          fun st -> inputs_fusable t st inputs lanes
+          fun st -> inputs_fusable st inputs lanes
       | _ -> fun _ -> false
     in
     { jb_sb = sb; jb_steps; jb_link_check }
@@ -1450,11 +1231,7 @@ module Make (A : Arith.S) = struct
      this too. The charged path wraps it below. *)
   let jit_compile_window t st head (path : (int * bool) array) : jit_block =
     let insns = st.State.prog.Program.insns in
-    let sb =
-      Fpvm_ir.Codegen.compile_superblock
-        (Fpvm_ir.Lower.superblock_of_trace insns ~head path)
-    in
-    let blk = compile_block t sb in
+    let blk = compile_block t (Sb.of_trace insns ~head path) in
     Plan.store t.jit_blocks head insns.(head) blk;
     Jit.set_path t.jit head path;
     blk
@@ -1500,11 +1277,7 @@ module Make (A : Arith.S) = struct
               match Plan.find t.jit_blocks rip insns.(rip) with
               | Some nb when nb.jb_link_check st ->
                   t.stats.Stats.jit_links <- t.stats.Stats.jit_links + 1;
-                  let insn =
-                    match insns.(rip) with
-                    | Isa.Patched { original; _ } -> original
-                    | i -> i
-                  in
+                  let insn = Program.strip_insn insns.(rip) in
                   (* the linked head would have delivered a fault with
                      exactly [invalid] (the link check just proved the
                      taint); absorb it in place instead and continue
@@ -1597,25 +1370,22 @@ module Make (A : Arith.S) = struct
         (* not an FP instruction: nothing to check *)
         ignore (Cpu.dispatch st idx insn)
     | Some d ->
+        let dst = d.Decoder.dst and lanes = d.Decoder.lanes in
         let pre_fail =
           t.config.always_emulate
-          || operand_boxed t st d.Decoder.src d.Decoder.lanes
-          || operand_boxed t st d.Decoder.dst d.Decoder.lanes
+          || operand_boxed st d.Decoder.src lanes
+          || operand_boxed st dst lanes
         in
         if pre_fail then emulate t st idx insn
         else begin
-          (* Save inputs so a postcondition failure can rerun. *)
+          (* Save the destination so a postcondition failure can rerun:
+             native execution writes nothing else an emulation reads,
+             and no register a memory destination's address uses. *)
           let saved =
-            List.filter_map
-              (fun (o : Isa.operand) ->
-                match o with
-                | Isa.Xmm _ | Isa.Mem _ ->
-                    Some
-                      (Array.init d.Decoder.lanes (fun lane ->
-                           let l = bind_lane st o lane in
-                           (l, read_loc st l)))
-                | Isa.Reg _ | Isa.Imm _ -> None)
-              [ d.Decoder.dst; d.Decoder.src ]
+            match dst with
+            | Isa.Xmm _ | Isa.Mem _ ->
+                Array.init lanes (fun lane -> Cpu.read_f64 st dst lane)
+            | Isa.Reg _ | Isa.Imm _ -> [||]
           in
           let saved_flags = Mx.flags st.State.mxcsr in
           Mx.clear_flags st.State.mxcsr;
@@ -1630,10 +1400,8 @@ module Make (A : Arith.S) = struct
           Mx.clear_flags st.State.mxcsr;
           Mx.set_flags st.State.mxcsr saved_flags;
           if events <> F.none then begin
-            (* postcondition failed: restore inputs and emulate *)
-            List.iter
-              (fun arr -> Array.iter (fun (l, v) -> write_loc st l v) arr)
-              saved;
+            (* postcondition failed: restore the destination and emulate *)
+            Array.iteri (fun lane v -> Cpu.write_f64 st dst lane v) saved;
             st.State.rip <- idx; (* emulate advances it *)
             emulate t st idx insn
           end
@@ -1641,12 +1409,12 @@ module Make (A : Arith.S) = struct
 
   (* ---- correctness traps (paper 4.2) ---------------------------------- *)
 
-  let demote_bits t st (l : loc) =
-    let bits = read_loc st l in
+  let demote_bits t st (o : Isa.operand) lane =
+    let bits = Cpu.read_f64 st o lane in
     if Nanbox.is_boxed bits then begin
       let v = unbox t bits in
       let d = A.demote v in
-      write_loc st l d;
+      Cpu.write_f64 st o lane d;
       t.stats.Stats.correctness_demotions <-
         t.stats.Stats.correctness_demotions + 1;
       match t.probe.Probe.on_num with
@@ -1665,32 +1433,28 @@ module Make (A : Arith.S) = struct
         (* integer load of possibly-FP memory: demote the containing
            8-byte word(s) *)
         let a = State.ea st m in
-        demote_bits t st (L_mem (a land lnot 7));
-        if size = 8 && a land 7 <> 0 then
-          demote_bits t st (L_mem ((a + 7) land lnot 7))
-    | Isa.Movq_xr { src; _ } -> demote_bits t st (L_xmm (src, 0))
+        let word a = Isa.Mem (Isa.addr (a land lnot 7)) in
+        demote_bits t st (word a) 0;
+        if size = 8 && a land 7 <> 0 then demote_bits t st (word (a + 7)) 0
+    | Isa.Movq_xr { src; _ } -> demote_bits t st (Isa.Xmm src) 0
     | Isa.Fp_bit { dst; src; _ } -> begin
         (match dst with
-        | Isa.Xmm i ->
-            demote_bits t st (L_xmm (i, 0));
-            demote_bits t st (L_xmm (i, 1))
+        | Isa.Xmm _ ->
+            demote_bits t st dst 0;
+            demote_bits t st dst 1
         | _ -> ());
         match src with
-        | Isa.Xmm i ->
-            demote_bits t st (L_xmm (i, 0));
-            demote_bits t st (L_xmm (i, 1))
-        | Isa.Mem m ->
-            let a = State.ea st m in
-            demote_bits t st (L_mem a);
-            demote_bits t st (L_mem (a + 8))
+        | Isa.Xmm _ | Isa.Mem _ ->
+            demote_bits t st src 0;
+            demote_bits t st src 1
         | _ -> ()
       end
     | Isa.Call_ext (Isa.Print_f64 | Isa.Write_f64) ->
-        demote_bits t st (L_xmm (0, 0))
+        demote_bits t st (Isa.Xmm 0) 0
     | Isa.Call_ext _ ->
         (* conservative: demote the xmm argument registers *)
         for i = 0 to 7 do
-          demote_bits t st (L_xmm (i, 0))
+          demote_bits t st (Isa.Xmm i) 0
         done
     | _ -> ()
 
@@ -1742,64 +1506,37 @@ module Make (A : Arith.S) = struct
 
   let on_ext_call t st (fn : Isa.ext_fn) : bool =
     match math_ext fn with
-    | `Unary f ->
+    | (`Unary _ | `Binary _) as m ->
         (* The math wrapper: emulate libm in the alternative system so
            boxed arguments work and precision carries through. *)
-        t.stats.Stats.math_calls <- t.stats.Stats.math_calls + 1;
-        let c0 = st.State.cycles in
+        let s = t.stats in
+        s.Stats.math_calls <- s.Stats.math_calls + 1;
+        let c0 = st.State.cycles and e0 = s.Stats.temps_elided in
         charge_emu t st Arith.C_libm;
         let a_bits = State.get_xmm st 0 0 in
-        let v0 = unbox t a_bits in
-        let v = f v0 in
+        let a = unbox t a_bits in
+        let unary, b_bits, b, v =
+          match m with
+          | `Unary f -> (true, a_bits, a, f a)
+          | `Binary f ->
+              let b_bits = State.get_xmm st 1 0 in
+              let b = unbox t b_bits in
+              (false, b_bits, b, f a b)
+        in
         let rbits = box t v in
         State.set_xmm st 0 0 rbits;
         State.set_xmm st 0 1 0L;
         (match t.probe.Probe.on_num with
         | None -> ()
         | Some g ->
-            let img = A.demote v0 in
+            let a_img = A.demote a in
             g st
               (Probe.N_ext
-                 { index = st.State.rip; fn; a_bits; b_bits = a_bits;
-                   r_bits = rbits; a = img; b = img; r = A.demote v }));
-        (match t.probe.Probe.on_tel with
-        | None -> ()
-        | Some g ->
-            g st
-              (Probe.T_emulate
-                 { index = st.State.rip; cycles = st.State.cycles - c0;
-                   elided = 0 }));
-        t.since_gc <- t.since_gc + 1;
-        maybe_gc t st;
-        true
-    | `Binary f ->
-        t.stats.Stats.math_calls <- t.stats.Stats.math_calls + 1;
-        let c0 = st.State.cycles in
-        charge_emu t st Arith.C_libm;
-        let a_bits = State.get_xmm st 0 0 in
-        let b_bits = State.get_xmm st 1 0 in
-        let va = unbox t a_bits in
-        let vb = unbox t b_bits in
-        let v = f va vb in
-        let rbits = box t v in
-        State.set_xmm st 0 0 rbits;
-        State.set_xmm st 0 1 0L;
-        (match t.probe.Probe.on_num with
-        | None -> ()
-        | Some g ->
-            g st
-              (Probe.N_ext
-                 { index = st.State.rip; fn; a_bits; b_bits; r_bits = rbits;
-                   a = A.demote va; b = A.demote vb; r = A.demote v }));
-        (match t.probe.Probe.on_tel with
-        | None -> ()
-        | Some g ->
-            g st
-              (Probe.T_emulate
-                 { index = st.State.rip; cycles = st.State.cycles - c0;
-                   elided = 0 }));
-        t.since_gc <- t.since_gc + 1;
-        maybe_gc t st;
+                 { index = st.State.rip; fn; unary; a_bits; b_bits;
+                   r_bits = rbits; a = a_img;
+                   b = (if unary then a_img else A.demote b);
+                   r = A.demote v }));
+        epilogue t st ~advance:false st.State.rip c0 e0;
         true
     | `Other -> begin
         match fn with
@@ -1926,7 +1663,7 @@ module Make (A : Arith.S) = struct
              now instead of waiting for a GC pass *)
           match o with
           | Isa.Mem _ | Isa.Xmm _ ->
-              let bits = read_loc st (bind_lane st o 0) in
+              let bits = Cpu.read_f64 st o 0 in
               if Nanbox.is_boxed bits then begin
                 Arena.free t.arena (Nanbox.unbox bits);
                 t.stats.Stats.eager_frees <- t.stats.Stats.eager_frees + 1
@@ -2060,11 +1797,7 @@ module Make (A : Arith.S) = struct
                 if config.use_plans then
                   t.elide <- Analysis.Escape.no_escape prog.Program.insns)
         | Trap_and_emulate | Static_transform -> ());
-        let insn =
-          match prog.Program.insns.(idx) with
-          | Isa.Patched { original; _ } -> original
-          | i -> i
-        in
+        let insn = Program.strip_insn prog.Program.insns.(idx) in
         (* The delivered instruction plus the trace that follows form
            one resident window: the only region where shadow-temp
            elision may fire (the exit sweep below re-boxes leftovers). *)
@@ -2172,13 +1905,7 @@ module Make (A : Arith.S) = struct
   let seed_plan (ses : session) idx =
     let insns = ses.prog.Program.insns in
     if idx >= 0 && idx < Array.length insns then begin
-      let rec unwrap = function
-        | Isa.Correctness_trap i | Isa.Checked i
-        | Isa.Patched { original = i; _ } ->
-            unwrap i
-        | i -> i
-      in
-      let key = unwrap insns.(idx) in
+      let key = Program.strip_insn insns.(idx) in
       match Decoder.decode_insn key with
       | Some d -> Plan.store ses.eng.plans idx key (compile ses.eng idx d)
       | None -> ()

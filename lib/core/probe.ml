@@ -107,6 +107,7 @@ type num =
   | N_ext of {
       index : int;
       fn : Machine.Isa.ext_fn;
+      unary : bool; (* one argument: [a] and [b] are both it *)
       a_bits : int64;
       b_bits : int64;
       r_bits : int64;

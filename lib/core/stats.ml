@@ -125,8 +125,8 @@ type t = {
   mutable shadow_elided : int;
       (* numprof/shadow-check records skipped at proven birth-free sites *)
   mutable jit_fused_steps : int;
-      (* superblock steps taking the fused (emulate_fused/native/fold)
-         path rather than a guard exit; the FPA fusion-widening metric *)
+      (* superblock steps taking the fused path (emulate_fused) rather
+         than a guard exit; the FPA fusion-widening metric *)
   mutable fpa_sub_violations : int;
       (* subnormal raw input seen at a proven-subnormal-free site: any
          nonzero value is a soundness violation (oracle exit 5) *)

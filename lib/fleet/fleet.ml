@@ -464,9 +464,17 @@ type fleet_result = {
   f_cyc_compile_shared : int;
 }
 
+(* Every requested domain is spawned, an OS thread each, even for an
+   empty shard, and OCaml 5 refuses a domain past its 128th live one;
+   the margin leaves room for the host process's own. *)
+let max_domains = 64
+
 let validate_serve ~domains ~batch : (unit, string) result =
   if domains < 1 then
     Error (Printf.sprintf "--domains must be >= 1 (got %d)" domains)
+  else if domains > max_domains then
+    Error
+      (Printf.sprintf "--domains must be <= %d (got %d)" max_domains domains)
   else if batch < 1 then
     Error (Printf.sprintf "--batch must be >= 1 (got %d)" batch)
   else Ok ()

@@ -316,38 +316,3 @@ let compile ?(mode : mode = `Plain) ?(mem_size = 1 lsl 22) (f : Ir.func) :
 let compile_program ?(mode : mode = `Plain) ?mem_size (p : Ast.program) :
     Program.t =
   compile ~mode ?mem_size (Lower.lower p)
-
-(* --- Superblock compilation (the trace JIT's backend pass) ---
-
-   [compile_superblock] runs the machine-independent optimizations over
-   a lowered superblock before the engine closes it over a concrete
-   arithmetic port:
-
-   - constant folding: an absorbed int->float conversion of an
-     immediate always faults the same way, so its emulated result is a
-     compile-time constant in the alternative system — the compiled
-     step boxes a fresh copy with no bind, no dispatch, no guard;
-   - rip-guard elision: a step's [rip = index] check is redundant when
-     the previous step pins the next rip statically (every emulated or
-     folded step advances to [index + 1]; native steps do too except
-     data-dependent control flow). The block entry keeps its guard —
-     it doubles as the delivery-site check. *)
-
-let fold_step (s : Superblock.step) : Superblock.step =
-  match (s.Superblock.s_action, s.Superblock.s_insn) with
-  | Superblock.A_native, Isa.Cvt_i2f { src = Isa.Imm v; size; _ }
-    when s.Superblock.s_absorbed ->
-      { s with Superblock.s_action = Superblock.A_fold_i2f { imm = v; size } }
-  | _ -> s
-
-let compile_superblock (sb : Superblock.t) : Superblock.t =
-  let steps = Array.map fold_step sb.Superblock.steps in
-  Array.iteri
-    (fun i s ->
-      if i > 0 then
-        match Superblock.static_next steps.(i - 1) with
-        | Some next when next = s.Superblock.s_index ->
-            steps.(i) <- { s with Superblock.s_rip_guard = false }
-        | _ -> ())
-    steps;
-  { sb with Superblock.steps }

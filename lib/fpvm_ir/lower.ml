@@ -204,45 +204,3 @@ let lower (p : program) : Ir.func =
     n_itemps = env.ni;
     n_labels = env.nl;
     decls = p.decls }
-
-(* --- Trace -> superblock lowering (the trace JIT's front end) ---
-
-   [superblock_of_trace] lifts one recorded hot path — the (index,
-   absorbed) pairs one interpretive trace window actually executed —
-   into the superblock IR. Lowering only classifies each step:
-
-   - a step recorded as an absorbed FP fault whose instruction has
-     checkable binary64 inputs becomes a guarded fast-emulate step
-     (native dispatch on a boxed input is guaranteed to fault, so when
-     the taint guard holds, emulating through the site's binding plan
-     without dispatching is bit-identical to the interpreter);
-   - everything else stays native dispatch (an absorbed binary32 or
-     int->float fault simply faults and absorbs again at runtime,
-     exactly as the interpreter would).
-
-   Every step is lowered with its rip guard on; guard elision and
-   constant folding are the codegen pass's job
-   ([Codegen.compile_superblock]). *)
-
-let superblock_of_trace (insns : Machine.Isa.insn array) ~(head : int)
-    (path : (int * bool) array) : Superblock.t =
-  let lift (idx, absorbed) =
-    let insn = insns.(idx) in
-    let action =
-      if not absorbed then Superblock.A_native
-      else
-        match Superblock.fp_inputs insn with
-        | Some (inputs, lanes) -> Superblock.A_emulate { inputs; lanes }
-        | None -> Superblock.A_native
-    in
-    { Superblock.s_index = idx;
-      s_insn = insn;
-      s_action = action;
-      s_absorbed = absorbed;
-      s_rip_guard = true }
-  in
-  let steps = Array.map lift path in
-  { Superblock.head;
-    head_insn = insns.(head);
-    steps;
-    touches = Superblock.touches_of ~head steps }

@@ -3,8 +3,8 @@
    A superblock is the lowered image of one recorded hot trace: the
    dynamic instruction path one trap-delivery window actually executed,
    annotated per step with how the engine should run it when compiled
-   (native dispatch, guarded fast emulation, or a folded constant) and
-   which guards must hold for the compiled execution to remain
+   (native dispatch or guarded fast emulation) and which guards must
+   hold for the compiled execution to remain
    bit-identical to the interpretive trace loop.
 
    Three guard kinds protect a compiled step:
@@ -15,7 +15,7 @@
      discipline as the binding-plan table);
    - rip: control flow actually arrived at the step's index (a
      conditional branch or ret earlier in the path went the recorded
-     way). Redundant rip guards are elided by the codegen pass: an
+     way). Redundant rip guards are elided when the block is lifted: an
      emulated step and every non-branching native step leave the next
      rip statically known;
    - taint: a fast-emulated step requires a NaN-boxed (or foreign-sNaN)
@@ -39,19 +39,14 @@ type action =
       (* recorded as an absorbed FP fault: when the taint guard holds
          (some input lane is boxed), emulate through the site's binding
          plan without dispatching — the fused fast path *)
-  | A_fold_i2f of { imm : int64; size : int }
-      (* absorbed int->float conversion of an immediate: the result is
-         a compile-time constant in the alternative system; the step
-         only boxes a fresh copy (no unbox, no conversion, no guard) *)
 
 type step = {
   s_index : int;
   s_insn : Isa.insn; (* the shape the step was lifted from *)
   s_action : action;
-  s_absorbed : bool; (* the recording saw this step fault and absorb *)
   s_rip_guard : bool;
-      (* check [rip = s_index] before the step; lowered true on every
-         step, elided by the codegen pass where the predecessor pins it *)
+      (* check [rip = s_index] before the step; elided where the
+         predecessor pins it *)
 }
 
 type t = {
@@ -82,13 +77,13 @@ let fp_inputs (insn : Isa.insn) : (Isa.operand list * int) option =
   | _ -> None
 
 (* Does executing this step leave the next rip statically known (so the
-   successor's rip guard is redundant)? Emulated and folded steps
-   always advance to [s_index + 1]; native steps do too unless they are
-   data-dependent control flow. A direct [Jmp]/[Call] pins rip as well,
-   but not to [s_index + 1] — [static_next] returns the pinned target. *)
+   successor's rip guard is redundant)? Emulated steps always advance
+   to [s_index + 1]; native steps do too unless they are data-dependent
+   control flow. A direct [Jmp]/[Call] pins rip as well, but not to
+   [s_index + 1] — [static_next] returns the pinned target. *)
 let static_next (s : step) : int option =
   match s.s_action with
-  | A_emulate _ | A_fold_i2f _ -> Some (s.s_index + 1)
+  | A_emulate _ -> Some (s.s_index + 1)
   | A_native -> (
       match s.s_insn with
       | Isa.Jmp k -> Some k
@@ -116,3 +111,34 @@ let touches_site (t : t) idx =
       else bin lo (mid - 1)
   in
   bin 0 (Array.length t.touches - 1)
+
+(* Lift one recorded hot path — the (index, absorbed) pairs one
+   interpretive trace window actually executed — into a superblock. A
+   step recorded as an absorbed FP fault whose instruction has
+   checkable binary64 inputs becomes a guarded fast-emulate step
+   (native dispatch on a boxed input is guaranteed to fault, so when
+   the taint guard holds, emulating through the site's binding plan
+   without dispatching is bit-identical to the interpreter). Everything
+   else stays native dispatch: an absorbed binary32 or int->float fault
+   simply faults and absorbs again at run time, exactly as the
+   interpreter would. A step's rip guard is elided when its
+   predecessor pins the next rip statically; the block entry keeps its
+   guard, which doubles as the delivery-site check. *)
+let of_trace (insns : Isa.insn array) ~(head : int)
+    (path : (int * bool) array) : t =
+  let lift (idx, absorbed) =
+    let insn = insns.(idx) in
+    let s_action =
+      match (absorbed, fp_inputs insn) with
+      | true, Some (inputs, lanes) -> A_emulate { inputs; lanes }
+      | _ -> A_native
+    in
+    { s_index = idx; s_insn = insn; s_action; s_rip_guard = true }
+  in
+  let steps = Array.map lift path in
+  Array.iteri
+    (fun i s ->
+      if i > 0 && static_next steps.(i - 1) = Some s.s_index then
+        steps.(i) <- { s with s_rip_guard = false })
+    steps;
+  { head; head_insn = insns.(head); steps; touches = touches_of ~head steps }

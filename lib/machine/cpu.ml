@@ -74,6 +74,69 @@ let write_int st size (o : Isa.operand) v =
   | Isa.Mem m -> State.store_size st size (State.ea st m) v
   | Isa.Imm _ | Isa.Xmm _ -> raise (Invalid_insn "int dest")
 
+let read_fp st (w : Isa.fp_width) o lane =
+  match w with Isa.F64 -> read_f64 st o lane | Isa.F32 -> read_f32 st o
+
+(* ---- FP semantics shared with FPVM's emulation -------------------------- *)
+
+(* Where an FP instruction's result lands: binary64 bits fill [lane] of
+   the destination; binary32 bits fill the low half of lane 0 and keep
+   the rest of the location; a converted integer fills the whole 64-bit
+   destination. A binary64 int->float convert into an xmm register also
+   clears lane 1. *)
+let write_result st (insn : Isa.insn) lane v =
+  match insn with
+  | Isa.Fp_arith { w = Isa.F64; dst; _ }
+  | Isa.Fp_cmppred { w = Isa.F64; dst; _ }
+  | Isa.Fp_round { w = Isa.F64; dst; _ }
+  | Isa.Cvt_f2f { from_w = Isa.F32; dst; _ } ->
+      write_f64 st dst lane v
+  | Isa.Cvt_i2f { w = Isa.F64; dst; _ } -> (
+      write_f64 st dst lane v;
+      match dst with Isa.Xmm i -> State.set_xmm st i 1 0L | _ -> ())
+  | Isa.Fp_arith { w = Isa.F32; dst; _ }
+  | Isa.Fp_cmppred { w = Isa.F32; dst; _ }
+  | Isa.Fp_round { w = Isa.F32; dst; _ }
+  | Isa.Cvt_f2f { from_w = Isa.F64; dst; _ }
+  | Isa.Cvt_i2f { w = Isa.F32; dst; _ } ->
+      write_f32 st dst v
+  | Isa.Cvt_f2i { dst; _ } -> write_int st 8 dst v
+  | _ -> raise (Invalid_insn "no FP result")
+
+(* x64 comisd flag encoding *)
+let set_compare_flags st (c : Ieee754.Softfp.cmp) =
+  (match c with
+  | Ieee754.Softfp.Cmp_unordered ->
+      st.State.zf <- true; st.State.pf <- true; st.State.cf <- true
+  | Ieee754.Softfp.Cmp_lt ->
+      st.State.zf <- false; st.State.pf <- false; st.State.cf <- true
+  | Ieee754.Softfp.Cmp_gt ->
+      st.State.zf <- false; st.State.pf <- false; st.State.cf <- false
+  | Ieee754.Softfp.Cmp_eq ->
+      st.State.zf <- true; st.State.pf <- false; st.State.cf <- false);
+  st.State.of_ <- false;
+  st.State.sf <- false
+
+let pred_holds (pred : Isa.fp_pred) (c : Ieee754.Softfp.cmp) =
+  let open Ieee754.Softfp in
+  match (pred, c) with
+  | Isa.EQ, Cmp_eq -> true
+  | Isa.LT, Cmp_lt -> true
+  | Isa.LE, (Cmp_lt | Cmp_eq) -> true
+  | Isa.NEQ, (Cmp_lt | Cmp_gt | Cmp_unordered) -> true
+  | Isa.NLT, (Cmp_gt | Cmp_eq | Cmp_unordered) -> true
+  | Isa.NLE, (Cmp_gt | Cmp_unordered) -> true
+  | Isa.ORD, (Cmp_lt | Cmp_eq | Cmp_gt) -> true
+  | Isa.UNORD, Cmp_unordered -> true
+  | _ -> false
+
+let round_mode (imm : Isa.rounding_imm) =
+  match imm with
+  | Isa.RN -> Ieee754.Softfp.Nearest_even
+  | Isa.RD -> Ieee754.Softfp.Toward_neg
+  | Isa.RU -> Ieee754.Softfp.Toward_pos
+  | Isa.RZ -> Ieee754.Softfp.Toward_zero
+
 (* ---- integer flags ------------------------------------------------------- *)
 
 let parity8 v =
@@ -232,9 +295,7 @@ let rec dispatch st idx (insn : Isa.insn) : outcome =
       if unmasked <> F.none then Fp_fault { index = idx; events = unmasked }
       else begin
         for lane = 0 to lanes - 1 do
-          match w with
-          | Isa.F64 -> write_f64 st dst lane results.(lane)
-          | Isa.F32 -> write_f32 st dst results.(lane)
+          write_result st insn lane results.(lane)
         done;
         advance ();
         Running
@@ -256,18 +317,7 @@ let rec dispatch st idx (insn : Isa.insn) : outcome =
       let unmasked = Ieee754.Mxcsr.unmasked_events st.State.mxcsr fl in
       if unmasked <> F.none then Fp_fault { index = idx; events = unmasked }
       else begin
-        (* x64 comisd flag encoding *)
-        (match cmp with
-        | Ieee754.Softfp.Cmp_unordered ->
-            st.State.zf <- true; st.State.pf <- true; st.State.cf <- true
-        | Ieee754.Softfp.Cmp_lt ->
-            st.State.zf <- false; st.State.pf <- false; st.State.cf <- true
-        | Ieee754.Softfp.Cmp_gt ->
-            st.State.zf <- false; st.State.pf <- false; st.State.cf <- false
-        | Ieee754.Softfp.Cmp_eq ->
-            st.State.zf <- true; st.State.pf <- false; st.State.cf <- false);
-        st.State.of_ <- false;
-        st.State.sf <- false;
+        set_compare_flags st cmp;
         advance ();
         Running
       end
@@ -293,37 +343,15 @@ let rec dispatch st idx (insn : Isa.insn) : outcome =
       let unmasked = Ieee754.Mxcsr.unmasked_events st.State.mxcsr fl in
       if unmasked <> F.none then Fp_fault { index = idx; events = unmasked }
       else begin
-        let open Ieee754.Softfp in
-        let holds =
-          match (pred, cmp) with
-          | Isa.EQ, Cmp_eq -> true
-          | Isa.LT, Cmp_lt -> true
-          | Isa.LE, (Cmp_lt | Cmp_eq) -> true
-          | Isa.NEQ, (Cmp_lt | Cmp_gt | Cmp_unordered) -> true
-          | Isa.NLT, (Cmp_gt | Cmp_eq | Cmp_unordered) -> true
-          | Isa.NLE, (Cmp_gt | Cmp_unordered) -> true
-          | Isa.ORD, (Cmp_lt | Cmp_eq | Cmp_gt) -> true
-          | Isa.UNORD, Cmp_unordered -> true
-          | _ -> false
-        in
-        let mask = if holds then -1L else 0L in
-        (match w with
-        | Isa.F64 -> write_f64 st dst 0 mask
-        | Isa.F32 -> write_f32 st dst (Int64.logand mask 0xFFFFFFFFL));
+        write_result st insn 0 (if pred_holds pred cmp then -1L else 0L);
         advance ();
         Running
       end
     end
-  | Isa.Fp_round { imm; w; dst; src } -> begin
+  | Isa.Fp_round { imm; w; src; _ } -> begin
       st.State.fp_insn_count <- st.State.fp_insn_count + 1;
       cyc cost.Cost_model.fp_add;
-      let mode =
-        match imm with
-        | Isa.RN -> Ieee754.Softfp.Nearest_even
-        | Isa.RD -> Ieee754.Softfp.Toward_neg
-        | Isa.RU -> Ieee754.Softfp.Toward_pos
-        | Isa.RZ -> Ieee754.Softfp.Toward_zero
-      in
+      let mode = round_mode imm in
       let r, fl =
         match w with
         | Isa.F64 -> S64.round_to_integral mode (read_f64 st src 0)
@@ -333,36 +361,30 @@ let rec dispatch st idx (insn : Isa.insn) : outcome =
       let unmasked = Ieee754.Mxcsr.unmasked_events st.State.mxcsr fl in
       if unmasked <> F.none then Fp_fault { index = idx; events = unmasked }
       else begin
-        (match w with
-        | Isa.F64 -> write_f64 st dst 0 r
-        | Isa.F32 -> write_f32 st dst r);
+        write_result st insn 0 r;
         advance ();
         Running
       end
     end
-  | Isa.Cvt_f2f { from_w; dst; src } -> begin
+  | Isa.Cvt_f2f { from_w; src; _ } -> begin
       st.State.fp_insn_count <- st.State.fp_insn_count + 1;
       cyc cost.Cost_model.fp_add;
       let mode = Ieee754.Mxcsr.rounding st.State.mxcsr in
-      let r, fl, store32 =
+      let r, fl =
         match from_w with
-        | Isa.F64 ->
-            let v, fl = Ieee754.Convert.f64_to_f32 mode (read_f64 st src 0) in
-            (v, fl, true)
-        | Isa.F32 ->
-            let v, fl = Ieee754.Convert.f32_to_f64 mode (read_f32 st src) in
-            (v, fl, false)
+        | Isa.F64 -> Ieee754.Convert.f64_to_f32 mode (read_f64 st src 0)
+        | Isa.F32 -> Ieee754.Convert.f32_to_f64 mode (read_f32 st src)
       in
       Ieee754.Mxcsr.set_flags st.State.mxcsr fl;
       let unmasked = Ieee754.Mxcsr.unmasked_events st.State.mxcsr fl in
       if unmasked <> F.none then Fp_fault { index = idx; events = unmasked }
       else begin
-        if store32 then write_f32 st dst r else write_f64 st dst 0 r;
+        write_result st insn 0 r;
         advance ();
         Running
       end
     end
-  | Isa.Cvt_f2i { w; truncate; size; dst; src } -> begin
+  | Isa.Cvt_f2i { w; truncate; size; src; _ } -> begin
       st.State.fp_insn_count <- st.State.fp_insn_count + 1;
       cyc cost.Cost_model.fp_add;
       let mode =
@@ -384,12 +406,12 @@ let rec dispatch st idx (insn : Isa.insn) : outcome =
       let unmasked = Ieee754.Mxcsr.unmasked_events st.State.mxcsr fl in
       if unmasked <> F.none then Fp_fault { index = idx; events = unmasked }
       else begin
-        write_int st 8 dst v;
+        write_result st insn 0 v;
         advance ();
         Running
       end
     end
-  | Isa.Cvt_i2f { w; size; dst; src } -> begin
+  | Isa.Cvt_i2f { w; size; src; _ } -> begin
       st.State.fp_insn_count <- st.State.fp_insn_count + 1;
       cyc cost.Cost_model.fp_add;
       let mode = Ieee754.Mxcsr.rounding st.State.mxcsr in
@@ -406,11 +428,7 @@ let rec dispatch st idx (insn : Isa.insn) : outcome =
       let unmasked = Ieee754.Mxcsr.unmasked_events st.State.mxcsr fl in
       if unmasked <> F.none then Fp_fault { index = idx; events = unmasked }
       else begin
-        (match w with
-        | Isa.F64 ->
-            write_f64 st dst 0 r;
-            (match dst with Isa.Xmm i -> State.set_xmm st i 1 0L | _ -> ())
-        | Isa.F32 -> write_f32 st dst r);
+        write_result st insn 0 r;
         advance ();
         Running
       end

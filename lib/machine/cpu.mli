@@ -17,6 +17,44 @@ type outcome =
 
 exception Invalid_insn of string
 
+(** {1 Operand access}
+
+    Where an FP instruction's operands are read and written: the
+    interpreter and FPVM's emulation both go through these. *)
+
+val read_f64 : State.t -> Isa.operand -> int -> int64
+(** A binary64 lane of an xmm register or of memory (lane [l] of a
+    memory operand is [8 * l] bytes past its address). *)
+
+val write_f64 : State.t -> Isa.operand -> int -> int64 -> unit
+
+val read_fp : State.t -> Isa.fp_width -> Isa.operand -> int -> int64
+(** An FP operand at a width: {!read_f64} for binary64; for binary32,
+    the bits in the low half of lane 0, zero-extended (binary32 has no
+    lanes). *)
+
+val read_int : State.t -> int -> Isa.operand -> int64
+(** A [size]-byte integer operand (register, immediate or memory). *)
+
+(** {1 FP semantics} *)
+
+val write_result : State.t -> Isa.insn -> int -> int64 -> unit
+(** [write_result st insn lane v] lands FP instruction [insn]'s result
+    where native execution puts it: binary64 bits in [lane] of the
+    destination, binary32 bits in the low half of lane 0 (the rest
+    kept), a converted integer in the whole 64-bit destination. A
+    binary64 [Cvt_i2f] into an xmm register also clears lane 1. Raises
+    {!Invalid_insn} for an instruction with no FP result. *)
+
+val set_compare_flags : State.t -> Ieee754.Softfp.cmp -> unit
+(** The comisd encoding of a comparison in ZF/PF/CF; OF and SF clear. *)
+
+val pred_holds : Isa.fp_pred -> Ieee754.Softfp.cmp -> bool
+(** Does a cmpsd predicate hold for this comparison outcome? *)
+
+val round_mode : Isa.rounding_imm -> Ieee754.Softfp.rounding
+(** The rounding mode a roundsd immediate selects. *)
+
 val dispatch : State.t -> int -> Isa.insn -> outcome
 (** Execute [insn] as the instruction at index [idx]: advances RIP (or
     redirects it for control flow); on a fault RIP is left at the

@@ -328,12 +328,7 @@ let record t ~cycles (ev : Fpvm.Probe.num) =
         ~index ~op:(op_code op)
         ~unary:(op = Isa.FSQRT)
         ~a_bits ~b_bits ~r_bits ~a ~b ~r
-  | Fpvm.Probe.N_ext { index; fn; a_bits; b_bits; r_bits; a; b; r } ->
-      let unary =
-        match fn with
-        | Isa.Atan2 | Isa.Pow | Isa.Fmod | Isa.Hypot -> false
-        | _ -> true
-      in
+  | Fpvm.Probe.N_ext { index; fn; unary; a_bits; b_bits; r_bits; a; b; r } ->
       (* the Ext_call replay event is emitted after the handler
          returns, so an ext birth belongs to the *next* event index *)
       record_arith t ~cyc:cycles ~event:t.events_seen ~index

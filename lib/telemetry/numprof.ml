@@ -271,12 +271,7 @@ let record t (ev : Fpvm.Probe.num) =
             let expected = op_expected op sa sb in
             Hashtbl.replace t.shadow r_bits (r, expected)
           end)
-  | Fpvm.Probe.N_ext { index; fn; a_bits; b_bits; r_bits; a; b; r } -> (
-      let unary =
-        match fn with
-        | Isa.Atan2 | Isa.Pow | Isa.Fmod | Isa.Hypot -> false
-        | _ -> true
-      in
+  | Fpvm.Probe.N_ext { index; fn; unary; a_bits; b_bits; r_bits; a; b; r } -> (
       match t.clean with
       | Some clean when clean index -> check_clean t ~a ~b ~r ~unary
       | _ ->

@@ -234,6 +234,169 @@ let engine_tests =
           (String.split_on_char '\n' (String.trim r.Fpvm.Engine.output)))
   ]
 
+(* ---- every trapping FP form: FPVM+Vanilla == native ----
+
+   One small program per form x width. Each loads its operands afresh,
+   executes the form, then serializes the destination's 16 bytes (or
+   prints the integer result, or the branches a comparison's flags
+   take), ten times over, so trap-and-patch also services the rewritten
+   site. xmm lane 1 and the upper half of a binary32 lane 0 hold marker
+   values native execution either keeps or clears. *)
+
+let forms_tests =
+  let f64b = Int64.bits_of_float in
+  (* a binary32 value in the low half of a 64-bit word, marker above *)
+  let hi32 b = Int64.logor 0x12345678_00000000L b in
+  let v w x = match w with Isa.F64 -> f64b x | Isa.F32 -> hi32 (bits32 x) in
+  let qnan = function Isa.F64 -> 0x7FF8_0000_0000_0000L | Isa.F32 -> hi32 0x7FC00000L in
+  let snan = function Isa.F64 -> 0x7FF0_0000_0000_0001L | Isa.F32 -> hi32 0x7F800001L in
+  let lane1 = f64b 2.5 in
+  (* [program ~xmm1 ~rax ~mem insn out]: xmm1 (lane 0, lane 1), rax and
+     the 24-byte block [mem] are reloaded before every execution of
+     [insn at], where [at off] is the block's operand at byte [off]. *)
+  let program ?(xmm1 = (0L, lane1)) ?(rax = 0xDEADBEEF_CAFEBABEL)
+      ?(mem = [| 0L; lane1; 0L |]) insn out =
+    let b = Program.create () in
+    let xi = Program.data_i64 b [| fst xmm1; snd xmm1 |] in
+    let m = Program.data_zero b 24 in
+    let o = Program.data_zero b 16 in
+    let at off = Isa.Mem (Isa.addr (m + off)) in
+    let r11 = reg Isa.R11 in
+    Program.emit b (Isa.Mov { size = 8; dst = reg Isa.RCX; src = Isa.Imm 10L });
+    let top = Program.new_label b in
+    Program.place b top;
+    Array.iteri
+      (fun i word ->
+        Program.emit b (Isa.Mov { size = 8; dst = r11; src = Isa.Imm word });
+        Program.emit b (Isa.Mov { size = 8; dst = at (8 * i); src = r11 }))
+      mem;
+    Program.emit b (Isa.Mov_x { dst = xmm 1; src = Isa.Mem (Isa.addr xi) });
+    Program.emit b (Isa.Mov { size = 8; dst = reg Isa.RAX; src = Isa.Imm rax });
+    Program.emit b (insn at);
+    let write_words src =
+      List.iter
+        (fun off ->
+          Program.emit b (Isa.Mov_f { w = Isa.F64; dst = xmm 0; src = src off });
+          Program.emit b (Isa.Call_ext Isa.Write_f64))
+        [ 0; 8 ]
+    in
+    (match out with
+    | `Xmm1 ->
+        Program.emit b (Isa.Mov_x { dst = Isa.Mem (Isa.addr o); src = xmm 1 });
+        write_words (fun off -> Isa.Mem (Isa.addr (o + off)))
+    | `Mem -> write_words at
+    | `Rax ->
+        Program.emit b (Isa.Mov { size = 8; dst = reg Isa.RDI; src = reg Isa.RAX });
+        Program.emit b (Isa.Call_ext Isa.Print_i64)
+    | `Flags ->
+        List.iter
+          (fun c ->
+            let taken = Program.new_label b and join = Program.new_label b in
+            Program.jcc b c taken;
+            Program.emit b (Isa.Mov { size = 8; dst = reg Isa.RDI; src = Isa.Imm 0L });
+            Program.jmp b join;
+            Program.place b taken;
+            Program.emit b (Isa.Mov { size = 8; dst = reg Isa.RDI; src = Isa.Imm 1L });
+            Program.place b join;
+            Program.emit b (Isa.Call_ext Isa.Print_i64))
+          [ Isa.Jz; Isa.Jp; Isa.Jb ]);
+    Program.emit b (Isa.Dec (reg Isa.RCX));
+    Program.jcc b Isa.Jnz top;
+    Program.emit b Isa.Halt;
+    Program.finish b
+  in
+  let wname = function Isa.F64 -> "binary64" | Isa.F32 -> "binary32" in
+  (* (name, traps under FPVM, program) *)
+  let cases w =
+    let arith op packed ~a ~b ~a1 ~b1 =
+      program ~xmm1:(a, a1) ~mem:[| b; b1; 0L |]
+        (fun at -> Isa.Fp_arith { op; w; packed; dst = xmm 1; src = at 0 })
+        `Xmm1
+    in
+    (* an int64 source in rax, an int32 one in memory *)
+    let i2f ~size ~dst x =
+      program ~xmm1:(v w 0.0, lane1) ~rax:x ~mem:[| v w 0.0; lane1; x |]
+        (fun at ->
+          Isa.Cvt_i2f
+            { w; size;
+              dst = (if dst = `Xmm1 then xmm 1 else at 0);
+              src = (if size = 8 then reg Isa.RAX else at 16) })
+        dst
+    in
+    let big = match w with Isa.F64 -> 9007199254740993L | Isa.F32 -> 1099511627779L in
+    [ ("divide", true, arith Isa.FDIV false ~a:(v w 1.0) ~b:(v w 3.0) ~a1:lane1 ~b1:0L);
+      ("sqrt", true, arith Isa.FSQRT false ~a:(v w 1.0) ~b:(v w 2.0) ~a1:lane1 ~b1:0L);
+      ("packed divide", true,
+       arith Isa.FDIV true ~a:(v w 1.0) ~b:(v w 3.0) ~a1:(v w 2.0) ~b1:(v w 7.0));
+      ("quiet compare of a signaling NaN", true,
+       program ~xmm1:(snan w, lane1) ~mem:[| v w 1.0; 0L; 0L |]
+         (fun at -> Isa.Fp_cmp { signaling = false; w; a = xmm 1; b = at 0 })
+         `Flags);
+      ("signaling compare of a quiet NaN", true,
+       program ~xmm1:(qnan w, lane1) ~mem:[| v w 1.0; 0L; 0L |]
+         (fun at -> Isa.Fp_cmp { signaling = true; w; a = xmm 1; b = at 0 })
+         `Flags);
+      ("cmppred NLT of a quiet NaN", true,
+       program ~xmm1:(qnan w, lane1) ~mem:[| v w 1.0; 0L; 0L |]
+         (fun at -> Isa.Fp_cmppred { pred = Isa.NLT; w; dst = xmm 1; src = at 0 })
+         `Xmm1);
+      ("round down", true,
+       program ~xmm1:(v w 0.0, lane1) ~mem:[| v w 2.5; 0L; 0L |]
+         (fun at -> Isa.Fp_round { imm = Isa.RD; w; dst = xmm 1; src = at 0 })
+         `Xmm1);
+      ((match w with Isa.F64 -> "narrowing convert" | Isa.F32 -> "widening convert"),
+       true,
+       program ~xmm1:(v Isa.F32 0.0, lane1)
+         ~mem:[| (match w with Isa.F64 -> f64b 0.1 | Isa.F32 -> snan Isa.F32); 0L; 0L |]
+         (fun at -> Isa.Cvt_f2f { from_w = w; dst = xmm 1; src = at 0 })
+         `Xmm1);
+      ("truncating convert to int32", true,
+       program ~mem:[| v w 1.5; 0L; 0L |]
+         (fun at ->
+           Isa.Cvt_f2i { w; truncate = true; size = 4; dst = reg Isa.RAX; src = at 0 })
+         `Rax);
+      ("rounding convert to int64", true,
+       program ~mem:[| v w (-2.5); 0L; 0L |]
+         (fun at ->
+           Isa.Cvt_f2i { w; truncate = false; size = 8; dst = reg Isa.RAX; src = at 0 })
+         `Rax);
+      ("int64 convert into xmm", true, i2f ~size:8 ~dst:`Xmm1 big);
+      (* every int32 is exact in binary64 *)
+      ("int32 convert into xmm", w = Isa.F32, i2f ~size:4 ~dst:`Xmm1 16777217L);
+      ("int64 convert into memory", true, i2f ~size:8 ~dst:`Mem (Int64.neg big));
+      ("int32 convert into memory", w = Isa.F32, i2f ~size:4 ~dst:`Mem (-16777219L)) ]
+    |> List.map (fun (name, traps, prog) -> (wname w ^ " " ^ name, traps, prog))
+  in
+  let configs =
+    let ( >>= ) c (k, v) =
+      match Fpvm.Engine.set c k v with Ok c -> c | Error e -> failwith e
+    in
+    let d = Fpvm.Engine.default_config in
+    List.concat_map
+      (fun gc ->
+        List.map
+          (fun kvs -> List.fold_left ( >>= ) d (("gc", gc) :: kvs))
+          [ []; [ ("trace-len", "1") ]; [ ("plans", "off") ];
+            [ ("jit", "off") ]; [ ("approach", "patch") ] ])
+      [ "inc"; "full" ]
+  in
+  List.map
+    (fun (name, traps, prog) ->
+      Alcotest.test_case name `Quick (fun () ->
+          let native = Fpvm.Engine.run_native prog in
+          List.iter
+            (fun config ->
+              let r = E_vanilla.run ~config prog in
+              let line = Fpvm.Engine.config_line config in
+              Alcotest.(check string) ("output " ^ line) native.Fpvm.Engine.output
+                r.Fpvm.Engine.output;
+              Alcotest.(check string) ("bytes " ^ line)
+                native.Fpvm.Engine.serialized r.Fpvm.Engine.serialized;
+              Alcotest.(check bool) ("emulated " ^ line) traps
+                (r.Fpvm.Engine.stats.Fpvm.Stats.emulated_insns > 0))
+            configs))
+    (cases Isa.F64 @ cases Isa.F32)
+
 let heap_tests =
   [ Alcotest.test_case "heap-allocated FP data: boxes survive GC, VSA heap a-locs"
       `Quick (fun () ->
@@ -333,5 +496,6 @@ let () =
     [ ("f32-oracle", f32_oracle_tests);
       ("elementary", elementary_tests);
       ("engine", engine_tests);
+      ("forms", forms_tests);
       ("heap", heap_tests);
       ("s-scale", s_scale_tests) ]

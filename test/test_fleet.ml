@@ -140,6 +140,15 @@ let manifest_tests =
         (match Fleet.validate_serve ~domains:(-3) ~batch:8 with
         | Error _ -> ()
         | Ok () -> Alcotest.fail "domains=-3 accepted");
+        (* each domain is an OS thread, spawned before any guest runs *)
+        (match Fleet.validate_serve ~domains:(Fleet.max_domains + 1) ~batch:8 with
+        | Error m ->
+            Alcotest.(check string) "domains bound message"
+              "--domains must be <= 64 (got 65)" m
+        | Ok () -> Alcotest.fail "domains above the bound accepted");
+        (match Fleet.validate_serve ~domains:Fleet.max_domains ~batch:8 with
+        | Ok () -> ()
+        | Error m -> Alcotest.fail m);
         (match Fleet.validate_serve ~domains:2 ~batch:0 with
         | Error m ->
             Alcotest.(check string) "batch message"
