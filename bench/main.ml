@@ -1245,7 +1245,7 @@ module Tele (A : Fpvm.Arith.S) = struct
       else None
     in
     (match tel with
-    | Some t -> Telemetry.attach t ses.E.eng.E.probe
+    | Some t -> Telemetry.attach t (E.probe ses.E.eng)
     | None -> ());
     let r = E.resume ses in
     (match tel with

@@ -106,3 +106,35 @@ let decode cache idx insn : decoded * bool =
           (d, false)
       | None -> raise (Undecodable idx)
     end
+
+(* ---- checkpoints ------------------------------------------------------ *)
+
+(* A flag byte (the cache can no longer be disabled, so it is always
+   true), the counters, then the cached indices ascending: the decoded
+   entries are reproduced by re-decoding. *)
+let encode b cache =
+  Wire.bool_ b true;
+  Wire.varint b cache.hits;
+  Wire.varint b cache.misses;
+  let cached =
+    List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) cache.table [])
+  in
+  Wire.varint b (List.length cached);
+  List.iter (Wire.varint b) cached
+
+let restore s pos cache (insns : Machine.Isa.insn array) =
+  if not (Wire.r_bool s pos) then
+    Wire.corrupt "checkpoint has the decode cache disabled";
+  let hits = Wire.r_varint s pos in
+  let misses = Wire.r_varint s pos in
+  let n = Wire.r_count s pos in
+  let cached = List.init n (fun _ -> Wire.r_varint s pos) in
+  Hashtbl.reset cache.table;
+  List.iter
+    (fun i ->
+      if i < 0 || i >= Array.length insns then
+        Wire.corrupt "cached decode index %d out of range" i;
+      ignore (decode cache i insns.(i)))
+    cached;
+  cache.hits <- hits;
+  cache.misses <- misses

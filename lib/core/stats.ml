@@ -307,6 +307,20 @@ let metrics =
 let in_fingerprint m = m.cls = Counter
 let in_checkpoint m = m.cls <> Gauge
 
+(* ---- checkpoints ------------------------------------------------------ *)
+
+(* Every checkpointed metric as an i64, in table order (the order is the
+   format), then the host-clock [gc_latency_s]. *)
+let checkpointed = List.filter in_checkpoint metrics
+
+let encode b t =
+  List.iter (fun m -> Wire.i64 b (Int64.of_int (m.get t))) checkpointed;
+  Wire.i64 b (Int64.bits_of_float t.gc_latency_s)
+
+let restore s pos t =
+  List.iter (fun m -> m.set t (Int64.to_int (Wire.r_i64 s pos))) checkpointed;
+  t.gc_latency_s <- Int64.float_of_bits (Wire.r_i64 s pos)
+
 (* Deterministic counters only: excludes wall-clock GC latency, the
    recorder's own bookkeeping and every gauge, so a recorded run, its
    replay, and a checkpoint-resumed run all fingerprint identically. *)

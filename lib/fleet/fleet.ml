@@ -156,9 +156,7 @@ let driver (m : (module Fpvm.Arith.S)) : driver =
         (* prepare / instrument / resume, so telemetry attaches the
            same way it does around a checkpoint restore *)
         let ses = S.prepare ?facts ?artifacts ~config prog in
-        (match instrument with
-        | Some f -> f ses.S.E.eng.S.E.probe
-        | None -> ());
+        Option.iter (fun f -> f (S.E.probe ses.S.E.eng)) instrument;
         S.E.resume ses);
     d_record =
       (fun ?facts ?instrument ?artifacts ~checkpoint_every ~meta ~config prog ->

@@ -110,8 +110,8 @@ module Make (A : Fpvm.Arith.S) = struct
             A.encode_value ctx.scratch v;
             Codec.fnv64 Codec.fnv_basis (Buffer.contents ctx.scratch)
         | None -> dangling_digest
-      else if Fpvm.Arena.is_live eng.E.arena idx then begin
-        let v = Fpvm.Arena.value eng.E.arena idx in
+      else if Fpvm.Arena.is_live (E.arena eng) idx then begin
+        let v = Fpvm.Arena.value (E.arena eng) idx in
         let o = Obj.repr v in
         memo_ensure ctx idx;
         if ctx.memo_obj.(idx) == o then ctx.memo_dig.(idx)
@@ -284,12 +284,7 @@ module Make (A : Fpvm.Arith.S) = struct
   (* ---- checkpointing -------------------------------------------------- *)
 
   let capture ~(meta : Log.meta) ~seq (ses : E.session) : string =
-    Snapshot.capture ~meta ~seq ~enc:A.encode_value ~st:ses.E.st
-      ~arena:ses.E.eng.E.arena ~stats:ses.E.eng.E.stats
-      ~cache:ses.E.eng.E.cache ~plan_sites:(E.plan_sites ses)
-      ~jit_counters:(E.jit_counters ses) ~jit_paths:(E.jit_paths ses)
-      ~kern:ses.E.kern ~prog:ses.E.prog ~since_gc:ses.E.eng.E.since_gc
-      ~gc_count:ses.E.eng.E.gc_count ~patch_sites:ses.E.eng.E.patch_sites
+    Snapshot.capture ~meta ~seq ~st:ses.E.st ~prog:ses.E.prog (E.capture ses)
 
   (* Prepare a fresh session and overwrite its mutable state from the
      blob. Returns the session and the event sequence number at which
@@ -297,40 +292,21 @@ module Make (A : Fpvm.Arith.S) = struct
   let restore ?facts ?artifacts ~config (prog : Machine.Program.t)
       (blob : string) : E.session * Log.meta * int =
     let ses = prepare ?facts ?artifacts ~config prog in
-    let r =
-      Snapshot.restore ~dec:A.decode_value ~st:ses.E.st
-        ~arena:ses.E.eng.E.arena ~stats:ses.E.eng.E.stats
-        ~cache:ses.E.eng.E.cache ~kern:ses.E.kern ~prog:ses.E.prog blob
+    let meta, seq =
+      Snapshot.restore ~st:ses.E.st ~prog:ses.E.prog (E.restore ses) blob
     in
-    ses.E.eng.E.since_gc <- r.Snapshot.r_since_gc;
-    ses.E.eng.E.gc_count <- r.Snapshot.r_gc_count;
-    ses.E.eng.E.patch_sites <- r.Snapshot.r_patch_sites;
-    (* The blob re-installed trap-and-patch sites into the instruction
-       array; the precomputed trace hints (and no-escape facts) must
-       see those terminators. *)
-    E.refresh_trace_hints ses;
-    (* Reseed the binding-plan table from the recorded key set (plans
-       are closures; recompiled silently, no charges) so the resumed
-       run replays the original's plan hit/miss cycle stream exactly. *)
-    List.iter (E.seed_plan ses) r.Snapshot.r_plan_sites;
-    (* Then the trace JIT: hot counters and the recorded windows the
-       compiled superblocks were built from. After plan reseeding —
-       block compilation pre-resolves each fused step's binding plan. *)
-    E.set_jit_state ses ~counters:r.Snapshot.r_jit_counters
-      ~paths:r.Snapshot.r_jit_paths;
-    (ses, r.Snapshot.r_meta, r.Snapshot.r_seq)
+    (ses, meta, seq)
 
   (* ---- record ---------------------------------------------------------- *)
 
   let record ?(checkpoint_every = 0) ?facts ?instrument ?artifacts
       ~(meta : Log.meta) ~config (prog : Machine.Program.t) : recording =
     let ses = prepare ?facts ?artifacts ~config prog in
+    let probe = E.probe ses.E.eng in
     (* Telemetry (lib/telemetry) installs on the on_tel/on_num channels,
        which the recorder does not use; installing it never changes
        what the recorder observes. *)
-    (match instrument with
-    | Some f -> f ses.E.eng.E.probe
-    | None -> ());
+    Option.iter (fun f -> f probe) instrument;
     let ctx = dctx () in
     let w = Log.writer meta in
     let seq = ref 0 in
@@ -340,18 +316,18 @@ module Make (A : Fpvm.Arith.S) = struct
     (* Chained, not overwritten: a fleet scheduler may already be
        yielding on these channels; recording a guest mid-fleet must
        leave that hook in place. *)
-    P.add_event ses.E.eng.E.probe (fun _st pev ->
+    P.add_event probe (fun _st pev ->
         Log.add w (event_of_probe ctx ses !seq pev);
         incr seq;
         incr pending);
     if checkpoint_every > 0 then
-      P.add_quiesce ses.E.eng.E.probe (fun _st ->
+      P.add_quiesce probe (fun _st ->
           if !pending >= checkpoint_every then begin
             pending := 0;
             let blob = capture ~meta ~seq:!seq ses in
             cp_bytes := !cp_bytes + String.length blob;
             cps := (!seq, blob) :: !cps;
-            match ses.E.eng.E.probe.P.on_tel with
+            match probe.P.on_tel with
             | None -> ()
             | Some f ->
                 f ses.E.st
@@ -384,13 +360,12 @@ module Make (A : Fpvm.Arith.S) = struct
     in
     (* After prepare/restore, so telemetry survives checkpoint restore
        (restore builds a fresh session whose sink starts empty). *)
-    (match instrument with
-    | Some f -> f ses.E.eng.E.probe
-    | None -> ());
+    let probe = E.probe ses.E.eng in
+    Option.iter (fun f -> f probe) instrument;
     let ctx = dctx () in
     let seq = ref start_seq in
     let evs = log.Log.events in
-    P.add_event ses.E.eng.E.probe (fun _st pev ->
+    P.add_event probe (fun _st pev ->
         let got = event_of_probe ctx ses !seq pev in
         (if !seq >= Array.length evs then
            raise
@@ -413,8 +388,6 @@ module Make (A : Fpvm.Arith.S) = struct
   let resume_from ?instrument ?facts ?artifacts ~config
       (prog : Machine.Program.t) (blob : string) : Fpvm.Engine.result =
     let ses, _meta, _seq = restore ?facts ?artifacts ~config prog blob in
-    (match instrument with
-    | Some f -> f ses.E.eng.E.probe
-    | None -> ());
+    Option.iter (fun f -> f (E.probe ses.E.eng)) instrument;
     E.resume ses
 end

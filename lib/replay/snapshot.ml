@@ -1,26 +1,23 @@
-(* Checkpoint capture and restore.
+(* Checkpoint capture and restore: the envelope.
 
    A checkpoint is the complete mutable state of a prepared session at
-   a quiesce point: machine state (registers, memory, flags, %mxcsr,
-   counters, output channels, dirty-card set), the shadow arena with
-   every live value exactly encoded, engine bookkeeping (stats, GC
-   epoch, decode cache, trap-and-patch rewrites), and the simulated
-   kernel's accounting. Restoring overwrites a *freshly prepared*
-   session for the same program and config — [Engine.Make(A).prepare]
-   is deterministic, so everything not serialized here (hooks, analysis
+   a quiesce point. Restoring overwrites a *freshly prepared* session
+   for the same program and config — [Engine.Make(A).prepare] is
+   deterministic, so everything not serialized here (hooks, analysis
    patches, code layout) is reproduced by construction and only the
    mutable run state needs the bytes.
 
    Layout: "FPVMCKP1", u32 version, meta + sequence number, program
-   sanity header, machine / engine / arena / kernel sections, then an
-   FNV-1a checksum of everything before it (verified before any field
-   is applied).
-
-   The value codec is passed in ([enc]/[dec]) so this module stays
-   independent of which arithmetic port the engine was built with. *)
+   sanity header, machine state (registers, memory, flags, %mxcsr,
+   counters, output channels, dirty-card set), the engine's section,
+   then an FNV-1a checksum of everything before it (verified before any
+   field is applied). The engine's section (stats, GC epoch, decode
+   cache, plans, JIT, trap-and-patch rewrites, shadow arena, kernel
+   accounting) is written and read by [Engine.Make(A).capture] and
+   [restore], passed in here as one function each, so this module
+   knows nothing of the engine or of the arithmetic port. *)
 
 module State = Machine.State
-module Isa = Machine.Isa
 module Mx = Ieee754.Mxcsr
 
 let magic = "FPVMCKP1"
@@ -34,9 +31,9 @@ let magic = "FPVMCKP1"
    v3: the trace JIT. The stats tail gains the jit counters, and a jit
    section records the per-head hot counters plus the recorded
    (index, absorbed) windows every compiled superblock was built from —
-   restore recompiles the blocks silently (Engine.set_jit_state) so a
-   resumed run replays the original's jit hit/link/guard-exit — and
-   hence cycle — stream exactly. *)
+   restore recompiles the blocks silently so a resumed run replays the
+   original's jit hit/link/guard-exit — and hence cycle — stream
+   exactly. *)
 let version = 3
 
 (* ---- machine state --------------------------------------------------- *)
@@ -112,33 +109,10 @@ let restore_state s pos (st : State.t) =
   Buffer.clear st.State.serialized;
   Buffer.add_string st.State.serialized (Codec.r_str s pos)
 
-(* ---- engine statistics ----------------------------------------------- *)
-
-(* Every checkpointed metric as an i64, in Stats table order (the order
-   is the format), then the host-clock gc_latency_s. *)
-let checkpointed = List.filter Fpvm.Stats.in_checkpoint Fpvm.Stats.metrics
-
-let encode_stats b (s : Fpvm.Stats.t) =
-  List.iter
-    (fun (m : Fpvm.Stats.metric) -> Codec.i64 b (Int64.of_int (m.get s)))
-    checkpointed;
-  Codec.i64 b (Int64.bits_of_float s.Fpvm.Stats.gc_latency_s)
-
-let restore_stats s pos (t : Fpvm.Stats.t) =
-  List.iter
-    (fun (m : Fpvm.Stats.metric) -> m.set t (Int64.to_int (Codec.r_i64 s pos)))
-    checkpointed;
-  t.Fpvm.Stats.gc_latency_s <- Int64.float_of_bits (Codec.r_i64 s pos)
-
 (* ---- capture / restore ----------------------------------------------- *)
 
-let capture ~(meta : Log.meta) ~seq ~enc ~(st : State.t)
-    ~(arena : 'v Fpvm.Arena.t) ~(stats : Fpvm.Stats.t)
-    ~(cache : Fpvm.Decoder.cache) ~(plan_sites : int list)
-    ~(jit_counters : (int * int) list)
-    ~(jit_paths : (int * (int * bool) array) list)
-    ~(kern : Trapkern.t) ~(prog : Machine.Program.t) ~since_gc ~gc_count
-    ~patch_sites : string =
+let capture ~(meta : Log.meta) ~seq ~(st : State.t) ~(prog : Machine.Program.t)
+    (engine : Buffer.t -> unit) : string =
   let b = Buffer.create (1 lsl 16) in
   Buffer.add_string b magic;
   Codec.u32 b version;
@@ -148,90 +122,13 @@ let capture ~(meta : Log.meta) ~seq ~enc ~(st : State.t)
   Codec.str b prog.Machine.Program.name;
   Codec.varint b (Array.length prog.Machine.Program.insns);
   encode_state b st;
-  (* engine *)
-  Codec.varint b since_gc;
-  Codec.varint b gc_count;
-  Codec.varint b patch_sites;
-  encode_stats b stats;
-  (* decode cache: a flag byte (the cache can no longer be disabled, so
-     it is always true), counters, cached instruction indices (the
-     decoded entries are reproduced by re-decoding on restore) *)
-  Codec.bool_ b true;
-  Codec.varint b cache.Fpvm.Decoder.hits;
-  Codec.varint b cache.Fpvm.Decoder.misses;
-  let cached =
-    List.sort compare
-      (Hashtbl.fold (fun k _ acc -> k :: acc) cache.Fpvm.Decoder.table [])
-  in
-  Codec.varint b (List.length cached);
-  List.iter (fun i -> Codec.varint b i) cached;
-  (* binding-plan table: like the decode cache, only the key set is
-     recorded (plans are closures; restore recompiles them) *)
-  Codec.varint b (List.length plan_sites);
-  List.iter (fun i -> Codec.varint b i) plan_sites;
-  (* v3 trace JIT: per-head hot counters, then each compiled head's
-     recorded (index, absorbed) window (blocks are closures; restore
-     recompiles them from these paths) *)
-  Codec.varint b (List.length jit_counters);
-  List.iter
-    (fun (h, n) ->
-      Codec.varint b h;
-      Codec.varint b n)
-    jit_counters;
-  Codec.varint b (List.length jit_paths);
-  List.iter
-    (fun (h, path) ->
-      Codec.varint b h;
-      Codec.varint b (Array.length path);
-      Array.iter
-        (fun (i, absorbed) ->
-          Codec.varint b i;
-          Codec.bool_ b absorbed)
-        path)
-    jit_paths;
-  (* trap-and-patch rewrites in the working binary *)
-  let patched = ref [] in
-  Array.iteri
-    (fun i insn ->
-      match insn with
-      | Isa.Patched { site_id; _ } -> patched := (i, site_id) :: !patched
-      | _ -> ())
-    prog.Machine.Program.insns;
-  let patched = List.rev !patched in
-  Codec.varint b (List.length patched);
-  List.iter
-    (fun (i, site) ->
-      Codec.varint b i;
-      Codec.varint b site)
-    patched;
-  Fpvm.Arena.encode enc b arena;
-  (* simulated kernel accounting *)
-  Codec.varint b kern.Trapkern.fpe_count;
-  Codec.varint b kern.Trapkern.trap_count;
-  Codec.varint b kern.Trapkern.trace_exit_count;
-  Codec.i64 b (Int64.of_int kern.Trapkern.hw_cycles);
-  Codec.i64 b (Int64.of_int kern.Trapkern.kernel_cycles);
-  Codec.i64 b (Int64.of_int kern.Trapkern.user_cycles);
+  engine b;
   (* trailer checksum over everything above *)
   Codec.with_fnv_trailer b
 
-type restored = { r_meta : Log.meta; r_seq : int; r_since_gc : int;
-                  r_gc_count : int; r_patch_sites : int;
-                  r_plan_sites : int list;
-                      (* sites whose binding plans the caller must
-                         reseed (Engine.seed_plan), after the patched
-                         rewrites above have been re-applied *)
-                  r_jit_counters : (int * int) list;
-                  r_jit_paths : (int * (int * bool) array) list
-                      (* hot-counter and recorded-window state the
-                         caller must hand to Engine.set_jit_state —
-                         after plan reseeding, which block compilation
-                         depends on *) }
-
-let restore ~dec ~(st : State.t) ~(arena : 'v Fpvm.Arena.t)
-    ~(stats : Fpvm.Stats.t) ~(cache : Fpvm.Decoder.cache)
-    ~(kern : Trapkern.t) ~(prog : Machine.Program.t) (blob : string) :
-    restored =
+(* The meta and event sequence number the checkpoint was taken at. *)
+let restore ~(st : State.t) ~(prog : Machine.Program.t)
+    (engine : string -> int ref -> unit) (blob : string) : Log.meta * int =
   (* integrity first: nothing is applied from a damaged checkpoint *)
   if String.length blob < String.length magic + 8 then
     Codec.corrupt "checkpoint too short";
@@ -244,8 +141,8 @@ let restore ~dec ~(st : State.t) ~(arena : 'v Fpvm.Arena.t)
   let pos = ref (String.length magic) in
   let v = Codec.r_u32 blob pos in
   if v <> version then Codec.corrupt "unsupported checkpoint version %d" v;
-  let r_meta = Log.decode_meta blob pos in
-  let r_seq = Codec.r_varint blob pos in
+  let meta = Log.decode_meta blob pos in
+  let seq = Codec.r_varint blob pos in
   let pname = Codec.r_str blob pos in
   let ninsns = Codec.r_varint blob pos in
   if
@@ -256,74 +153,6 @@ let restore ~dec ~(st : State.t) ~(arena : 'v Fpvm.Arena.t)
       pname ninsns prog.Machine.Program.name
       (Array.length prog.Machine.Program.insns);
   restore_state blob pos st;
-  let r_since_gc = Codec.r_varint blob pos in
-  let r_gc_count = Codec.r_varint blob pos in
-  let r_patch_sites = Codec.r_varint blob pos in
-  restore_stats blob pos stats;
-  if not (Codec.r_bool blob pos) then
-    Codec.corrupt "checkpoint has the decode cache disabled";
-  let hits = Codec.r_varint blob pos in
-  let misses = Codec.r_varint blob pos in
-  let ncached = Codec.r_count blob pos in
-  let cached = List.init ncached (fun _ -> Codec.r_varint blob pos) in
-  let nplans = Codec.r_count blob pos in
-  let r_plan_sites = List.init nplans (fun _ -> Codec.r_varint blob pos) in
-  let ncounters = Codec.r_count ~per:2 blob pos in
-  let r_jit_counters =
-    List.init ncounters (fun _ ->
-        let h = Codec.r_varint blob pos in
-        let n = Codec.r_varint blob pos in
-        (h, n))
-  in
-  let njit = Codec.r_count ~per:2 blob pos in
-  let r_jit_paths =
-    List.init njit (fun _ ->
-        let h = Codec.r_varint blob pos in
-        (* a varint index and a bool per step *)
-        let len = Codec.r_count ~per:2 blob pos in
-        let path =
-          Array.init len (fun _ ->
-              let i = Codec.r_varint blob pos in
-              let absorbed = Codec.r_bool blob pos in
-              (i, absorbed))
-        in
-        (h, path))
-  in
-  let npatched = Codec.r_count ~per:2 blob pos in
-  let patched =
-    List.init npatched (fun _ ->
-        let i = Codec.r_varint blob pos in
-        let site = Codec.r_varint blob pos in
-        (i, site))
-  in
-  (* re-apply trap-and-patch rewrites to the fresh working binary
-     before repopulating the decode cache (decode unwraps them) *)
-  List.iter
-    (fun (i, site_id) ->
-      if i < 0 || i >= Array.length prog.Machine.Program.insns then
-        Codec.corrupt "patched site %d out of range" i;
-      match prog.Machine.Program.insns.(i) with
-      | Isa.Patched _ -> ()
-      | original ->
-          prog.Machine.Program.insns.(i) <- Isa.Patched { site_id; original })
-    patched;
-  Hashtbl.reset cache.Fpvm.Decoder.table;
-  List.iter
-    (fun i ->
-      if i < 0 || i >= Array.length prog.Machine.Program.insns then
-        Codec.corrupt "cached decode index %d out of range" i;
-      ignore
-        (Fpvm.Decoder.decode cache i prog.Machine.Program.insns.(i)))
-    cached;
-  cache.Fpvm.Decoder.hits <- hits;
-  cache.Fpvm.Decoder.misses <- misses;
-  Fpvm.Arena.restore dec blob pos arena;
-  kern.Trapkern.fpe_count <- Codec.r_varint blob pos;
-  kern.Trapkern.trap_count <- Codec.r_varint blob pos;
-  kern.Trapkern.trace_exit_count <- Codec.r_varint blob pos;
-  kern.Trapkern.hw_cycles <- Int64.to_int (Codec.r_i64 blob pos);
-  kern.Trapkern.kernel_cycles <- Int64.to_int (Codec.r_i64 blob pos);
-  kern.Trapkern.user_cycles <- Int64.to_int (Codec.r_i64 blob pos);
+  engine blob pos;
   if !pos <> body_len then Codec.corrupt "trailing bytes in checkpoint";
-  { r_meta; r_seq; r_since_gc; r_gc_count; r_patch_sites; r_plan_sites;
-    r_jit_counters; r_jit_paths }
+  (meta, seq)

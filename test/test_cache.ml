@@ -465,11 +465,22 @@ let cap_tests =
            the cap, so some recordings are cut to exactly the cap *)
         let prog = prog_of "lorenz" in
         let cap = Fpvm.Engine.jit_max_trace_len in
-        let ses =
-          EV.prepare ~config:{ dc with Fpvm.Engine.max_trace_len = 256 } prog
+        let store = Art.create () in
+        let r256 =
+          EV.run ~artifacts:store
+            ~config:{ dc with Fpvm.Engine.max_trace_len = 256 } prog
         in
-        let r256 = EV.resume ses in
-        let lens = List.map (fun (_, p) -> Array.length p) (EV.jit_paths ses) in
+        (* a fresh store holds exactly the paths this run compiled *)
+        let lens =
+          Hashtbl.fold
+            (fun _ entry acc ->
+              Hashtbl.fold
+                (fun _ recipes acc ->
+                  List.map (fun rc -> Array.length rc.Art.rc_path) !recipes
+                  @ acc)
+                entry acc)
+            store.Art.entries []
+        in
         Alcotest.(check bool) "blocks were compiled" true (lens <> []);
         List.iter
           (fun n -> Alcotest.(check bool) "path length <= cap" true (n <= cap))

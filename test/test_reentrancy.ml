@@ -48,7 +48,7 @@ let interleaved ~batch (runs : ((Fpvm.Probe.sink -> unit) -> Fpvm.Engine.result)
 let runner (module A : Fpvm.Arith.S) prog instrument =
   let module E = Fpvm.Engine.Make (A) in
   let ses = E.prepare ~config:cfg prog in
-  instrument ses.E.eng.E.probe;
+  instrument (E.probe ses.E.eng);
   E.resume ses
 
 let test_interleaved_eq_sequential () =

@@ -41,7 +41,7 @@ module Probe_run (A : Fpvm.Arith.S) = struct
       else None
     in
     (match tel with
-    | Some t -> Telemetry.attach t ses.E.eng.E.probe
+    | Some t -> Telemetry.attach t (E.probe ses.E.eng)
     | None -> ());
     let r = E.resume ses in
     (match tel with
@@ -313,7 +313,7 @@ let test_trace_bounded () =
   let prog = lorenz () in
   let ses = R_vanilla.E.prepare ~config:(cfg ()) prog in
   let t = Telemetry.create ~trace:true ~trace_capacity:8 () in
-  Telemetry.attach t ses.R_vanilla.E.eng.R_vanilla.E.probe;
+  Telemetry.attach t (R_vanilla.E.probe ses.R_vanilla.E.eng);
   let _ = R_vanilla.E.resume ses in
   match t.Telemetry.trace with
   | Some tr ->
