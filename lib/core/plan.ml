@@ -63,8 +63,6 @@ let invalidate t idx =
   end
   else false
 
-let clear t = Array.fill t.slots 0 (Array.length t.slots) None
-
 (* Visit every occupied slot, ascending. The trace JIT scans its block
    table with this on a trap-and-patch rewrite: a block touching the
    rewritten site anywhere (not just at its head) must drop. *)

@@ -26,8 +26,6 @@ val store : 'p table -> int -> Machine.Isa.insn -> 'p -> unit
 val invalidate : 'p table -> int -> bool
 (** Drop the plan at [idx]; [true] if one was present. *)
 
-val clear : 'p table -> unit
-
 val keys : 'p table -> int list
 (** Sites currently holding a plan, ascending — the checkpointable view
     of the table (plans are closures; restore recompiles them). *)
