@@ -1763,7 +1763,7 @@ let bench_fpa () =
   let static_rows =
     List.map
       (fun (e : W.entry) ->
-        let f = Analysis.Fpa.analyze (e.W.program W.Test) in
+        let _, f = Analysis.Fpa.analyze (e.W.program W.Test) in
         let frac a b = if b = 0 then 1.0 else float_of_int a /. float_of_int b in
         printf "%-12s %7d %8.0f%% %9.0f%% %6.0f%%\n" e.W.name f.Analysis.Fpa.sites
           (100. *. frac f.Analysis.Fpa.sub_free f.Analysis.Fpa.sites)

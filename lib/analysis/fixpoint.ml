@@ -1,6 +1,6 @@
-(* The forward worklist fixpoint both flow-sensitive tiers run over the
-   CFG (Pipeline on its integer/taint states, Fpa on its paired states):
-   blocks come off a worklist in reverse postorder, each out-state is
+(* The forward worklist fixpoint the analysis runs over the CFG, once,
+   on paired (integer/taint, FP) states (Fpa.analyze): blocks come off
+   a worklist in reverse postorder, each out-state is
    joined into its successor's in-state, loop heads widen from their
    second visit on, and a successor is queued again only when its
    in-state changed.  A run that exceeds 200 block transfers per block
@@ -28,8 +28,10 @@ let run (cfg : Cfg.t) ~entry ~(transfer : Cfg.block -> 'a -> (int * 'a) list) ~j
   let push b =
     if cfg.Cfg.rpo_index.(b) < max_int then wl := PQ.add (cfg.Cfg.rpo_index.(b), b) !wl
   in
-  states.(cfg.Cfg.entry) <- Some entry;
-  push cfg.Cfg.entry;
+  if nb > 0 then begin
+    states.(cfg.Cfg.entry) <- Some entry;
+    push cfg.Cfg.entry
+  end;
   while (not (PQ.is_empty !wl)) && not !bailed do
     let ((_, b) as elt) = PQ.min_elt !wl in
     wl := PQ.remove elt !wl;

@@ -2,7 +2,8 @@
 
    The actual work lives in lib/analysis: the precision-tiered pipeline
    (real CFG + strided-interval domain + flow-sensitive taint with
-   strong updates, Analysis.Pipeline) produces the sinks.  This module
+   strong updates, Analysis.Pipeline) produces the sinks, from the one
+   fixpoint it shares with the FP tier (Analysis.Fpa.analyze).  This module
    adapts the pipeline's result to the record shape the engine, tests
    and bench consume, and owns the e9patch-style patch application. *)
 
@@ -26,14 +27,14 @@ type analysis = {
 let tier_version = 4
 
 let analyze (prog : Program.t) : analysis =
-  let p = Analysis.Pipeline.analyze prog in
+  let p, fpa = Analysis.Fpa.analyze prog in
   { sinks = List.map (fun s -> s.Analysis.Pipeline.sink_index) p.Analysis.Pipeline.sinks;
     sources = p.Analysis.Pipeline.sources;
     total_int_loads = p.Analysis.Pipeline.total_int_loads;
     proven_safe_loads = p.Analysis.Pipeline.proven_safe_loads;
     iterations = p.Analysis.Pipeline.iterations;
     pipeline = p;
-    fpa = Analysis.Fpa.analyze prog }
+    fpa }
 
 (* e9patch stand-in: rewrite every sink in place with an explicit trap
    to FPVM.  Idempotent: an already-instrumented site (correctness trap

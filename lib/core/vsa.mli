@@ -1,7 +1,8 @@
 (** Static binary analysis and patching (paper section 4.2) — façade
     over the precision-tiered pipeline in [lib/analysis].
 
-    The pipeline ([Analysis.Pipeline]) runs a forward abstract
+    The pipeline ([Analysis.Pipeline], run by [Analysis.Fpa.analyze]
+    in one fixpoint with the FP tier) is a forward abstract
     interpretation over the binary's real CFG with a strided-interval
     value domain and flow-sensitive taint, finding the instructions that
     can move floating point data where the hardware cannot trap on it:
@@ -16,7 +17,9 @@ type analysis = {
   sources : int list;  (** instructions that taint memory with FP data *)
   total_int_loads : int;
   proven_safe_loads : int;  (** loads the analysis discharged *)
-  iterations : int;  (** block transfers until the abstract fixpoint *)
+  iterations : int;
+      (** block transfers until the abstract fixpoint, which both tiers
+          share *)
   pipeline : Analysis.Pipeline.t;
       (** the full tiered-analysis result: sink kinds, taint provenance
           chains, elision and CFG statistics *)

@@ -172,7 +172,7 @@ let pass_tests =
       Alcotest.test_case (Printf.sprintf "%s: pass consistent" e.W.name)
         `Quick (fun () ->
           let prog = e.W.program W.Test in
-          let f = Fpa.analyze prog in
+          let _, f = Fpa.analyze prog in
           Alcotest.(check int)
             "sites = |verdicts|" f.Fpa.sites
             (Array.length f.Fpa.verdicts);
@@ -208,11 +208,11 @@ let workload name =
 
 let proves_something =
   [ Alcotest.test_case "fbench proves subnormal-free sites" `Quick (fun () ->
-        let f = Fpa.analyze ((workload "fbench").W.program W.Test) in
+        let _, f = Fpa.analyze ((workload "fbench").W.program W.Test) in
         Alcotest.(check bool) "sub_free > 0" true (f.Fpa.sub_free > 0);
         Alcotest.(check bool) "born_free > 0" true (f.Fpa.born_free > 0));
     Alcotest.test_case "NAS IS proves birth-free sites" `Quick (fun () ->
-        let f = Fpa.analyze ((workload "NAS IS").W.program W.Test) in
+        let _, f = Fpa.analyze ((workload "NAS IS").W.program W.Test) in
         Alcotest.(check bool) "born_free = sites" true
           (f.Fpa.born_free = f.Fpa.sites)) ]
 
