@@ -81,21 +81,27 @@ let encode b t =
     paths
 
 (* Read what [encode] wrote over [t]'s tables; the engine then
-   recompiles a block from each path. *)
-let restore s pos t =
+   recompiles a block from each path, so every head and step must be
+   one of the program's [n_insns] instructions. *)
+let restore s pos t ~n_insns =
   Hashtbl.reset t.counters;
   Hashtbl.reset t.paths;
   for _ = 1 to Wire.r_count ~per:2 s pos do
     let h = Wire.r_varint s pos in
     Hashtbl.replace t.counters h (Wire.r_varint s pos)
   done;
+  let index () =
+    let i = Wire.r_varint s pos in
+    if i < 0 || i >= n_insns then Wire.corrupt "JIT path index %d past the program" i;
+    i
+  in
   for _ = 1 to Wire.r_count ~per:2 s pos do
-    let h = Wire.r_varint s pos in
+    let h = index () in
     (* a varint index and a bool per step *)
     let len = Wire.r_count ~per:2 s pos in
     let path =
       Array.init len (fun _ ->
-          let i = Wire.r_varint s pos in
+          let i = index () in
           (i, Wire.r_bool s pos))
     in
     Hashtbl.replace t.paths h path

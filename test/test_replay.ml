@@ -495,12 +495,15 @@ let engine_tests =
 
 (* Offsets of the checkpoint fields these tests touch, found by walking
    the fields in the order Snapshot.capture and the engine's capture
-   write them. [jit_path_len] is the first
-   compiled path's length, -1 when no block was compiled. *)
+   write them. [cached_index] is the first cached decode index, -1 when
+   none is cached; [jit_head] and [jit_path_len] are the first compiled
+   path's head and length, -1 when no block was compiled. *)
 type ckpt_fields = {
   mem : int;
   gc_latency : int;
   cache_flag : int;
+  cached_index : int;
+  jit_head : int;
   jit_path_len : int;
   dirty_cards : int;
   arena_cap : int;
@@ -538,11 +541,14 @@ let checkpoint_fields blob =
   let cache_flag = !pos in
   incr pos;
   varints 2 (* hits, misses *);
-  varints (Wire.r_varint blob pos) (* cached indices *);
+  let n_cached = Wire.r_varint blob pos in
+  let cached_index = if n_cached > 0 then !pos else -1 in
+  varints n_cached;
   varints (Wire.r_varint blob pos) (* plan sites *);
   varints (2 * Wire.r_varint blob pos) (* jit counters *);
-  let jit_path_len = ref (-1) in
+  let jit_head = ref (-1) and jit_path_len = ref (-1) in
   for _ = 1 to Wire.r_varint blob pos do
+    if !jit_head < 0 then jit_head := !pos;
     varint () (* head *);
     if !jit_path_len < 0 then jit_path_len := !pos;
     for _ = 1 to Wire.r_varint blob pos do
@@ -553,8 +559,8 @@ let checkpoint_fields blob =
   varints (2 * Wire.r_varint blob pos) (* patched sites *);
   let arena_cap = !pos in
   varint ();
-  { mem; gc_latency; cache_flag; jit_path_len = !jit_path_len; dirty_cards;
-    arena_cap; arena_next_fresh = !pos }
+  { mem; gc_latency; cache_flag; cached_index; jit_head = !jit_head;
+    jit_path_len = !jit_path_len; dirty_cards; arena_cap; arena_next_fresh = !pos }
 
 (* [blob] with the varint at [off] replaced by [v] and the FNV trailer
    (over the bytes from [from] on) recomputed: only the new value can
@@ -619,6 +625,41 @@ let claimed_length_test =
           | _ -> Alcotest.failf "log of %d events accepted" v
           | exception Wire.Corrupt _ -> ())
         [ elen + 1; huge ])
+
+(* Restore re-decodes every cached index and recompiles every recorded
+   JIT path, so an index inside the program can still be one it cannot
+   use. Each case forges one such index in a lorenz checkpoint, with
+   the trailer recomputed; restore used to let these out as
+   [Decoder.Undecodable] and [Invalid_argument], not [Wire.Corrupt]. *)
+let forged_index_test name forgeries =
+  Alcotest.test_case name `Quick (fun () ->
+      let module S = Replay.Session.Make (Fpvm.Alt_vanilla) in
+      let prog = (Option.get (W.find "lorenz")).W.program W.Test in
+      let meta =
+        { Replay.Log.workload = "lorenz"; scale = "test"; arith = "vanilla";
+          config = "c" }
+      in
+      let rec_ = S.record ~checkpoint_every:500 ~meta ~config:incr_cfg prog in
+      let _, blob = List.hd (List.rev rec_.Replay.Session.checkpoints) in
+      ignore (S.restore ~config:incr_cfg prog blob);
+      List.iter
+        (fun (what, off, v) ->
+          Alcotest.(check bool) (what ^ " located") true (off >= 0);
+          match S.restore ~config:incr_cfg prog (with_varint blob off v) with
+          | _ -> Alcotest.failf "checkpoint with %s accepted" what
+          | exception Wire.Corrupt _ -> ())
+        (forgeries prog.Machine.Program.insns blob (checkpoint_fields blob)))
+
+let forged_index_tests =
+  [ forged_index_test "non-FP cached decode index rejected" (fun insns _ f ->
+        let rec non_fp i = if Fpvm.Decoder.decode_insn insns.(i) = None then i else non_fp (i + 1) in
+        [ ("a non-FP cached decode index", f.cached_index, non_fp 0) ]);
+    forged_index_test "JIT path past the program rejected" (fun insns blob f ->
+        let n = Array.length insns in
+        let step = ref f.jit_path_len in
+        ignore (Wire.r_varint blob step);
+        [ ("a JIT path head past the program", f.jit_head, n);
+          ("a JIT path step past the program", !step, n + 7) ]) ]
 
 (* ---- the arena section ----------------------------------------------- *)
 
@@ -1312,7 +1353,8 @@ let () =
        engine_tests
        @ [ corrupted_checkpoint_test; claimed_length_test; golden_test ]
        @ forged_arena_tests
-       @ (repeated_dirty_card_test :: grown_arena_tests));
+       @ (repeated_dirty_card_test :: grown_arena_tests)
+       @ forged_index_tests);
       ("section", section_tests);
       ("pages", pages_tests);
       ("facts", facts_tests);
