@@ -506,7 +506,13 @@ let software_check_tests =
                   e.Fpvm.Engine.fp_insns p.Fpvm.Engine.fp_insns;
                 Alcotest.(check int)
                   (Printf.sprintf "%s (%s GC): static fp_insns" name gc)
-                  e.Fpvm.Engine.fp_insns s.Fpvm.Engine.fp_insns)
+                  e.Fpvm.Engine.fp_insns s.Fpvm.Engine.fp_insns;
+                Alcotest.(check int)
+                  (Printf.sprintf "%s (%s GC): static emulates" name gc)
+                  (emulated e) (emulated s);
+                Alcotest.(check string)
+                  (Printf.sprintf "%s (%s GC): static output" name gc)
+                  e.Fpvm.Engine.output s.Fpvm.Engine.output)
               programs)
           [ true; false ]) ]
 
