@@ -29,23 +29,6 @@ val decode_insn : Machine.Isa.insn -> decoded option
 (** Cache-free decode; [None] for instructions FPVM never emulates.
     Unwraps instrumentation wrappers. *)
 
-(** Sequence-emulation traceability: may the engine keep executing past
-    this instruction while resident in the trap handler? The
-    classification is shared with the static pipeline
-    ([Analysis.Traceability]), which precomputes run lengths over it. *)
-type traceability = Analysis.Traceability.t =
-  | T_emulatable
-      (** trap-capable FP instruction: run natively in-trace, or
-          emulated without a fresh kernel delivery if it would fault *)
-  | T_glue
-      (** moves / GPR arithmetic / stack ops / direct branches: behave
-          identically inside and outside a trace *)
-  | T_terminator
-      (** ends the trace: ret, external calls, FPVM instrumentation
-          sites (Correctness_trap / Checked / Patched), halt *)
-
-val traceability : Machine.Isa.insn -> traceability
-
 type cache = {
   table : (int, decoded) Hashtbl.t;
   mutable hits : int;
