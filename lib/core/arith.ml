@@ -102,3 +102,53 @@ let class_of_fp_op (op : Machine.Isa.fp_op) =
   | Machine.Isa.FDIV -> C_div
   | Machine.Isa.FSQRT -> C_sqrt
   | Machine.Isa.FMIN | Machine.Isa.FMAX -> C_cmp
+
+(* The libm entry points a guest can call, in port [A]: the port's own
+   functions, plus cbrt, sinh, cosh and tanh composed from its pow and
+   exp (the interface has no such functions). The engine's math wrapper
+   and numprof's shadow both apply it, so they compose alike. *)
+module Libm (A : S) = struct
+  let math_ext (fn : Machine.Isa.ext_fn) :
+      [ `Unary of A.value -> A.value
+      | `Binary of A.value -> A.value -> A.value
+      | `Other ] =
+    match fn with
+    | Machine.Isa.Sin -> `Unary A.sin
+    | Machine.Isa.Cos -> `Unary A.cos
+    | Machine.Isa.Tan -> `Unary A.tan
+    | Machine.Isa.Asin -> `Unary A.asin
+    | Machine.Isa.Acos -> `Unary A.acos
+    | Machine.Isa.Atan -> `Unary A.atan
+    | Machine.Isa.Exp -> `Unary A.exp
+    | Machine.Isa.Log -> `Unary A.log
+    | Machine.Isa.Log10 -> `Unary A.log10
+    | Machine.Isa.Floor -> `Unary A.floor_v
+    | Machine.Isa.Ceil -> `Unary A.ceil_v
+    | Machine.Isa.Fabs -> `Unary A.abs
+    | Machine.Isa.Cbrt ->
+        (* pow(v, 1/3) is NaN for v < 0; transfer the sign instead:
+           cbrt(-x) = -cbrt(x). *)
+        `Unary
+          (fun v ->
+            let third = A.promote (Int64.bits_of_float (1.0 /. 3.0)) in
+            match A.cmp_quiet v (A.promote 0L) with
+            | Ieee754.Softfp.Cmp_lt -> A.neg (A.pow (A.neg v) third)
+            | _ -> A.pow v third)
+    | Machine.Isa.Sinh | Machine.Isa.Cosh | Machine.Isa.Tanh ->
+        let f v =
+          let e = A.exp v and en = A.exp (A.neg v) in
+          let two = A.promote (Int64.bits_of_float 2.0) in
+          match fn with
+          | Machine.Isa.Sinh -> A.div (A.sub e en) two
+          | Machine.Isa.Cosh -> A.div (A.add e en) two
+          | _ -> A.div (A.sub e en) (A.add e en)
+        in
+        `Unary f
+    | Machine.Isa.Atan2 -> `Binary A.atan2
+    | Machine.Isa.Pow -> `Binary A.pow
+    | Machine.Isa.Fmod -> `Binary A.fmod
+    | Machine.Isa.Hypot -> `Binary A.hypot
+    | Machine.Isa.Print_f64 | Machine.Isa.Print_i64 | Machine.Isa.Print_str _
+    | Machine.Isa.Write_f64 | Machine.Isa.Alloc | Machine.Isa.Exit ->
+        `Other
+end

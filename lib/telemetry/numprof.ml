@@ -53,43 +53,15 @@ let op_expected (op : Isa.fp_op) a b =
   | Isa.FMAX -> V.max_v a b
   | Isa.FSQRT -> V.sqrt b
 
-(* Mirrors the engine's [math_ext] compositions, instantiated with the
-   vanilla system: host libm for the primitives, Soft64 for the
-   arithmetic glue. *)
+(* The engine's libm compositions in the vanilla system: host libm for
+   the primitives, Soft64 for the arithmetic glue. *)
+module Libm = Fpvm.Arith.Libm (V)
+
 let ext_expected (fn : Isa.ext_fn) a b =
-  match fn with
-  | Isa.Sin -> Some (V.sin a)
-  | Isa.Cos -> Some (V.cos a)
-  | Isa.Tan -> Some (V.tan a)
-  | Isa.Asin -> Some (V.asin a)
-  | Isa.Acos -> Some (V.acos a)
-  | Isa.Atan -> Some (V.atan a)
-  | Isa.Exp -> Some (V.exp a)
-  | Isa.Log -> Some (V.log a)
-  | Isa.Log10 -> Some (V.log10 a)
-  | Isa.Floor -> Some (V.floor_v a)
-  | Isa.Ceil -> Some (V.ceil_v a)
-  | Isa.Fabs -> Some (V.abs a)
-  | Isa.Cbrt ->
-      let third = Int64.bits_of_float (1.0 /. 3.0) in
-      Some
-        (match V.cmp_quiet a 0L with
-        | Ieee754.Softfp.Cmp_lt -> V.neg (V.pow (V.neg a) third)
-        | _ -> V.pow a third)
-  | Isa.Sinh | Isa.Cosh | Isa.Tanh ->
-      let e = V.exp a and en = V.exp (V.neg a) in
-      let two = Int64.bits_of_float 2.0 in
-      Some
-        (match fn with
-        | Isa.Sinh -> V.div (V.sub e en) two
-        | Isa.Cosh -> V.div (V.add e en) two
-        | _ -> V.div (V.sub e en) (V.add e en))
-  | Isa.Atan2 -> Some (V.atan2 a b)
-  | Isa.Pow -> Some (V.pow a b)
-  | Isa.Fmod -> Some (V.fmod a b)
-  | Isa.Hypot -> Some (V.hypot a b)
-  | Isa.Print_f64 | Isa.Print_i64 | Isa.Print_str _ | Isa.Write_f64
-  | Isa.Alloc | Isa.Exit -> None
+  match Libm.math_ext fn with
+  | `Unary f -> Some (f a)
+  | `Binary f -> Some (f a b)
+  | `Other -> None
 
 (* ---- per-site exception-flow table ------------------------------------ *)
 
