@@ -53,7 +53,7 @@ let fleet_json (f : Fleet.fleet_result) =
         ("results", J.Arr (List.map guest_json f.Fleet.f_results)) ])
 
 let serve manifest domains batch switch_cost flows verify_solo json quiet =
-  match Fleet.validate_serve ~domains ~batch with
+  match Fleet.validate_serve ~domains ~batch ~switch_cost with
   | Error m -> `Error (false, m)
   | Ok () -> (
       if manifest = "" then `Error (false, "--manifest FILE is required")
