@@ -21,25 +21,16 @@
       shadow computation is the port computation, so the reported
       error is exactly zero — the built-in self-test.
 
-      The shadow table is self-healing: each entry remembers the
-      port's demoted image at store time, and a lookup whose current
-      image no longer matches (the arena cell or scratch slot was
-      recycled and the box pattern reused) falls back to the image
-      itself instead of a stale shadow. Producers the table does not
-      model (i2f, rounds, f32 promotions) have no entry and likewise
-      fall back, so divergence resets rather than compounds. *)
+      The shadow table is the shared self-healing one
+      ({!Store.Values}): a lookup whose image no longer matches the
+      one stored falls back to the image itself instead of a stale
+      shadow. Producers the table does not model (i2f, rounds, f32
+      promotions) have no entry and likewise fall back, so divergence
+      resets rather than compounds. *)
 
 module V = Fpvm.Alt_vanilla
 module Isa = Machine.Isa
-
-let exp_mask = 0x7ff0000000000000L
-let abs_mask = 0x7fffffffffffffffL
-
-let is_nan bits =
-  Int64.logand bits exp_mask = exp_mask
-  && Int64.logand bits 0x000fffffffffffffL <> 0L
-
-let is_inf bits = Int64.logand bits abs_mask = exp_mask
+module F = Ieee754.Soft64
 
 (* ---- vanilla expected-value model ------------------------------------- *)
 
@@ -89,8 +80,7 @@ let n_buckets = 65
 
 type t = {
   shadow_mode : bool;
-  shadow : (int64, int64 * int64) Hashtbl.t;
-      (* box pattern -> (port image at store time, vanilla shadow) *)
+  shadow : int64 Store.Values.t; (* box pattern -> vanilla shadow *)
   clean : (int -> bool) option;
       (* static birth-freedom facts (Analysis.Fpa): at a clean site the
          full per-op bookkeeping (site table, classification, shadow
@@ -101,8 +91,7 @@ type t = {
       (* statically-flagged birth-candidate sites (index, risk tags)
          seeding the flow-chain report: where NaN/Inf *could* be born
          even if this run never witnessed it *)
-  mutable sites : site option array;
-  mutable max_index : int;
+  sites : site Store.Sites.t;
   mutable elided : int; (* op records skipped at proven-clean sites *)
   mutable nan_violations : int;
       (* dynamic NaN/Inf births at proven birth-free sites: any nonzero
@@ -120,11 +109,10 @@ type t = {
 
 let create ?(shadow = false) ?clean ?(static_candidates = []) () =
   { shadow_mode = shadow;
-    shadow = Hashtbl.create (if shadow then 4096 else 1);
+    shadow = Store.Values.create (if shadow then 4096 else 1);
     clean;
     static_candidates;
-    sites = Array.make 256 None;
-    max_index = -1;
+    sites = Store.Sites.create fresh_site;
     elided = 0;
     nan_violations = 0;
     hist = Array.make n_buckets 0;
@@ -143,42 +131,25 @@ let create ?(shadow = false) ?clean ?(static_candidates = []) () =
    birth). *)
 let check_clean t ~a ~b ~r ~unary =
   t.elided <- t.elided + 1;
-  let op_nan = is_nan a || ((not unary) && is_nan b) in
-  let op_inf = is_inf a || ((not unary) && is_inf b) in
-  if (is_nan r && not op_nan) || (is_inf r && not op_inf) then
+  let op_nan = F.is_nan a || ((not unary) && F.is_nan b) in
+  let op_inf = F.is_inf a || ((not unary) && F.is_inf b) in
+  if (F.is_nan r && not op_nan) || (F.is_inf r && not op_inf) then
     t.nan_violations <- t.nan_violations + 1
 
-let site_for t i =
-  let i = max 0 i in
-  if i >= Array.length t.sites then begin
-    let n = ref (Array.length t.sites) in
-    while i >= !n do
-      n := !n * 2
-    done;
-    let a = Array.make !n None in
-    Array.blit t.sites 0 a 0 (Array.length t.sites);
-    t.sites <- a
-  end;
-  if i > t.max_index then t.max_index <- i;
-  match t.sites.(i) with
-  | Some s -> s
-  | None ->
-      let s = fresh_site () in
-      t.sites.(i) <- Some s;
-      s
+let site_for t i = Store.Sites.get t.sites i
 
 let classify s ~a ~b ~r ~unary =
-  let op_nan = is_nan a || ((not unary) && is_nan b) in
-  let op_inf = is_inf a || ((not unary) && is_inf b) in
-  (if is_nan r then
+  let op_nan = F.is_nan a || ((not unary) && F.is_nan b) in
+  let op_inf = F.is_inf a || ((not unary) && F.is_inf b) in
+  (if F.is_nan r then
      if op_nan then s.nan_props <- s.nan_props + 1
      else s.nan_births <- s.nan_births + 1
    else if op_nan then s.nan_kills <- s.nan_kills + 1);
-  if is_inf r then begin
+  if F.is_inf r then begin
     if op_inf then s.inf_props <- s.inf_props + 1
     else s.inf_births <- s.inf_births + 1
   end
-  else if op_inf && not (is_nan r) then s.inf_kills <- s.inf_kills + 1
+  else if op_inf && not (F.is_nan r) then s.inf_kills <- s.inf_kills + 1
 
 (* Shadow of an operand: its stored vanilla value if the table still
    recognizes the box (image unchanged since store), else the port's
@@ -186,9 +157,9 @@ let classify s ~a ~b ~r ~unary =
    binary64 shadow. *)
 let shadow_of t bits image =
   if Fpvm.Nanbox.is_boxed bits then
-    match Hashtbl.find_opt t.shadow bits with
-    | Some (img, sh) when img = image -> sh
-    | _ -> image
+    match Store.Values.find t.shadow bits ~image with
+    | Some sh -> sh
+    | None -> image
   else bits
 
 let relerr x_bits y_bits =
@@ -241,7 +212,7 @@ let record t (ev : Fpvm.Probe.num) =
             let sa = shadow_of t a_bits a in
             let sb = shadow_of t b_bits b in
             let expected = op_expected op sa sb in
-            Hashtbl.replace t.shadow r_bits (r, expected)
+            Store.Values.bind t.shadow r_bits ~image:r expected
           end)
   | Fpvm.Probe.N_ext { index; fn; unary; a_bits; b_bits; r_bits; a; b; r } -> (
       match t.clean with
@@ -254,7 +225,8 @@ let record t (ev : Fpvm.Probe.num) =
             let sa = shadow_of t a_bits a in
             let sb = shadow_of t b_bits b in
             match ext_expected fn sa sb with
-            | Some expected -> Hashtbl.replace t.shadow r_bits (r, expected)
+            | Some expected ->
+                Store.Values.bind t.shadow r_bits ~image:r expected
             | None -> ()
           end)
   | Fpvm.Probe.N_sink { index; kind; bits; f64 } ->
@@ -267,33 +239,18 @@ let record t (ev : Fpvm.Probe.num) =
       if t.shadow_mode then
         observe_sink t index (relerr f64 (shadow_of t bits f64))
   | Fpvm.Probe.N_rebox { old_bits; new_bits; _ } ->
-      (* A scratch temp was promoted to a durable box: the shadow must
-         follow the value to its new key, or every sink that reads the
-         re-boxed value would silently heal to the port's own image. *)
-      if t.shadow_mode then (
-        match Hashtbl.find_opt t.shadow old_bits with
-        | Some pair ->
-            Hashtbl.remove t.shadow old_bits;
-            Hashtbl.replace t.shadow new_bits pair
-        | None -> ())
+      (* the shadow follows a re-boxed value, or every sink that reads
+         it would silently heal to the port's own image *)
+      if t.shadow_mode then Store.Values.rebox t.shadow ~old_bits ~new_bits
 
 let max_rel_err t = t.max_rel_err
 
 let totals t =
-  let nb = ref 0 and np = ref 0 and nk = ref 0 in
-  let ib = ref 0 and ip = ref 0 and ik = ref 0 in
-  for i = 0 to t.max_index do
-    match t.sites.(i) with
-    | Some s ->
-        nb := !nb + s.nan_births;
-        np := !np + s.nan_props;
-        nk := !nk + s.nan_kills;
-        ib := !ib + s.inf_births;
-        ip := !ip + s.inf_props;
-        ik := !ik + s.inf_kills
-    | None -> ()
-  done;
-  (!nb, !np, !nk, !ib, !ip, !ik)
+  Store.Sites.fold
+    (fun _ s (nb, np, nk, ib, ip, ik) ->
+      ( nb + s.nan_births, np + s.nan_props, nk + s.nan_kills,
+        ib + s.inf_births, ip + s.inf_props, ik + s.inf_kills ))
+    t.sites (0, 0, 0, 0, 0, 0)
 
 (* Sites with any NaN/Inf traffic or divergence, hottest first by
    (births + props + kills, max_err). *)
@@ -302,38 +259,24 @@ let hot_sites t n =
     s.nan_births + s.nan_props + s.nan_kills + s.inf_births + s.inf_props
     + s.inf_kills
   in
-  let all = ref [] in
-  for i = t.max_index downto 0 do
-    match t.sites.(i) with
-    | Some s -> if score s > 0 || s.max_err > 0.0 then all := (i, s) :: !all
-    | None -> ()
-  done;
-  let sorted =
-    List.sort
-      (fun (i1, s1) (i2, s2) ->
-        match compare (score s2) (score s1) with
-        | 0 -> (
-            match compare s2.max_err s1.max_err with
-            | 0 -> compare i1 i2
-            | c -> c)
-        | c -> c)
-      !all
-  in
-  let rec take k = function
-    | [] -> []
-    | _ when k = 0 -> []
-    | x :: tl -> x :: take (k - 1) tl
-  in
-  take n sorted
+  Store.Sites.fold
+    (fun i s all -> if score s > 0 || s.max_err > 0.0 then (i, s) :: all else all)
+    t.sites []
+  |> List.sort (fun (i1, s1) (i2, s2) ->
+         match compare (score s2) (score s1) with
+         | 0 -> (
+             match compare s2.max_err s1.max_err with
+             | 0 -> compare i1 i2
+             | c -> c)
+         | c -> c)
+  |> List.filteri (fun k _ -> k < n)
 
 (* Which dynamic sites of this run were born at (for cross-referencing
    the static candidate list in the reports). *)
 let births_at t i =
-  if i <= t.max_index then
-    match t.sites.(i) with
-    | Some s -> s.nan_births + s.inf_births
-    | None -> 0
-  else 0
+  match Store.Sites.find t.sites i with
+  | Some s -> s.nan_births + s.inf_births
+  | None -> 0
 
 let report_text ?(n = 10) t bb =
   let nb, np, nk, ib, ip, ik = totals t in

@@ -47,19 +47,11 @@ type site = {
 }
 
 type t = {
-  mutable sites : site option array;
-  mutable max_index : int; (* highest index touched, -1 if none *)
+  sites : site Store.Sites.t;
   mutable gc_cycles : int; (* run-global: the one untracked-by-site bucket *)
   mutable gc_passes : int;
   mutable checkpoints : int;
 }
-
-let create () =
-  { sites = Array.make 256 None;
-    max_index = -1;
-    gc_cycles = 0;
-    gc_passes = 0;
-    checkpoints = 0 }
 
 let fresh_site () =
   { traps = 0; absorbed = 0; emulations = 0; plan_hits = 0; plan_misses = 0;
@@ -69,24 +61,11 @@ let fresh_site () =
     cyc_delivery = 0; cyc_emulate = 0; cyc_trace = 0; cyc_jit = 0;
     cyc_correctness = 0; cyc_patch = 0 }
 
-let site_for t i =
-  let i = max 0 i in
-  if i >= Array.length t.sites then begin
-    let n = ref (Array.length t.sites) in
-    while i >= !n do
-      n := !n * 2
-    done;
-    let a = Array.make !n None in
-    Array.blit t.sites 0 a 0 (Array.length t.sites);
-    t.sites <- a
-  end;
-  if i > t.max_index then t.max_index <- i;
-  match t.sites.(i) with
-  | Some s -> s
-  | None ->
-      let s = fresh_site () in
-      t.sites.(i) <- Some s;
-      s
+let create () =
+  { sites = Store.Sites.create fresh_site; gc_cycles = 0; gc_passes = 0;
+    checkpoints = 0 }
+
+let site_for t i = Store.Sites.get t.sites i
 
 let record t (ev : Fpvm.Probe.tel) =
   match ev with
@@ -152,37 +131,19 @@ let site_cycles s =
 (* Cycles the profile attributes anywhere: per-site buckets plus the
    run-global GC bucket. Equals [Stats.total_fpvm_cycles] exactly. *)
 let tracked_cycles t =
-  let sum = ref t.gc_cycles in
-  for i = 0 to t.max_index do
-    match t.sites.(i) with
-    | Some s -> sum := !sum + site_cycles s
-    | None -> ()
-  done;
-  !sum
+  Store.Sites.fold (fun _ s sum -> sum + site_cycles s) t.sites t.gc_cycles
 
 (* Top [n] sites by attributed cycles, hottest first. *)
 let top t n =
-  let all = ref [] in
-  for i = t.max_index downto 0 do
-    match t.sites.(i) with
-    | Some s -> if site_cycles s > 0 || s.absorbed > 0 then
-        all := (i, s) :: !all
-    | None -> ()
-  done;
-  let sorted =
-    List.sort
-      (fun (i1, s1) (i2, s2) ->
-        match compare (site_cycles s2) (site_cycles s1) with
-        | 0 -> compare i1 i2
-        | c -> c)
-      !all
-  in
-  let rec take k = function
-    | [] -> []
-    | _ when k = 0 -> []
-    | x :: tl -> x :: take (k - 1) tl
-  in
-  take n sorted
+  Store.Sites.fold
+    (fun i s all ->
+      if site_cycles s > 0 || s.absorbed > 0 then (i, s) :: all else all)
+    t.sites []
+  |> List.sort (fun (i1, s1) (i2, s2) ->
+         match compare (site_cycles s2) (site_cycles s1) with
+         | 0 -> compare i1 i2
+         | c -> c)
+  |> List.filteri (fun k _ -> k < n)
 
 let schema_version = 1
 

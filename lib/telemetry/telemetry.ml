@@ -11,8 +11,9 @@
    identically with telemetry on or off, and a recorded run replays
    identically under instrumentation. *)
 
-(* Re-export the collectors: [telemetry] is a wrapped library, so this
-   module is its public face. *)
+(* Re-export the collectors and the structures they share: [telemetry]
+   is a wrapped library, so this module is its public face. *)
+module Store = Store
 module Trace = Trace
 module Profile = Profile
 module Numprof = Numprof
