@@ -79,11 +79,9 @@ let decode cache idx insn : decoded * bool =
 
 (* ---- checkpoints ------------------------------------------------------ *)
 
-(* A flag byte (the cache can no longer be disabled, so it is always
-   true), the counters, then the cached indices ascending: the decoded
-   entries are reproduced by re-decoding. *)
+(* The counters, then the cached indices ascending: the decoded entries
+   are reproduced by re-decoding. *)
 let encode b cache =
-  Wire.bool_ b true;
   Wire.varint b cache.hits;
   Wire.varint b cache.misses;
   let cached =
@@ -93,8 +91,6 @@ let encode b cache =
   List.iter (Wire.varint b) cached
 
 let restore s pos cache (insns : Machine.Isa.insn array) =
-  if not (Wire.r_bool s pos) then
-    Wire.corrupt "checkpoint has the decode cache disabled";
   let hits = Wire.r_varint s pos in
   let misses = Wire.r_varint s pos in
   let n = Wire.r_count s pos in

@@ -211,8 +211,8 @@ let create () =
 
    Adding a Counter or Checkpointed entry changes the checkpoint format
    (bump Snapshot.version); adding a Gauge does not. [gc_latency_s], the
-   one float, is host time: it is not in the table and rides last in the
-   checkpoint tail. *)
+   one float, is host time: it is in neither the table nor the
+   checkpoint, so two recordings of one run write the same bytes. *)
 type cls = Counter | Checkpointed | Gauge
 
 type metric = {
@@ -310,16 +310,14 @@ let in_checkpoint m = m.cls <> Gauge
 (* ---- checkpoints ------------------------------------------------------ *)
 
 (* Every checkpointed metric as an i64, in table order (the order is the
-   format), then the host-clock [gc_latency_s]. *)
+   format). *)
 let checkpointed = List.filter in_checkpoint metrics
 
 let encode b t =
-  List.iter (fun m -> Wire.i64 b (Int64.of_int (m.get t))) checkpointed;
-  Wire.i64 b (Int64.bits_of_float t.gc_latency_s)
+  List.iter (fun m -> Wire.i64 b (Int64.of_int (m.get t))) checkpointed
 
 let restore s pos t =
-  List.iter (fun m -> m.set t (Int64.to_int (Wire.r_i64 s pos))) checkpointed;
-  t.gc_latency_s <- Int64.float_of_bits (Wire.r_i64 s pos)
+  List.iter (fun m -> m.set t (Int64.to_int (Wire.r_i64 s pos))) checkpointed
 
 (* Deterministic counters only: excludes wall-clock GC latency, the
    recorder's own bookkeeping and every gauge, so a recorded run, its

@@ -33,8 +33,12 @@ let magic = "FPVMCKP1"
    (index, absorbed) windows every compiled superblock was built from —
    restore recompiles the blocks silently so a resumed run replays the
    original's jit hit/link/guard-exit — and hence cycle — stream
-   exactly. *)
-let version = 3
+   exactly.
+
+   v4: checkpoints hold state only. The stats tail loses the host-clock
+   [gc_latency_s], which made two recordings of one run differ, and the
+   decode-cache section its always-true flag byte. *)
+let version = 4
 
 (* ---- machine state --------------------------------------------------- *)
 
