@@ -292,6 +292,14 @@ let guest_arith (g : guest) = Port.to_string g.g_port
 
 let scale_string = function W.Test -> "test" | W.S -> "s"
 
+(* The one reader of a scale spelling, for fpvm_run's [--scale] and a
+   manifest's [scale=]: test or s, in any case. *)
+let scale_of_string v =
+  match String.lowercase_ascii v with
+  | "test" -> Ok W.Test
+  | "s" -> Ok W.S
+  | _ -> Error (Printf.sprintf "scale must be test or s (got %S)" v)
+
 (* One guest's outcome. Everything here is functor-free; the
    fingerprint is the engine's 42-counter deterministic stats string,
    the bit-identity witness against a solo run, and [r_stats] carries
@@ -351,11 +359,7 @@ module Manifest = struct
       | "arith" -> Ok (arith := v)
       | "prec" -> Result.map (( := ) prec) (int key v)
       | "posit" -> Result.map (( := ) posit) (int key v)
-      | "scale" -> (
-          match String.lowercase_ascii v with
-          | "test" -> Ok (scale := W.Test)
-          | "s" -> Ok (scale := W.S)
-          | _ -> Error (Printf.sprintf "scale must be test or s (got %S)" v))
+      | "scale" -> Result.map (( := ) scale) (scale_of_string v)
       | "count" ->
           let* n = int key v in
           if n < 1 then Error (Printf.sprintf "count must be >= 1 (got %d)" n)

@@ -172,7 +172,26 @@ let manifest_tests =
         | Error m -> Alcotest.fail m);
         match validate 4 16 with
         | Ok () -> ()
-        | Error m -> Alcotest.fail m) ]
+        | Error m -> Alcotest.fail m);
+    (* fpvm_run's --scale and a manifest's scale= read a spelling
+       through the same function *)
+    Alcotest.test_case "scale: one reader for flags and manifests" `Quick
+      (fun () ->
+        List.iter
+          (fun (v, want) ->
+            Alcotest.(check (option string)) v want
+              (Result.to_option (Fleet.scale_of_string v)
+              |> Option.map Fleet.scale_string))
+          [ ("test", Some "test"); ("TEST", Some "test"); ("s", Some "s");
+            ("S", Some "s"); ("x", None); ("", None) ];
+        (match Fleet.Manifest.parse "workload=lorenz scale=S\n" with
+        | Ok [ g ] ->
+            Alcotest.(check string) "scale=S" "s"
+              (Fleet.scale_string g.Fleet.g_scale)
+        | Ok _ -> Alcotest.fail "one guest expected"
+        | Error m -> Alcotest.fail m);
+        check_err "scale must be test or s (got \"x\")"
+          "workload=lorenz scale=x\n") ]
 
 (* ---- the log's config line ---------------------------------------------- *)
 
