@@ -313,10 +313,6 @@ module Make (A : Arith.S) = struct
     mutable since_gc : int;
     mutable gc_count : int;
     mutable patch_sites : int;
-    mutable trace_hints : int array;
-        (* per-index distance to the next trace terminator, precomputed
-           by the static pipeline over the patched program; consulted by
-           the trace loop instead of the dynamic classifier *)
     mutable elide : bool array;
         (* per-index no-escape facts (Analysis.Escape): a scalar f64
            result at this site may live in the trace scratch buffer
@@ -337,14 +333,12 @@ module Make (A : Arith.S) = struct
            survives) at trace exit. A record whose slot was re-boxed
            reads slot -1. *)
     jit : Jit.t;
-        (* hot-trace accounting: per-head delivery counters and the
-           recorded paths compiled blocks were lowered from (the
-           checkpointable view of the block table) *)
+        (* hot-trace accounting: per-head delivery counters *)
     jit_blocks : jit_block Plan.table;
         (* head index -> compiled superblock, keyed by the head's raw
            instruction object; invalidated when trap-and-patch rewrites
-           any site a block touches, rebuilt from [jit]'s paths by
-           checkpoint restore *)
+           any site a block touches, rebuilt from the superblocks'
+           recorded paths by checkpoint restore *)
     mutable jit_rec : (int * bool) list option;
         (* Some steps (reversed) while the current interpretive window
            is being recorded for compilation *)
@@ -368,7 +362,6 @@ module Make (A : Arith.S) = struct
       since_gc = 0;
       gc_count = 0;
       patch_sites = 0;
-      trace_hints = [||];
       elide = [||];
       scratch = [||];
       scratch_n = 0;
@@ -987,30 +980,42 @@ module Make (A : Arith.S) = struct
 
   (* ---- sequence (trace) emulation ------------------------------------- *)
 
+  (* Does this instruction end the resident window (paper 4.1's
+     sequence emulation)? Indirect control flow, external calls, halt
+     and the FPVM instrumentation sites (Correctness_trap / Checked /
+     Patched) do. A trap-capable FP instruction does not: the trace
+     runs it natively when it raises no unmasked event and emulates it
+     in place when it would have trapped. Nor does glue (moves, stack
+     ops, GPR arithmetic, direct branches), which never enters the
+     emulator and behaves the same whether the engine is resident or
+     not. A trap-and-patch rewrite makes its site a terminator by
+     wrapping it. *)
+  let ends_trace (insn : Isa.insn) =
+    match insn with
+    | Isa.Ret | Isa.Call_ext _ | Isa.Halt | Isa.Correctness_trap _
+    | Isa.Checked _ | Isa.Patched _ -> true
+    | Isa.Fp_arith _ | Isa.Fp_cmp _ | Isa.Fp_cmppred _ | Isa.Fp_round _
+    | Isa.Cvt_f2f _ | Isa.Cvt_f2i _ | Isa.Cvt_i2f _ | Isa.Mov_f _
+    | Isa.Mov_x _ | Isa.Fp_bit _ | Isa.Movq_xr _ | Isa.Movq_rx _ | Isa.Mov _
+    | Isa.Lea _ | Isa.Int_arith _ | Isa.Cmp _ | Isa.Test _ | Isa.Inc _
+    | Isa.Dec _ | Isa.Neg _ | Isa.Push _ | Isa.Pop _ | Isa.Jmp _ | Isa.Jcc _
+    | Isa.Call _ | Isa.Nop | Isa.Free_hint _ -> false
+
   (* After servicing the delivered instruction, stay resident and
-     execute forward through the trace: consecutive FP instructions
-     plus traceable glue (moves, stack ops, GPR arithmetic, direct
-     branches), until a terminator (ret, external call, instrumentation
-     site), the budget, or halt. FP instructions that would have
-     trapped are absorbed and emulated in place — one delivery cost per
-     trace instead of per instruction. *)
+     execute forward through the trace until a terminator
+     ([ends_trace]), the budget, or halt. FP instructions that would
+     have trapped are absorbed and emulated in place — one delivery
+     cost per trace instead of per instruction. *)
   let trace t (st : State.t) =
     let cost = t.config.cost in
     let insns = st.State.prog.Program.insns in
     let n_insns = Array.length insns in
-    (* The static pipeline precomputed, per index, how far a trace may
-       extend before the next terminator (0 = this instruction is one).
-       A single array read replaces the dynamic classifier; the hint
-       table is kept in sync when trap-and-patch rewrites a site
-       (Traceability.invalidate) and after checkpoint restore
-       (static_hints). *)
-    let hints = t.trace_hints in
     let budget = ref (t.config.max_trace_len - 1) in
     let continue_ = ref true in
     while !continue_ && !budget > 0 do
       let idx = st.State.rip in
-      if st.State.halted || idx < 0 || idx >= n_insns then continue_ := false
-      else if hints.(idx) = 0 then continue_ := false (* terminator *)
+      if st.State.halted || idx < 0 || idx >= n_insns || ends_trace insns.(idx)
+      then continue_ := false
       else begin
         let insn = insns.(idx) in
         decr budget;
@@ -1112,13 +1117,12 @@ module Make (A : Arith.S) = struct
     t.stats.Stats.cyc_jit <- t.stats.Stats.cyc_jit + c
 
   (* Close one superblock step over the engine. The returned closure
-     checks the step's guards (rip where not elided, shape always) and
-     side-exits on any failure; on success it performs exactly the
-     machine-state transitions the interpretive trace loop would. *)
+     checks the step's rip and shape guards and side-exits on either
+     failing; on success it performs exactly the machine-state
+     transitions the interpretive trace loop would. *)
   let compile_step t (s : Sb.step) : State.t -> step_res =
     let idx = s.Sb.s_index in
     let insn = s.Sb.s_insn in
-    let rip_guard = s.Sb.s_rip_guard in
     let fire_on_step st =
       match st.State.hooks.State.on_step with
       | Some h -> h st idx insn
@@ -1201,8 +1205,8 @@ module Make (A : Arith.S) = struct
         end
     in
     fun st ->
-      if rip_guard && st.State.rip <> idx then S_exit
-      else if st.State.prog.Program.insns.(idx) != insn then S_exit
+      if st.State.rip <> idx || st.State.prog.Program.insns.(idx) != insn
+      then S_exit
       else body st
 
   let compile_block t (sb : Sb.t) : jit_block =
@@ -1224,7 +1228,6 @@ module Make (A : Arith.S) = struct
     let insns = st.State.prog.Program.insns in
     let blk = compile_block t (Sb.of_trace insns ~head path) in
     Plan.store t.jit_blocks head insns.(head) blk;
-    Jit.set_path t.jit head path;
     blk
 
   (* Execute a compiled superblock, then chase back-edges: when the
@@ -1294,8 +1297,7 @@ module Make (A : Arith.S) = struct
     | Some blk -> jit_run_chain t st head blk
     | None ->
         let n = Jit.bump t.jit head in
-        if n >= t.config.jit_threshold && not (Jit.has_path t.jit head) then
-          t.jit_rec <- Some [];
+        if n >= t.config.jit_threshold then t.jit_rec <- Some [];
         trace t st;
         (match t.jit_rec with
         | Some steps ->
@@ -1560,13 +1562,9 @@ module Make (A : Arith.S) = struct
     prog : Program.t;
   }
 
-  (* Static trace-extension hints and no-escape facts, over the program
-     as patched: the pipeline's traceability partition is identical to
-     the engine's, so the trace loop consults the hints instead of
-     classifying dynamically, and the facts say which results may live
-     in the trace scratch buffer. *)
-  let static_hints t insns =
-    t.trace_hints <- Analysis.Traceability.run_lengths insns;
+  (* No-escape facts over the program as patched: which results may
+     live in the trace scratch buffer. *)
+  let escape_facts t insns =
     t.elide <-
       (if t.config.use_plans then Analysis.Escape.no_escape insns
        else Array.make (Array.length insns) false)
@@ -1607,7 +1605,7 @@ module Make (A : Arith.S) = struct
       t.fpa_sub_free <- Analysis.Fpa.sub_free_array a.Vsa.fpa n;
       t.stats.Stats.fpa_sites_proven <- a.Vsa.fpa.Analysis.Fpa.proven
     end;
-    static_hints t prog.Program.insns;
+    escape_facts t prog.Program.insns;
     (* the scratch buffer can never need more slots than the trace
        budget (at most one temp per emulated instruction) *)
     t.scratch <- Array.make config.max_trace_len None;
@@ -1715,14 +1713,11 @@ module Make (A : Arith.S) = struct
                 t.patch_sites <- t.patch_sites + 1;
                 prog.Program.insns.(idx) <-
                   Isa.Patched { site_id = t.patch_sites; original };
-                (* The site just became a trace terminator: truncate
-                   every precomputed run that extended across it. *)
-                Analysis.Traceability.invalidate t.trace_hints
-                  prog.Program.insns idx;
-                (* The rewrite also stales any cached plan (its shape
-                   key no longer matches) and shifts the no-escape
-                   facts: a Patched wrapper is an escape-scan failure,
-                   so recompute them over the rewritten program. *)
+                (* The site is now a trace terminator. The rewrite also
+                   stales any cached plan (its shape key no longer
+                   matches) and shifts the no-escape facts: a Patched
+                   wrapper is an escape-scan failure, so recompute them
+                   over the rewritten program. *)
                 if Plan.invalidate t.plans idx then begin
                   t.stats.Stats.plan_invalidations <-
                     t.stats.Stats.plan_invalidations + 1;
@@ -1853,9 +1848,9 @@ module Make (A : Arith.S) = struct
 
   (* ---- checkpoints ----------------------------------------------------- *)
 
-  (* The engine's section of a checkpoint, in format v3's order (the
+  (* The engine's section of a checkpoint, in format v4's order (the
      order is the format). Plans and blocks are closures, so only their
-     sites and recordings are written. *)
+     sites and recorded paths are written. *)
   let capture (ses : session) b =
     let t = ses.eng and kern = ses.kern in
     Wire.varint b t.since_gc;
@@ -1866,7 +1861,10 @@ module Make (A : Arith.S) = struct
     let sites = Plan.keys t.plans in
     Wire.varint b (List.length sites);
     List.iter (Wire.varint b) sites;
-    Jit.encode b t.jit;
+    let paths = ref [] in
+    Plan.iter t.jit_blocks (fun h blk ->
+        paths := (h, blk.jb_sb.Sb.path) :: !paths);
+    Jit.encode b t.jit (List.rev !paths);
     let patched =
       Array.to_seqi ses.prog.Program.insns
       |> Seq.filter_map (function
@@ -1890,9 +1888,9 @@ module Make (A : Arith.S) = struct
 
   (* Read what [capture] wrote over a freshly prepared session, then
      re-apply what depends on the program in the order it needs: the
-     rewrites, the static hints over the rewritten program, the plans,
-     and last the blocks, whose compilation pre-resolves each fused
-     step's plan. Plans and blocks are recompiled silently (no charges,
+     rewrites, the no-escape facts over the rewritten program, the
+     plans, and last the blocks, whose compilation pre-resolves each
+     fused step's plan. Plans and blocks are recompiled silently (no charges,
      no counter movement), so the resumed run replays the original's
      plan and JIT traffic, and hence its cycles, exactly. *)
   let restore (ses : session) s pos =
@@ -1904,7 +1902,7 @@ module Make (A : Arith.S) = struct
     Stats.restore s pos t.stats;
     Decoder.restore s pos t.cache insns;
     let sites = List.init (Wire.r_count s pos) (fun _ -> Wire.r_varint s pos) in
-    Jit.restore s pos t.jit ~n_insns;
+    let paths = Jit.restore s pos t.jit ~n_insns in
     let patched =
       List.init (Wire.r_count ~per:2 s pos) (fun _ ->
           let i = Wire.r_varint s pos in
@@ -1925,7 +1923,7 @@ module Make (A : Arith.S) = struct
         | Isa.Patched _ -> ()
         | original -> insns.(i) <- Isa.Patched { site_id; original })
       patched;
-    static_hints t insns;
+    escape_facts t insns;
     (* keyed by the unwrapped instruction, as the runtime paths look
        plans up; sites out of range or not FP are skipped *)
     List.iter
@@ -1938,7 +1936,7 @@ module Make (A : Arith.S) = struct
       sites;
     List.iter
       (fun (h, path) -> ignore (jit_compile_window t ses.st h path))
-      (Jit.paths t.jit)
+      paths
 
   let resume (ses : session) : result =
     let t = ses.eng and st = ses.st and kern = ses.kern in

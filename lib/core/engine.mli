@@ -209,21 +209,22 @@ module Make (A : Arith.S) : sig
       caller's binary. *)
 
   val capture : session -> Buffer.t -> unit
-  (** Append the engine's section of a checkpoint (format v3): GC
+  (** Append the engine's section of a checkpoint (format v4): GC
       epoch, trap-and-patch site count, stats, decode cache, the sites
-      holding a binding plan, the JIT's hot counters and recorded
-      paths, the trap-and-patch rewrites, the shadow arena, and the
-      kernel's accounting. Take it at a quiesce point
+      holding a binding plan, the JIT's hot counters and each compiled
+      block's recorded path, the trap-and-patch rewrites, the shadow
+      arena, and the kernel's accounting. Take it at a quiesce point
       ({!Probe.add_quiesce}). *)
 
   val restore : session -> string -> int ref -> unit
   (** Read a section {!capture} wrote, starting at the position, over a
       freshly prepared session of the same program and config. Then
-      re-apply the rewrites, the trace hints over the rewritten program,
-      the plans and the JIT blocks, in that order, all silently: a
-      resumed run replays the original's plan and JIT traffic, and
-      hence its cycles, exactly. Raises {!Wire.Corrupt} on a false
-      decode-cache flag, a cached or rewritten index out of range, a
+      re-apply the rewrites, the no-escape facts over the rewritten
+      program, the plans and the JIT blocks, in that order, all
+      silently: a resumed run replays the original's plan and JIT
+      traffic, and hence its cycles, exactly. Raises {!Wire.Corrupt} on
+      a cached decode index that is out of range or not an FP
+      instruction, a rewritten site or JIT path index out of range, a
       count beyond the bytes left, or an arena {!Arena.restore}
       rejects. *)
 

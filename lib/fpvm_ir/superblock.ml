@@ -14,10 +14,7 @@
      object, so physical equality detects staleness — the same keying
      discipline as the binding-plan table);
    - rip: control flow actually arrived at the step's index (a
-     conditional branch or ret earlier in the path went the recorded
-     way). Redundant rip guards are elided when the block is lifted: an
-     emulated step and every non-branching native step leave the next
-     rip statically known;
+     conditional branch earlier in the path went the recorded way);
    - taint: a fast-emulated step requires a NaN-boxed (or foreign-sNaN)
      binary64 input, the condition under which native dispatch is
      guaranteed to fault and the interpreter would emulate. An untainted
@@ -45,15 +42,16 @@ type step = {
   s_index : int;
   s_insn : Isa.insn; (* the shape the step was lifted from *)
   s_action : action;
-  s_rip_guard : bool;
-      (* check [rip = s_index] before the step; elided where the
-         predecessor pins it *)
 }
 
 type t = {
   head : int; (* the delivering site the window was headed at *)
   head_insn : Isa.insn; (* shape of the head at lift time (table key) *)
   steps : step array;
+  path : (int * bool) array;
+      (* the recorded (index, absorbed) window the steps were lifted
+         from, kept for checkpoints: closures cannot be serialized, and
+         the path plus the restored program re-lower the block exactly *)
   touches : int array;
       (* sorted distinct instruction indices the block executes
          (including the head): a trap-and-patch rewrite of any of them
@@ -79,22 +77,6 @@ let fp_inputs (insn : Isa.insn) : Isa.operand list option =
   | Isa.Cvt_f2f { from_w = Isa.F64; src; _ } -> Some [ src ]
   | Isa.Cvt_f2i { w = Isa.F64; src; _ } -> Some [ src ]
   | _ -> None
-
-(* Does executing this step leave the next rip statically known (so the
-   successor's rip guard is redundant)? Emulated steps always advance
-   to [s_index + 1]; native steps do too unless they are data-dependent
-   control flow. A direct [Jmp]/[Call] pins rip as well, but not to
-   [s_index + 1] — [static_next] returns the pinned target. *)
-let static_next (s : step) : int option =
-  match s.s_action with
-  | A_emulate _ -> Some (s.s_index + 1)
-  | A_native -> (
-      match s.s_insn with
-      | Isa.Jmp k -> Some k
-      | Isa.Call k -> Some k
-      | Isa.Jcc _ | Isa.Ret | Isa.Halt -> None
-      | Isa.Checked _ | Isa.Patched _ -> None (* wrapped: stay guarded *)
-      | _ -> Some (s.s_index + 1))
 
 let touches_of ~head (steps : step array) : int array =
   let tbl = Hashtbl.create 32 in
@@ -125,9 +107,7 @@ let touches_site (t : t) idx =
    binding plan without dispatching is bit-identical to the
    interpreter). Everything else stays native dispatch: an absorbed
    binary32, packed or int->float fault simply faults and absorbs again
-   at run time, exactly as the interpreter would. A step's rip guard is
-   elided when its predecessor pins the next rip statically; the block
-   entry keeps its guard, which doubles as the delivery-site check. *)
+   at run time, exactly as the interpreter would. *)
 let of_trace (insns : Isa.insn array) ~(head : int)
     (path : (int * bool) array) : t =
   let lift (idx, absorbed) =
@@ -137,12 +117,8 @@ let of_trace (insns : Isa.insn array) ~(head : int)
       | true, Some inputs -> A_emulate inputs
       | _ -> A_native
     in
-    { s_index = idx; s_insn = insn; s_action; s_rip_guard = true }
+    { s_index = idx; s_insn = insn; s_action }
   in
   let steps = Array.map lift path in
-  Array.iteri
-    (fun i s ->
-      if i > 0 && static_next steps.(i - 1) = Some s.s_index then
-        steps.(i) <- { s with s_rip_guard = false })
-    steps;
-  { head; head_insn = insns.(head); steps; touches = touches_of ~head steps }
+  { head; head_insn = insns.(head); steps; path;
+    touches = touches_of ~head steps }

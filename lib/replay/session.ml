@@ -52,78 +52,29 @@ module Make (A : Fpvm.Arith.S) = struct
 
   let dangling_digest = Codec.fnv64 Codec.fnv_basis "dangling-box"
 
-  let memo_sentinel = Obj.repr "digest-memo-empty"
-
-  (* Per-recording digest state. This used to live at functor level,
-     which silently coupled every session built from one [Make (A)]
-     application: two interleaved recordings thrashed each other's
-     memo tables (a correctness hazard with the [==] check, since
-     arena indices are per-engine), and two domains raced outright.
-     [scratch] avoids one Buffer allocation per digested register;
-     [memo_*] memoizes shadow-value digests per arena cell (registers
-     barely change between consecutive events). Shadow values are
-     immutable once allocated; the [==] check makes a reused cell
-     (freed, then re-allocated) miss, and a stale hit is impossible —
-     a physically identical value digests identically by construction.
-     [dec_*] memoizes per-site decodes separately from the engine's
-     decode cache, keeping the engine's hit/miss counters — part of
-     the deterministic stats — untouched by recording. *)
-  type dctx = {
-    scratch : Buffer.t;
-    mutable memo_obj : Obj.t array;
-    mutable memo_dig : int64 array;
-    mutable dec_seen : Bytes.t;
-    mutable dec_tab : Fpvm.Decoder.decoded option array;
-  }
-
-  let dctx () =
-    { scratch = Buffer.create 64;
-      memo_obj = [||];
-      memo_dig = [||];
-      dec_seen = Bytes.empty;
-      dec_tab = [||] }
-
-  let memo_ensure ctx idx =
-    if idx >= Array.length ctx.memo_obj then begin
-      let n = max 1024 (2 * (idx + 1)) in
-      let o = Array.make n memo_sentinel and d = Array.make n 0L in
-      Array.blit ctx.memo_obj 0 o 0 (Array.length ctx.memo_obj);
-      Array.blit ctx.memo_dig 0 d 0 (Array.length ctx.memo_dig);
-      ctx.memo_obj <- o;
-      ctx.memo_dig <- d
-    end
+  (* The digest of one shadow value's encoding. [scratch] is a
+     per-recording buffer, so it saves one allocation per digested
+     register without coupling interleaved recordings or domains. *)
+  let encoded_digest scratch v =
+    Buffer.clear scratch;
+    A.encode_value scratch v;
+    Codec.fnv64 Codec.fnv_basis (Buffer.contents scratch)
 
   (* Raw bits for unboxed values; the digest of the *encoded shadow
      value* for boxes. *)
-  let value_digest ctx (eng : E.t) (bits : int64) : int64 =
+  let value_digest scratch (eng : E.t) (bits : int64) : int64 =
     if Fpvm.Nanbox.is_boxed bits then begin
       let idx = Fpvm.Nanbox.unbox bits in
       if idx >= Fpvm.Plan.temp_base then
         (* In-trace shadow temp: digest the scratch value behind it, so
            a mid-trace digest of a register holding a temp matches the
            same register holding the equivalent real box (temps are an
-           allocation-strategy artifact, like arena indices). No memo:
-           scratch slots recycle every trace. *)
+           allocation-strategy artifact, like arena indices). *)
         match E.temp_value eng bits with
-        | Some v ->
-            Buffer.clear ctx.scratch;
-            A.encode_value ctx.scratch v;
-            Codec.fnv64 Codec.fnv_basis (Buffer.contents ctx.scratch)
+        | Some v -> encoded_digest scratch v
         | None -> dangling_digest
-      else if Fpvm.Arena.is_live (E.arena eng) idx then begin
-        let v = Fpvm.Arena.value (E.arena eng) idx in
-        let o = Obj.repr v in
-        memo_ensure ctx idx;
-        if ctx.memo_obj.(idx) == o then ctx.memo_dig.(idx)
-        else begin
-          Buffer.clear ctx.scratch;
-          A.encode_value ctx.scratch v;
-          let d = Codec.fnv64 Codec.fnv_basis (Buffer.contents ctx.scratch) in
-          ctx.memo_obj.(idx) <- o;
-          ctx.memo_dig.(idx) <- d;
-          d
-        end
-      end
+      else if Fpvm.Arena.is_live (E.arena eng) idx then
+        encoded_digest scratch (Fpvm.Arena.value (E.arena eng) idx)
       else dangling_digest
     end
     else bits
@@ -140,11 +91,11 @@ module Make (A : Fpvm.Arith.S) = struct
   let[@inline] mix h v =
     mixi (mixi h (Int64.to_int v)) (Int64.to_int (Int64.shift_right_logical v 48))
 
-  let[@inline] mix_reg ctx eng h bits =
-    if Fpvm.Nanbox.is_boxed bits then mix h (value_digest ctx eng bits)
+  let[@inline] mix_reg scratch eng h bits =
+    if Fpvm.Nanbox.is_boxed bits then mix h (value_digest scratch eng bits)
     else mix h bits
 
-  let arch_digest ctx (eng : E.t) (st : State.t) : int64 =
+  let arch_digest scratch (eng : E.t) (st : State.t) : int64 =
     let h = mixi 0x4BF29CE484222325 st.State.rip in
     let h = mixi h st.State.insn_count in
     let h = mixi h st.State.fp_insn_count in
@@ -160,10 +111,10 @@ module Make (A : Fpvm.Arith.S) = struct
     let h = mixi h (Buffer.length st.State.out) in
     let h = ref (mixi h (Buffer.length st.State.serialized)) in
     for i = 0 to 15 do
-      h := mix_reg ctx eng !h st.State.gpr.(i)
+      h := mix_reg scratch eng !h st.State.gpr.(i)
     done;
     for i = 0 to 31 do
-      h := mix_reg ctx eng !h st.State.xmm.(i)
+      h := mix_reg scratch eng !h st.State.xmm.(i)
     done;
     Int64.of_int !h
 
@@ -176,31 +127,17 @@ module Make (A : Fpvm.Arith.S) = struct
     | Isa.Imm v -> v
     | Isa.Mem m -> ( try State.load64 st (State.ea st m) with _ -> 0L)
 
-  (* Faults cluster on a handful of static sites, so decode each site
-     once per program (the context is per-session, so the table is
-     always for this session's program copy). Decoding is
-     wrapper-transparent, so sites patched after first decode still
-     memo correctly. *)
-  let decode_memo ctx (prog : Machine.Program.t) idx =
-    (if Bytes.length ctx.dec_seen = 0 then begin
-       let n = Array.length prog.Machine.Program.insns in
-       ctx.dec_seen <- Bytes.make n '\000';
-       ctx.dec_tab <- Array.make n None
-     end);
-    if Bytes.get ctx.dec_seen idx = '\001' then ctx.dec_tab.(idx)
-    else begin
-      let d = Fpvm.Decoder.decode_insn prog.Machine.Program.insns.(idx) in
-      Bytes.set ctx.dec_seen idx '\001';
-      ctx.dec_tab.(idx) <- d;
-      d
-    end
-
-  let fault_operands ctx (eng : E.t) (st : State.t) (prog : Machine.Program.t)
-      index =
+  (* The faulting site's lane-0 operands. [Decoder.decode_insn] is pure
+     and unwraps instrumentation, so a site patched since it first
+     faulted decodes as before; bypassing the engine's decode cache
+     keeps its hit/miss counters, part of the deterministic stats,
+     untouched by recording. *)
+  let fault_operands scratch (eng : E.t) (st : State.t)
+      (prog : Machine.Program.t) index =
     if index < 0 || index >= Array.length prog.Machine.Program.insns then
       (0, 0L, 0L)
     else
-      match decode_memo ctx prog index with
+      match Fpvm.Decoder.decode_insn prog.Machine.Program.insns.(index) with
       | None -> (0, 0L, 0L)
       | Some d ->
           let dstb = operand_lane0 st d.Fpvm.Decoder.dst in
@@ -209,21 +146,21 @@ module Make (A : Fpvm.Arith.S) = struct
             (if Fpvm.Nanbox.is_boxed dstb then 1 else 0)
             lor if Fpvm.Nanbox.is_boxed srcb then 2 else 0
           in
-          (boxed, value_digest ctx eng dstb, value_digest ctx eng srcb)
+          (boxed, value_digest scratch eng dstb, value_digest scratch eng srcb)
 
-  let event_of_probe ctx (ses : E.session) seq (pev : P.event) : Event.t =
+  let event_of_probe scratch (ses : E.session) seq (pev : P.event) : Event.t =
     let st = ses.E.st in
-    let chk = arch_digest ctx ses.E.eng st in
+    let chk = arch_digest scratch ses.E.eng st in
     let kind =
       match pev with
       | P.Fp_trap { index; events } ->
           let boxed, dst, src =
-            fault_operands ctx ses.E.eng st ses.E.prog index
+            fault_operands scratch ses.E.eng st ses.E.prog index
           in
           Event.Fp_trap { index; events; boxed; dst; src }
       | P.Absorbed { index; events } ->
           let boxed, dst, src =
-            fault_operands ctx ses.E.eng st ses.E.prog index
+            fault_operands scratch ses.E.eng st ses.E.prog index
           in
           Event.Absorbed { index; events; boxed; dst; src }
       | P.Correctness { index } -> Event.Correctness { index }
@@ -307,7 +244,7 @@ module Make (A : Fpvm.Arith.S) = struct
        which the recorder does not use; installing it never changes
        what the recorder observes. *)
     Option.iter (fun f -> f probe) instrument;
-    let ctx = dctx () in
+    let scratch = Buffer.create 64 in
     let w = Log.writer meta in
     let seq = ref 0 in
     let pending = ref 0 in
@@ -317,7 +254,7 @@ module Make (A : Fpvm.Arith.S) = struct
        yielding on these channels; recording a guest mid-fleet must
        leave that hook in place. *)
     P.add_event probe (fun _st pev ->
-        Log.add w (event_of_probe ctx ses !seq pev);
+        Log.add w (event_of_probe scratch ses !seq pev);
         incr seq;
         incr pending);
     if checkpoint_every > 0 then
@@ -362,11 +299,11 @@ module Make (A : Fpvm.Arith.S) = struct
        (restore builds a fresh session whose sink starts empty). *)
     let probe = E.probe ses.E.eng in
     Option.iter (fun f -> f probe) instrument;
-    let ctx = dctx () in
+    let scratch = Buffer.create 64 in
     let seq = ref start_seq in
     let evs = log.Log.events in
     P.add_event probe (fun _st pev ->
-        let got = event_of_probe ctx ses !seq pev in
+        let got = event_of_probe scratch ses !seq pev in
         (if !seq >= Array.length evs then
            raise
              (Divergence_stop { at = !seq; expected = None; got = Some got })

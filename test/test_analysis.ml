@@ -290,7 +290,7 @@ let patch_tests =
           prog.Program.insns)
   ]
 
-(* ---- soundness oracle + trace hints ---- *)
+(* ---- soundness oracle + trace terminators ---- *)
 
 let oracle_tests =
   [ Alcotest.test_case "oracle is quiet when the analysis patches" `Quick
@@ -338,10 +338,10 @@ let oracle_tests =
           (s.Fpvm.Stats.corr_demote_boxed + s.Fpvm.Stats.corr_demote_clean);
         Alcotest.(check bool) "boxed demotions counted" true
           (s.Fpvm.Stats.corr_demote_boxed > 0));
-    Alcotest.test_case "trap-and-patch invalidates trace hints" `Quick
-      (fun () ->
-        (* patching rewrites instructions mid-run; stale hints would let
-           a trace run across a Patched site.  Output must stay exact. *)
+    Alcotest.test_case "trap-and-patch invalidates trace runs across a rewrite"
+      `Quick (fun () ->
+        (* patching rewrites instructions mid-run, and a trace must end
+           at the Patched site it reaches.  Output must stay exact. *)
         let b = Program.create ~name:"hint" () in
         let c = Program.data_f64 b [| 0.1; 1.1; 0.3 |] in
         Program.emit b (Isa.Mov_f { w = Isa.F64; dst = xmm 0; src = Isa.Mem (Isa.addr c) });
@@ -363,11 +363,30 @@ let oracle_tests =
             oracle = true
           }
         in
-        let r = E_vanilla.run ~config:cfg (Program.copy prog) in
+        let ses = E_vanilla.prepare ~config:cfg (Program.copy prog) in
+        (* count the patch handlers that run inside a trap's resident
+           window: none may, since the window ends at the rewrite *)
+        let in_window = ref false and crossed = ref 0 in
+        Fpvm.Probe.add_tel (E_vanilla.probe ses.E_vanilla.eng) (fun _ ev ->
+            match ev with
+            | Fpvm.Probe.T_trace_enter _ -> in_window := true
+            | Fpvm.Probe.T_trace_exit _ -> in_window := false
+            | _ -> ());
+        let hooks = ses.E_vanilla.st.State.hooks in
+        let handler = Option.get hooks.State.on_patched in
+        hooks.State.on_patched <-
+          Some
+            (fun st idx site insn ->
+              if !in_window then incr crossed;
+              handler st idx site insn);
+        let r = E_vanilla.resume ses in
         Alcotest.(check string) "identical" native.Fpvm.Engine.output
           r.Fpvm.Engine.output;
         Alcotest.(check int) "oracle clean" 0
-          r.Fpvm.Engine.stats.Fpvm.Stats.oracle_boxed_loads)
+          r.Fpvm.Engine.stats.Fpvm.Stats.oracle_boxed_loads;
+        Alcotest.(check bool) "sites patched" true
+          (r.Fpvm.Engine.stats.Fpvm.Stats.patch_invocations > 0);
+        Alcotest.(check int) "no window runs a patched site" 0 !crossed)
   ]
 
 (* ---- the taint map against the list fold it replaced ----
