@@ -109,7 +109,7 @@ let guard f =
 let run workload arith prec posit_bits scale config stats json disasm spy
     list_only record_file replay_file checkpoint_every from_checkpoint inject
     inject_nan trace_out profile profile_out shadow_check flows flow_capacity
-    cache_dir no_cache =
+    cache_dir =
   if list_only then begin
     List.iter
       (fun (e : W.entry) -> Printf.printf "%-12s %s\n" e.W.name e.W.specifics)
@@ -227,33 +227,28 @@ let run workload arith prec posit_bits scale config stats json disasm spy
                 output_string oc s;
                 close_out oc
               in
-              (* Persistent warm start: load this session's artifact
-                 cache file (if any) into a fresh store before the
-                 run, save it back after. Any mismatch or corruption
-                 makes the load a silent no-op — the run is then
-                 simply cold. Replay keeps its accounting faithful
-                 to the log's original run, so no store there. *)
+              (* Persistent warm start, only under --cache-dir: load
+                 this session's artifact cache file (if any) into a
+                 fresh store before the run, save it back after. Any
+                 mismatch or corruption makes the load a silent no-op
+                 — the run is then simply cold. Replay keeps its
+                 accounting faithful to the log's original run, so no
+                 store there. *)
               let cache_store =
-                if no_cache || arith = "native" || replay_file <> "" then
-                  None
+                if cache_dir = "" || arith = "native" || replay_file <> ""
+                then None
                 else begin
-                  let dir =
-                    if cache_dir <> "" then cache_dir
-                    else Fpvm.Artifact.default_dir ()
-                  in
                   let store = Fpvm.Artifact.create () in
                   let key = d.d_session_key ~config prog in
-                  ignore (Fpvm.Artifact.load store ~dir ~key);
-                  Some (store, dir, key)
+                  ignore (Fpvm.Artifact.load store ~dir:cache_dir ~key);
+                  Some (store, key)
                 end
               in
-              let cache_art =
-                Option.map (fun (st, _, _) -> st) cache_store
-              in
+              let cache_art = Option.map fst cache_store in
               let finish ?(code = 0) (r : Fpvm.Engine.result) =
                 (match cache_store with
-                | Some (store, dir, key) ->
-                    ignore (Fpvm.Artifact.save store ~dir ~key)
+                | Some (store, key) ->
+                    ignore (Fpvm.Artifact.save store ~dir:cache_dir ~key)
                 | None -> ());
                 print_string r.Fpvm.Engine.output;
                 (match tel with
@@ -907,16 +902,10 @@ let config_term fronts =
 let cache_dir =
   Arg.(value & opt string ""
        & info [ "cache-dir" ]
-           ~doc:"Directory for the persistent compilation-artifact cache \
-                 (default: \\$XDG_CACHE_HOME/fpvm or ~/.cache/fpvm). A warm \
-                 run reuses the cold run's superblock recordings; outputs \
-                 and fingerprints are bit-identical either way." ~docv:"DIR")
-
-let no_cache =
-  Arg.(value & flag
-       & info [ "no-cache" ]
-           ~doc:"Disable the persistent compilation-artifact cache (neither \
-                 load nor save).")
+           ~doc:"Read and write the persistent compilation-artifact cache in \
+                 this directory; without it no cache is used. A warm run \
+                 reuses the cold run's superblock recordings; outputs and \
+                 fingerprints are bit-identical either way." ~docv:"DIR")
 
 let stats = Arg.(value & flag & info [ "stats" ] ~doc:"Print FPVM statistics to stderr.")
 let json = Arg.(value & flag & info [ "json" ] ~doc:"Print machine-readable run statistics (JSON) to stdout.")
@@ -1021,7 +1010,7 @@ let run_term =
      $ stats $ json $ disasm $ spy $ list_only $ record_file
      $ replay_file $ checkpoint_every $ from_checkpoint $ inject
      $ inject_nan_arg $ trace_out $ profile $ profile_out $ shadow_check
-     $ flows_flag $ flow_capacity_arg $ cache_dir $ no_cache))
+     $ flows_flag $ flow_capacity_arg $ cache_dir))
 
 let bisect_cmd =
   let log_a = Arg.(required & pos 0 (some string) None & info [] ~docv:"LOG_A") in
