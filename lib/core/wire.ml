@@ -152,7 +152,7 @@ let bytes_rle b (st : State.t) =
 (* ---- readers (string + position ref) -------------------------------- *)
 
 let need s pos n =
-  if !pos < 0 || !pos + n > String.length s then
+  if !pos < 0 || n < 0 || n > String.length s - !pos then
     corrupt "truncated input at byte %d (need %d)" !pos n
 
 let r_u8 s pos =
