@@ -50,10 +50,11 @@ val decode : cache -> int -> Machine.Isa.insn -> decoded * bool
 (** {2 Checkpoints} *)
 
 val encode : Buffer.t -> cache -> unit
-(** Append the cache: a flag byte, the counters, the cached indices. *)
+(** Append the cache: the counters, then the cached indices. *)
 
 val restore : string -> int ref -> cache -> Machine.Isa.insn array -> unit
 (** Read what {!encode} wrote and refill the cache by re-decoding each
     index of the array. Decoding unwraps instrumentation, so the entries
     are the same before or after trap-and-patch rewrites are re-applied.
-    Raises {!Wire.Corrupt} on a false flag or an index out of range. *)
+    Raises {!Wire.Corrupt} on an index out of range or one whose
+    instruction is not an FP instruction. *)
