@@ -47,6 +47,17 @@ let decode_insn (insn : Machine.Isa.insn) : decoded option =
       Some { insn; aop = A_i2f { size }; w; lanes = 1; dst; src }
   | _ -> None
 
+let inputs d =
+  match d.aop with
+  | A_arith Machine.Isa.FSQRT | A_round _ | A_f2f | A_f2i _ | A_i2f _ -> [ d.src ]
+  | A_arith _ | A_cmp _ | A_cmppred _ -> [ d.dst; d.src ]
+
+let fused_inputs insn =
+  match decode_insn insn with
+  | Some { aop = A_i2f _; _ } -> None
+  | Some ({ w = Machine.Isa.F64; lanes = 1; _ } as d) -> Some (inputs d)
+  | _ -> None
+
 type cache = {
   table : (int, decoded) Hashtbl.t;
   mutable hits : int;

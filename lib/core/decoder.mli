@@ -29,6 +29,18 @@ val decode_insn : Machine.Isa.insn -> decoded option
 (** Cache-free decode; [None] for instructions FPVM never emulates.
     Unwraps instrumentation wrappers. *)
 
+val inputs : decoded -> Machine.Isa.operand list
+(** The operands the instruction reads: [[dst; src]], or [[src]] when
+    it only writes [dst] (sqrt, round, the conversions). *)
+
+val fused_inputs : Machine.Isa.insn -> Machine.Isa.operand list option
+(** {!inputs} of a scalar binary64 form other than int to float: the
+    lane-0 operands whose boxedness forces a native fault, with exactly
+    [invalid] when none is subnormal. [None] otherwise: binary32 lanes
+    cannot hold a box, int to float has no FP input, and a packed form's
+    raw lane beside a boxed one raises its own events. Unwraps
+    instrumentation wrappers. *)
+
 type cache = {
   table : (int, decoded) Hashtbl.t;
   mutable hits : int;
