@@ -520,7 +520,7 @@ let loc () =
     | "bigfloat" -> "bigfloat (MPFR substitute)"
     | "posit" -> "posit library"
     | "trapkern" -> "trap kernel"
-    | "fpvm_ir" -> "compiler and superblock IR"
+    | "fpvm_ir" -> "DSL compiler and code generator"
     | "workloads" -> "workloads"
     | "replay" -> "record/replay and bisection"
     | "telemetry" -> "telemetry (numprof, flowrec)"

@@ -173,7 +173,7 @@ let is_site (insn : Isa.insn) =
    pass with the operand-lane values the site reads plus the birth
    risks the abstract evaluation could not exclude.  At a scalar
    binary64 site the inputs are the lanes the engine's runtime
-   subnormal scan reads (Superblock.fp_inputs); a packed site lists
+   subnormal scan reads (Decoder.fused_inputs); a packed site lists
    both lanes, though packed steps always run native. *)
 let ftransfer ctx ?observe (ist : Domain.st) (f : fpst) idx (insn : Isa.insn) :
     fpst =

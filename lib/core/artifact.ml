@@ -2,9 +2,9 @@
 
     Level 1 — fleet-wide sharing: a mutex-guarded in-memory store that
     holds, per session key, the one port-agnostic compilation artifact
-    whose sharing changes a result: JIT superblock recordings (the
+    whose sharing changes a result: JIT block recordings (the
     [(index, absorbed)] paths a checkpoint (format v4) already persists
-    and re-lowers). Analysis facts are not artifacts: callers pass them to
+    and recompiles). Analysis facts are not artifacts: callers pass them to
     [Engine.prepare]. N identical guests record each block once: the
     first claim publishes (and the guest pays the compile charge as
     usual), every later claim of the same [(head, digest, path)] is

@@ -88,7 +88,7 @@ val default_config : config
 
 val jit_max_trace_len : int
 (** Cap (64) on a recorded superblock path: a longer recording, under a
-    [max_trace_len] above it, is truncated before lowering. *)
+    [max_trace_len] above it, is truncated before compiling. *)
 
 (** {2 The config table}
 

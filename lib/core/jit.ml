@@ -3,7 +3,7 @@
    The engine owns the compiled blocks themselves (closures over the
    arithmetic port, keyed in a [Plan.table] so they inherit the plan
    cache's physical-equality shape guard and invalidation discipline);
-   each block's superblock keeps the recorded path it was lowered from.
+   each block keeps the recorded path it was compiled from.
    This module owns the per-head delivery counters ("hotness"): bumped
    once per trap delivery at a site with no compiled block; when a
    counter reaches the configured threshold the next interpretive window

@@ -64,9 +64,8 @@ type tel =
     }
   | T_patch_check of { index : int; cycles : int }
   | T_jit_compile of { index : int; steps : int; cycles : int }
-      (* a hot trace headed at [index] was lowered and compiled into a
-         superblock of [steps] instructions; [cycles] is the one-time
-         compile charge *)
+      (* a hot trace headed at [index] was compiled into a block of
+         [steps] instructions; [cycles] is the one-time compile charge *)
   | T_jit_exec of { index : int; steps : int; cycles : int }
       (* one execution of the superblock headed at [index]: [steps]
          instructions ran compiled; [cycles] is the entry-or-link charge

@@ -44,13 +44,13 @@ type t = {
   mutable temps_materialized : int;
       (* scratch temps still live at trace exit, promoted to real boxes;
          temps_elided - temps_materialized = arena allocations avoided *)
-  (* trace JIT (guarded IR superblocks). Deterministic for a given
+  (* trace JIT (compiled guarded superblocks). Deterministic for a given
      config, but — like the telemetry gauges — excluded from the
      architectural fingerprint: the fingerprint's 42 fields predate the
      JIT and additive observation/optimization gauges must not churn
      recorded goldens. The cycle bucket [cyc_jit] *is* part of
      [total_fpvm_cycles] (it is real modeled work). *)
-  mutable jit_compiles : int; (* hot traces lowered + compiled *)
+  mutable jit_compiles : int; (* hot traces compiled *)
   mutable jit_hits : int; (* trap deliveries served by a superblock *)
   mutable jit_links : int;
       (* compiled-to-compiled back-edge transfers (no delivery paid) *)

@@ -42,7 +42,7 @@ type t = {
   trace_exit : int; (* context restore when a trace ends (resume native) *)
   plan_compile : int; (* compile a site's binding plan (superop) *)
   plan_hit : int; (* plan-table lookup on a revisit *)
-  jit_compile : int; (* lower + compile a hot trace into a superblock *)
+  jit_compile : int; (* compile a hot trace into a superblock *)
   jit_enter : int; (* superblock table lookup + entry guard on delivery *)
   jit_step : int; (* per-instruction cost inside a compiled superblock *)
   jit_link : int; (* compiled-to-compiled transfer on a trace back-edge *)

@@ -52,7 +52,7 @@ type t = {
       (** site specialization: plan-table lookup on a revisit, replacing
           bind + dispatch (calibrated near [decode_hit]) *)
   jit_compile : int;
-      (** trace JIT: lower + compile a hot trace into a superblock
+      (** trace JIT: compile a hot trace into a superblock
           (one-time, amortized over every subsequent execution) *)
   jit_enter : int;
       (** trace JIT: block-table lookup + entry guard when a delivery
