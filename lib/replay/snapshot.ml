@@ -130,10 +130,9 @@ let capture ~(meta : Log.meta) ~seq ~(st : State.t) ~(prog : Machine.Program.t)
   (* trailer checksum over everything above *)
   Codec.with_fnv_trailer b
 
-(* The meta and event sequence number the checkpoint was taken at. *)
-let restore ~(st : State.t) ~(prog : Machine.Program.t)
-    (engine : string -> int ref -> unit) (blob : string) : Log.meta * int =
-  (* integrity first: nothing is applied from a damaged checkpoint *)
+(* Integrity first: nothing is read from a damaged checkpoint. The
+   position of the meta, past the magic and the version. *)
+let verified blob =
   if String.length blob < String.length magic + 8 then
     Codec.corrupt "checkpoint too short";
   if String.sub blob 0 (String.length magic) <> magic then
@@ -145,6 +144,17 @@ let restore ~(st : State.t) ~(prog : Machine.Program.t)
   let pos = ref (String.length magic) in
   let v = Codec.r_u32 blob pos in
   if v <> version then Codec.corrupt "unsupported checkpoint version %d" v;
+  pos
+
+(* The meta the checkpoint was recorded under, read after the integrity
+   checks [restore] runs. *)
+let meta blob = Log.decode_meta blob (verified blob)
+
+(* The meta and event sequence number the checkpoint was taken at. *)
+let restore ~(st : State.t) ~(prog : Machine.Program.t)
+    (engine : string -> int ref -> unit) (blob : string) : Log.meta * int =
+  let pos = verified blob in
+  let body_len = String.length blob - 8 in
   let meta = Log.decode_meta blob pos in
   let seq = Codec.r_varint blob pos in
   let pname = Codec.r_str blob pos in
