@@ -369,6 +369,99 @@ let invalidation_tests =
         Alcotest.(check string) "patched output still jit-invariant"
           plain.Fpvm.Engine.output r.Fpvm.Engine.output) ]
 
+(* ---- fused inputs: the decoder's list against the table it replaced -- *)
+
+module Isa = Machine.Isa
+
+(* The trace JIT's own table of an instruction's FP inputs, kept
+   verbatim from the superblock IR the JIT compiled through before it
+   compiled recorded paths directly: the oracle for
+   [Decoder.fused_inputs]. *)
+let fp_inputs (insn : Isa.insn) : Isa.operand list option =
+  match insn with
+  | Isa.Fp_arith { w = Isa.F64; packed = false; op = Isa.FSQRT; src; _ } ->
+      Some [ src ]
+  | Isa.Fp_arith { w = Isa.F64; packed = false; dst; src; _ } ->
+      Some [ dst; src ]
+  | Isa.Fp_cmp { w = Isa.F64; a; b; _ } -> Some [ a; b ]
+  | Isa.Fp_cmppred { w = Isa.F64; dst; src; _ } -> Some [ dst; src ]
+  | Isa.Fp_round { w = Isa.F64; dst = _; src; _ } -> Some [ src ]
+  | Isa.Cvt_f2f { from_w = Isa.F64; src; _ } -> Some [ src ]
+  | Isa.Cvt_f2i { w = Isa.F64; src; _ } -> Some [ src ]
+  | _ -> None
+
+(* Every trapping FP form at both widths, packed and scalar, over an
+   xmm or a memory source. *)
+let every_form =
+  let bools = [ false; true ] and rax = Isa.Reg Isa.RAX in
+  List.concat_map
+    (fun (dst, src) ->
+      List.concat_map
+        (fun w ->
+          List.concat_map
+            (fun op ->
+              List.map
+                (fun packed -> Isa.Fp_arith { op; w; packed; dst; src })
+                bools)
+            Isa.[ FADD; FSUB; FMUL; FDIV; FMIN; FMAX; FSQRT ]
+          @ List.map
+              (fun signaling -> Isa.Fp_cmp { signaling; w; a = dst; b = src })
+              bools
+          @ List.map
+              (fun pred -> Isa.Fp_cmppred { pred; w; dst; src })
+              Isa.[ EQ; LT; LE; NEQ; NLT; NLE; ORD; UNORD ]
+          @ List.map
+              (fun imm -> Isa.Fp_round { imm; w; dst; src })
+              Isa.[ RN; RD; RU; RZ ]
+          @ [ Isa.Cvt_f2f { from_w = w; dst; src } ]
+          @ List.concat_map
+              (fun truncate ->
+                List.map
+                  (fun size -> Isa.Cvt_f2i { w; truncate; size; dst = rax; src })
+                  [ 4; 8 ])
+              bools
+          @ List.map
+              (fun size -> Isa.Cvt_i2f { w; size; dst; src = rax })
+              [ 4; 8 ])
+        [ Isa.F32; Isa.F64 ])
+    [ (Isa.Xmm 1, Isa.Xmm 2); (Isa.Xmm 3, Isa.Mem (Isa.addr ~base:Isa.RBP 16)) ]
+
+(* Each instruction bare and under each instrumentation wrapper: the
+   decoder's list must equal the old table's on the unwrapped form. *)
+let same_fused_inputs insns =
+  let fused = ref 0 in
+  List.iter
+    (fun i ->
+      List.iter
+        (fun w ->
+          let want = fp_inputs (Machine.Program.strip_insn w) in
+          if Fpvm.Decoder.fused_inputs w <> want then
+            Alcotest.failf "fused inputs differ on %a" Isa.pp_insn w;
+          if want <> None then incr fused)
+        [ i; Isa.Correctness_trap i; Isa.Checked i;
+          Isa.Patched { site_id = 1; original = i } ])
+    insns;
+  Alcotest.(check bool) "some instruction fuses" true (!fused > 0)
+
+let fused_input_tests =
+  let insns (p : Machine.Program.t) = Array.to_list p.Machine.Program.insns in
+  [ Alcotest.test_case "stock programs, both scales, plain and instrumented"
+      `Quick (fun () ->
+        W.all
+        |> List.concat_map (fun (e : W.entry) ->
+               List.concat_map
+                 (fun scale ->
+                   insns (e.W.program scale) @ insns (e.W.instrumented scale))
+                 [ W.Test; W.S ])
+        |> same_fused_inputs);
+    Alcotest.test_case "200 generated programs" `Quick (fun () ->
+        QCheck.Gen.generate ~rand:(Random.State.make [| 0xF05ED |]) ~n:200
+          Random_program.gen_program
+        |> List.concat_map (fun p -> insns (Fpvm_ir.Codegen.compile_program p))
+        |> same_fused_inputs);
+    Alcotest.test_case "every FP form at both widths" `Quick (fun () ->
+        same_fused_inputs every_form) ]
+
 let () =
   Alcotest.run "jit"
     [ ("differential", differential);
@@ -376,4 +469,5 @@ let () =
       ("taint-guard", taint_tests);
       ("packed", packed_tests);
       ("shape-guard", shape_tests);
-      ("patch-invalidation", invalidation_tests) ]
+      ("patch-invalidation", invalidation_tests);
+      ("fused-inputs", fused_input_tests) ]
