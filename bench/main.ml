@@ -1387,7 +1387,7 @@ let bench_telemetry () =
    iterations of hot-loop execution only. *)
 
 let bench_jit () =
-  hr "BENCH_jit.json: guarded IR superblocks with trace linking";
+  hr "BENCH_jit.json: recorded paths compiled, with trace linking";
   let window_cost (s : Fpvm.Stats.t) =
     s.Fpvm.Stats.cyc_trace + s.Fpvm.Stats.cyc_bind
     + s.Fpvm.Stats.cyc_emu_dispatch + s.Fpvm.Stats.cyc_jit
@@ -1461,8 +1461,8 @@ let bench_jit () =
     [ ("schema_version", J.Int 1);
       ( "experiment",
         J.Str
-          "trace JIT: hot traces compiled into guarded IR superblocks with \
-           trace linking" );
+          "trace JIT: the recorded paths of hot traces compiled into \
+           guarded blocks with trace linking" );
       ("arithmetic", J.Str "mpfr-200");
       ("scale", J.Str "test");
       ("baseline", J.Str "plans-only interpreter (use_jit=false)");
