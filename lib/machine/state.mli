@@ -76,6 +76,16 @@ exception Mem_fault of int
 
 val load64 : t -> int -> int64
 val store64 : t -> int -> int64 -> unit
+
+val load63 : t -> int -> int
+(** [load63 t a] is [Int64.to_int (load64 t a)], the word at [a] as its
+    low 63 bits, read without boxing an [int64]: for tests that ignore
+    the sign bit. *)
+
+val equal64 : t -> int -> int64 -> bool
+(** [equal64 t a v] is [Int64.equal (load64 t a) v], compared in
+    place. *)
+
 val load32 : t -> int -> int64
 val store32 : t -> int -> int64 -> unit
 val load16 : t -> int -> int64

@@ -541,6 +541,37 @@ let memory_tests =
               (written st = before);
             Alcotest.(check (list int)) "and dirtied no card" [] (State.dirty_cards st))
           [ false; true ]);
+    Alcotest.test_case "unboxed word reads agree with load64" `Quick (fun () ->
+        let st = State.create mem_prog and ps = State.page_size in
+        let inside = ps + 16 and straddle = (2 * ps) - 3 and last = mem_size - 8 in
+        List.iter
+          (fun (a, v) -> State.store64 st a v)
+          [ (inside, 0xFFF4_4000_0000_0003L); (straddle, 0x7FF4_0000_0000_0009L);
+            (last, 0x8000_0000_0000_0001L) ];
+        List.iter
+          (fun a ->
+            let w = State.load64 st a in
+            let what = Printf.sprintf "at %d" a in
+            Alcotest.(check int) (what ^ ": load63") (Int64.to_int w) (State.load63 st a);
+            List.iter
+              (fun v ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s: equal64 %Lx" what v)
+                  (Int64.equal w v) (State.equal64 st a v))
+              [ w; Int64.logxor w Int64.min_int; Int64.logxor w 1L; 0L ])
+          [ inside; straddle; 5 * ps; last; 0 ];
+        List.iter
+          (fun a ->
+            let fault what f =
+              match f () with
+              | _ -> Alcotest.failf "%s at %d accepted" what a
+              | exception State.Mem_fault a' ->
+                  Alcotest.(check int) (Printf.sprintf "%s fault address" what) a a'
+            in
+            fault "load64" (fun () -> ignore (State.load64 st a));
+            fault "load63" (fun () -> ignore (State.load63 st a));
+            fault "equal64" (fun () -> ignore (State.equal64 st a 0L)))
+          (wild_addresses 8));
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x9A6E5 |])
       (QCheck.Test.make ~count:300 ~name:"paged memory = flat memory" arb_accesses
          same_as_flat) ]
